@@ -14,6 +14,8 @@ bit, which makes the probability ratio exactly 1 on the first pass
 after a rollout.
 """
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
 
 from .checkpoint import load_container, save_container
@@ -48,56 +50,32 @@ N_ACTIONS = 3
 N_CLUSTERS = 12
 
 
+@dataclass
 class PPOConfig:
-    def __init__(
-        self,
-        clip_epsilon=0.2,
-        discount=0.99,
-        gae_lambda=0.95,
-        aux_loss_weight=0.5,
-        value_loss_weight=0.5,
-        entropy_coefficient=0.01,
-        epochs_per_update=4,
-        minibatch_size=32,
-        rollout_length=600,
-        total_timesteps=1_000_000,
-        learning_rate=0.0000879678,
-        max_grad_norm=0.5,
-        checkpoint_every=50,
-    ):
-        if not 0 < clip_epsilon < 1:
+    clip_epsilon: float = 0.2
+    discount: float = 0.99
+    gae_lambda: float = 0.95
+    aux_loss_weight: float = 0.5
+    value_loss_weight: float = 0.5
+    entropy_coefficient: float = 0.01
+    epochs_per_update: int = 4
+    minibatch_size: int = 32
+    rollout_length: int = 600
+    total_timesteps: int = 1_000_000
+    learning_rate: float = 0.0000879678
+    max_grad_norm: float = 0.5
+    checkpoint_every: int = 50
+
+    def __post_init__(self):
+        if not 0 < self.clip_epsilon < 1:
             raise ValueError("clip_epsilon must be in (0, 1)")
-        if not 0 < discount <= 1:
+        if not 0 < self.discount <= 1:
             raise ValueError("discount must be in (0, 1]")
-        if not 0 <= gae_lambda <= 1:
+        if not 0 <= self.gae_lambda <= 1:
             raise ValueError("gae_lambda must be in [0, 1]")
-        for name, w in (
-            ("aux_loss_weight", aux_loss_weight),
-            ("value_loss_weight", value_loss_weight),
-            ("entropy_coefficient", entropy_coefficient),
-        ):
-            if w < 0:
+        for name in ("aux_loss_weight", "value_loss_weight", "entropy_coefficient"):
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        self.clip_epsilon = clip_epsilon
-        self.discount = discount
-        self.gae_lambda = gae_lambda
-        self.aux_loss_weight = aux_loss_weight
-        self.value_loss_weight = value_loss_weight
-        self.entropy_coefficient = entropy_coefficient
-        self.epochs_per_update = epochs_per_update
-        self.minibatch_size = minibatch_size
-        self.rollout_length = rollout_length
-        self.total_timesteps = total_timesteps
-        self.learning_rate = learning_rate
-        self.max_grad_norm = max_grad_norm
-        self.checkpoint_every = checkpoint_every
-
-    def to_dict(self):
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 class PolicyNetwork:
@@ -164,14 +142,13 @@ class PolicyNetwork:
     def act(self, observation, h, c, reset, rng=None, mode="sample"):
         """One-step policy evaluation.
 
-        Returns (action_index, log_prob, value, aux_probs, hT, cT).
-        `reset` nonzero discards the incoming recurrent state, marking
-        an episode start.
+        Returns (action_index, log_prob, value, hT, cT). `reset` nonzero
+        discards the incoming recurrent state, marking an episode start.
         """
         obs = np.asarray(observation, dtype=np.float64)[None, :]
         resets = np.array([1 if reset else 0], dtype=np.uint8)
-        logits, aux_logits, values, hT, cT = self.forward_sequence(
-            obs, h, c, resets
+        logits, _, values, hT, cT = self.forward_sequence(
+            obs, h, c, resets, want_aux=False
         )
         probs = softmax(logits)[0]
         if not np.all(np.isfinite(probs)):
@@ -190,8 +167,7 @@ class PolicyNetwork:
         else:
             raise ValueError(f"unknown act mode {mode!r}")
         log_prob = float(log_softmax(logits)[0, action])
-        aux_probs = softmax(aux_logits)[0]
-        return action, log_prob, float(values[0]), aux_probs, hT, cT
+        return action, log_prob, float(values[0]), hT, cT
 
     def param_blocks(self):
         names = ["lstm.wx", "lstm.wh", "lstm.b"]
@@ -469,7 +445,7 @@ def collect_rollout(net, env, labels, buffer, rng, state):
         else:
             obs = env.windows[env.cursor]
         window_index = env.cursor
-        action, log_prob, value, _, hT, cT = net.act(
+        action, log_prob, value, hT, cT = net.act(
             obs, h, c, reset, rng, mode="sample"
         )
         result = env.step(ACTION_VALUES[action])
@@ -484,7 +460,7 @@ def collect_rollout(net, env, labels, buffer, rng, state):
     if buffer.dones[-1]:
         bootstrap = 0.0
     else:
-        _, _, bootstrap, _, _, _ = net.act(
+        _, _, bootstrap, _, _ = net.act(
             env.windows[env.cursor], h, c, 0, mode="greedy"
         )
     state[0], state[1], state[2] = h, c, need_reset
@@ -584,14 +560,14 @@ def save_policy(path, net, optimizer, config, seed, steps_done):
         "input_size": net.input_size,
         "hidden_size": net.hidden_size,
         "trunk": list(net.trunk_sizes),
-        "config": config.to_dict() if config else None,
+        "config": asdict(config) if config else None,
     }
     save_container(path, meta, blocks)
 
 
 def load_policy(path):
-    """Returns (net, meta). Optimizer moments stay in the file; reload
-    them with load_optimizer_state when resuming."""
+    """Returns (net, meta). The Adam moments stored next to the
+    parameters are not read: training cannot resume from a checkpoint yet."""
     meta, blocks = load_container(path)
     if meta.get("kind") != "policy":
         raise AgentError(f"{path}: not a policy checkpoint")
@@ -603,10 +579,3 @@ def load_policy(path):
     net.load_param_blocks(blocks)
     return net, meta
 
-
-def load_optimizer_state(path, net, optimizer):
-    meta, blocks = load_container(path)
-    names = list(net.param_blocks())
-    m = [blocks[f"adam.m.{n}"] for n in names]
-    v = [blocks[f"adam.v.{n}"] for n in names]
-    optimizer.load_state(m, v, meta["adam_step"])

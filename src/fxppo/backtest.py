@@ -12,6 +12,10 @@ import numpy as np
 
 from .env import ACTION_VALUES, TradingEnv
 
+# The mean of n equal values can be off by a few ulps (numpy's pairwise
+# summation), which leaves that much spurious spread in a constant stream.
+DEGENERATE_ULPS = 8
+
 
 class BacktestError(Exception):
     pass
@@ -78,7 +82,7 @@ def run_backtest(net, windows, returns, env_config, seed=0, checkpoint_hash=""):
         reset = 1
         done = False
         while not done:
-            action, _, _, _, h, c = net.act(obs, h, c, reset, mode="greedy")
+            action, _, _, h, c = net.act(obs, h, c, reset, mode="greedy")
             reset = 0
             result = env.step(ACTION_VALUES[action])
             rewards.append(result.reward)
@@ -91,12 +95,21 @@ def run_backtest(net, windows, returns, env_config, seed=0, checkpoint_hash=""):
 
 
 def sharpe_ratio(rewards):
-    """Mean divided by population standard deviation (divisor n)."""
+    """Mean divided by population standard deviation (divisor n).
+
+    The stream is first scaled by the power of two that brings max|r|
+    into [0.5, 1). That scaling is exact, so the ratio keeps its bits,
+    but the squared deviations of tiny rewards no longer underflow. A
+    stream whose standard deviation is within a few ulps of max|r| is
+    constant up to rounding and has no Sharpe ratio.
+    """
     r = np.asarray(rewards, dtype=np.float64)
     if r.size < 2:
         raise TooFewSamples(f"need at least 2 rewards, got {r.size}")
+    _, exponent = np.frexp(np.max(np.abs(r)))
+    r = np.ldexp(r, -exponent)
     std = r.std(ddof=0)
-    if std == 0.0:
+    if std <= DEGENERATE_ULPS * np.finfo(np.float64).eps:
         raise DegenerateReturns("constant reward stream has no Sharpe ratio")
     return float(r.mean() / std)
 

@@ -22,6 +22,7 @@ as blocks named ``adam.m.<param>`` / ``adam.v.<param>``.
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -55,40 +56,50 @@ def save_container(path, meta, blocks):
 
 
 def load_container(path):
-    """Read a container; returns (meta, blocks) with insertion order kept."""
+    """Read a container; returns (meta, blocks) with insertion order kept.
+
+    Every length field is checked against the bytes that remain, and bytes
+    after the last block are rejected, so a truncated or padded file raises
+    CheckpointError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:8] != MAGIC:
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(data) - pos:
+            raise CheckpointError(f"{path}: truncated {what}")
+        pos += n
+        return data[pos - n : pos]
+
+    def uint(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
+
+    if take(8, "header") != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a fxppo container")
-    (version,) = struct.unpack_from("<I", data, 8)
+    version = uint("<I", "header")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported container version {version}")
-    (meta_len,) = struct.unpack_from("<I", data, 12)
-    pos = 16
+    meta_len = uint("<I", "header")
     try:
-        meta = json.loads(data[pos : pos + meta_len].decode("utf-8"))
+        meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt metadata") from exc
-    pos += meta_len
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    count = uint("<I", "block count")
     blocks = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", data, pos)
-        pos += 1
-        dims = struct.unpack_from(f"<{ndim}I", data, pos)
-        pos += 4 * ndim
-        n_values = int(np.prod(dims)) if ndim else 1
-        end = pos + 8 * n_values
-        if end > len(data):
-            raise CheckpointError(f"{path}: truncated block {name!r}")
-        arr = np.frombuffer(data[pos:end], dtype="<f8").astype(np.float64)
-        blocks[name] = arr.reshape(dims)
-        pos = end
+        name_bytes = take(uint("<H", "block header"), "block header")
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: corrupt block name") from exc
+        ndim = uint("<B", "block header")
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "block header"))
+        values = take(8 * math.prod(dims), f"block {name!r}")
+        blocks[name] = np.frombuffer(values, dtype="<f8").astype(np.float64).reshape(dims)
+    if pos != len(data):
+        raise CheckpointError(f"{path}: {len(data) - pos} trailing bytes after the last block")
     return meta, blocks
 
 

@@ -40,11 +40,11 @@ from .data import (
     parse_candles,
     window_end_indices,
 )
-from .kernels import backend_name
 from .labeler import (
     AutoencoderConfig,
     DivergedLoss,
     LabelerError,
+    kmeans_assign,
     kmeans_fit,
     label_dataset,
     read_labels_csv,
@@ -143,8 +143,10 @@ def cmd_label(config, args):
     )
     save_autoencoder(os.path.join(out_dir, "ae.bin"), ae)
     save_kmeans(os.path.join(out_dir, "kmeans.bin"), km)
-    for split, windows in (("train", train_windows), ("test", test_windows)):
-        labels = label_dataset(ae, km, windows)
+    for split, windows, labels in (
+        ("train", train_windows, kmeans_assign(km, codes)),
+        ("test", test_windows, label_dataset(ae, km, test_windows)),
+    ):
         write_labels_csv(
             os.path.join(out_dir, f"labels_{split}.csv"),
             window_end_indices(windows.shape[0]),
@@ -178,6 +180,8 @@ def _spawn_per_seed(args, seeds, command):
             sys.executable, "-m", "fxppo.cli", command,
             "--config", args.config, "--seed", str(seed),
         ]
+        for item in args.set:
+            argv += ["--set", item]
         if getattr(args, "force", False):
             argv.append("--force")
         procs.append((seed, subprocess.Popen(argv)))
@@ -418,7 +422,7 @@ def cmd_report(config, args):
 def build_parser():
     parser = _Parser(prog="fxppo", description=__doc__)
     parser.add_argument(
-        "--version", action="store_true", help="print version and backend"
+        "--version", action="store_true", help="print version"
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -472,7 +476,7 @@ def main(argv=None):
     if getattr(args, "version", False) and args.command is None:
         from . import __version__
 
-        print(f"fxppo {__version__} (backend: {backend_name()})")
+        print(f"fxppo {__version__}")
         return EXIT_OK
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -8,6 +8,7 @@ directory, so runs with different settings can never collide.
 import hashlib
 import json
 import os
+from dataclasses import asdict, dataclass
 
 from .agent import PPOConfig
 from .env import EnvConfig
@@ -21,115 +22,66 @@ class ConfigError(Exception):
     pass
 
 
+@dataclass
 class KMeansConfig:
-    def __init__(self, k=12, max_iters=300, tol=1e-8):
-        self.k = k
-        self.max_iters = max_iters
-        self.tol = tol
-
-    def to_dict(self):
-        return {"k": self.k, "max_iters": self.max_iters, "tol": self.tol}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+    k: int = 12
+    max_iters: int = 300
+    tol: float = 1e-8
 
 
+@dataclass
 class TuneSpec:
     """Random-search space; learning rate is sampled log-uniformly."""
 
-    def __init__(
-        self,
-        trials=10,
-        objective="ae_reconstruction_mse",
-        seed=0,
-        ae_epochs=5,
-        batch_size=(16, 64),
-        learning_rate=(1e-5, 1e-2),
-        latent_size=(4, 16),
-        k=(4, 16),
-    ):
-        if trials < 1:
+    trials: int = 10
+    objective: str = "ae_reconstruction_mse"
+    seed: int = 0
+    ae_epochs: int = 5
+    batch_size: tuple = (16, 64)
+    learning_rate: tuple = (1e-5, 1e-2)
+    latent_size: tuple = (4, 16)
+    k: tuple = (4, 16)
+
+    def __post_init__(self):
+        if self.trials < 1:
             raise ConfigError("tune.trials must be >= 1")
-        if objective not in ("ae_reconstruction_mse", "kmeans_silhouette"):
-            raise ConfigError(f"unknown tune objective {objective!r}")
-        for name, rng in (
-            ("batch_size", batch_size),
-            ("learning_rate", learning_rate),
-            ("latent_size", latent_size),
-            ("k", k),
-        ):
-            lo, hi = rng
+        if self.objective not in ("ae_reconstruction_mse", "kmeans_silhouette"):
+            raise ConfigError(f"unknown tune objective {self.objective!r}")
+        for name in ("batch_size", "learning_rate", "latent_size", "k"):
+            lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ConfigError(f"tune.{name} range must be non-degenerate")
-        self.trials = trials
-        self.objective = objective
-        self.seed = seed
-        self.ae_epochs = ae_epochs
-        self.batch_size = tuple(batch_size)
-        self.learning_rate = tuple(learning_rate)
-        self.latent_size = tuple(latent_size)
-        self.k = tuple(k)
-
-    def to_dict(self):
-        return {
-            "trials": self.trials,
-            "objective": self.objective,
-            "seed": self.seed,
-            "ae_epochs": self.ae_epochs,
-            "batch_size": list(self.batch_size),
-            "learning_rate": list(self.learning_rate),
-            "latent_size": list(self.latent_size),
-            "k": list(self.k),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+            setattr(self, name, (lo, hi))
 
 
+@dataclass
 class RunConfig:
-    def __init__(
-        self,
-        train_csv,
-        test_csv,
-        seeds=None,
-        axt_seed=30,
-        out_root=None,
-        labeler=None,
-        kmeans=None,
-        env=None,
-        ppo=None,
-        tune=None,
-    ):
-        self.train_csv = train_csv
-        self.test_csv = test_csv
-        self.seeds = list(seeds) if seeds is not None else list(DEFAULT_SEEDS)
+    """The whole run. The five sections arrive as dicts (or None for all
+    defaults) and are replaced by their config objects."""
+
+    train_csv: str
+    test_csv: str
+    seeds: list = None
+    axt_seed: int = 30
+    out_root: str = None
+    labeler: dict = None
+    kmeans: dict = None
+    env: dict = None
+    ppo: dict = None
+    tune: dict = None
+
+    def __post_init__(self):
+        self.seeds = list(self.seeds) if self.seeds is not None else list(DEFAULT_SEEDS)
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seed list entries must be unique")
-        self.axt_seed = axt_seed
-        self.out_root = out_root or os.environ.get(OUT_ROOT_ENV, "out")
-        self.labeler = AutoencoderConfig.from_dict(labeler or {})
-        self.kmeans = KMeansConfig.from_dict(kmeans or {})
-        self.env = EnvConfig.from_dict(env or {})
-        self.ppo = PPOConfig.from_dict(ppo or {})
-        self.tune = TuneSpec.from_dict(tune or {})
-
-    def to_dict(self):
-        return {
-            "train_csv": self.train_csv,
-            "test_csv": self.test_csv,
-            "seeds": list(self.seeds),
-            "axt_seed": self.axt_seed,
-            "out_root": self.out_root,
-            "labeler": self.labeler.to_dict(),
-            "kmeans": self.kmeans.to_dict(),
-            "env": self.env.to_dict(),
-            "ppo": self.ppo.to_dict(),
-            "tune": self.tune.to_dict(),
-        }
+        self.out_root = self.out_root or os.environ.get(OUT_ROOT_ENV, "out")
+        self.labeler = AutoencoderConfig(**(self.labeler or {}))
+        self.kmeans = KMeansConfig(**(self.kmeans or {}))
+        self.env = EnvConfig(**(self.env or {}))
+        self.ppo = PPOConfig(**(self.ppo or {}))
+        self.tune = TuneSpec(**(self.tune or {}))
 
     @classmethod
     def from_dict(cls, d):
@@ -141,7 +93,7 @@ class RunConfig:
     def config_hash(self):
         """Stable digest of everything that affects results (the output
         root itself is excluded so moving outputs does not rekey them)."""
-        d = self.to_dict()
+        d = asdict(self)
         d.pop("out_root")
         canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
@@ -185,7 +137,7 @@ def write_effective_config(config, directory):
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "effective_config.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

@@ -59,15 +59,6 @@ class TooFewFeatures(DataError):
 
 
 @dataclass(frozen=True)
-class Candle:
-    timestamp: datetime
-    open: float
-    high: float
-    low: float
-    close: float
-
-
-@dataclass(frozen=True)
 class CsvFormat:
     """Column mapping for candle CSV files.
 
@@ -214,31 +205,3 @@ def window_end_indices(n_windows, window_len=WINDOW_LEN):
     """Feature-stream index of the newest step covered by each window."""
     return np.arange(n_windows) + window_len - 1
 
-
-def standardize(features, mean=None, std=None):
-    """Per-feature z-score.
-
-    When mean/std are omitted they are computed from `features`; pass the
-    training-set statistics when transforming evaluation data.  Zero stds
-    are replaced by 1 so constant columns map to zero.  Returns the
-    transformed array plus the (adjusted) statistics actually used.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if mean is None:
-        mean = features.mean(axis=0)
-    if std is None:
-        std = features.std(axis=0)
-    std = np.where(std == 0, 1.0, std)
-    return (features - mean) / std, mean, std
-
-
-def feature_stats(features):
-    """Summary statistics used by the preprocessing report."""
-    features = np.asarray(features, dtype=np.float64)
-    return {
-        "count": int(features.shape[0]),
-        "mean": features.mean(axis=0),
-        "std": features.std(axis=0),
-        "min": features.min(axis=0),
-        "max": features.max(axis=0),
-    }

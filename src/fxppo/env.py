@@ -9,11 +9,11 @@ the caller's start-index schedule.
 """
 
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 ACTION_VALUES = (-1, 0, 1)
-ACTION_NAMES = ("sell", "hold", "buy")
 
 
 class EnvError(Exception):
@@ -28,6 +28,7 @@ class EpisodeFinished(EnvError):
     pass
 
 
+@dataclass
 class EnvConfig:
     """Simulator knobs.
 
@@ -36,35 +37,18 @@ class EnvConfig:
     observed window (look-ahead, kept only for comparison runs).
     """
 
-    def __init__(
-        self,
-        episode_length=600,
-        window_len=16,
-        spread_cost=0.0,
-        reward_timing="next_return",
-    ):
-        if episode_length < 1:
+    episode_length: int = 600
+    window_len: int = 16
+    spread_cost: float = 0.0
+    reward_timing: str = "next_return"
+
+    def __post_init__(self):
+        if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-        if spread_cost < 0:
+        if self.spread_cost < 0:
             raise ValueError("spread_cost must be >= 0")
-        if reward_timing not in ("next_return", "same_step"):
-            raise ValueError(f"unknown reward_timing {reward_timing!r}")
-        self.episode_length = episode_length
-        self.window_len = window_len
-        self.spread_cost = spread_cost
-        self.reward_timing = reward_timing
-
-    def to_dict(self):
-        return {
-            "episode_length": self.episode_length,
-            "window_len": self.window_len,
-            "spread_cost": self.spread_cost,
-            "reward_timing": self.reward_timing,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+        if self.reward_timing not in ("next_return", "same_step"):
+            raise ValueError(f"unknown reward_timing {self.reward_timing!r}")
 
 
 StepResult = namedtuple("StepResult", ["observation", "reward", "done", "z"])
@@ -94,7 +78,6 @@ class TradingEnv:
         self.n_windows = self.windows.shape[0]
         self.cursor = None
         self.steps_in_episode = 0
-        self.episode_start = None
         self.position = 0
         self.done = True
 
@@ -116,7 +99,6 @@ class TradingEnv:
                 f"start index {start_index} outside [0, {self.max_start_index()}]"
             )
         self.cursor = start_index
-        self.episode_start = start_index
         self.steps_in_episode = 0
         self.position = 0
         self.done = False

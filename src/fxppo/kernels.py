@@ -1,80 +1,32 @@
 """Numeric hot kernels: dense/LSTM passes and the K-Means inner loops.
 
-Every kernel exists in two flavours:
+Plain numpy float64. The dense kernels compute only the affine map
+``x @ w + b`` and its gradients; :class:`fxppo.nn.DenseLayer` applies the
+activation.
 
-* ``*_py`` -- plain numpy, always available.
-* ``*_nb`` -- the same code compiled with ``numba.njit`` (or, for K-Means,
-  an explicit-loop variant that only pays off under JIT).
-
-The public names (``dense_rows_forward`` etc.) are bound to one flavour at
-import time.  Set ``FXPPO_NUMBA=0`` to force the pure-numpy path; the flag
-exists so the two backends can be compared (see ``benchmarks/``).
-
-Dense/LSTM kernels process sequences row by row with vector-matrix products.
-Row independence matters: a length-1 call and a length-T call must produce
-bitwise-identical values for the same row, because rollouts step one
-observation at a time while updates replay whole segments.
+The ``*_rows_*`` and LSTM kernels process sequences row by row with
+vector-matrix products. Row independence matters: a length-1 call and a
+length-T call must produce bitwise-identical values for the same row,
+because rollouts step one observation at a time while updates replay whole
+segments. The ``*_gemm_*`` kernels do one matmul for non-recurrent nets.
 """
-
-import os
 
 import numpy as np
 
-NUMBA_ENV_FLAG = "FXPPO_NUMBA"
 
-_want_numba = os.environ.get(NUMBA_ENV_FLAG, "1").lower() not in ("0", "false", "no")
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-NUMBA_ENABLED = _want_numba and HAS_NUMBA
-
-# Activation codes shared with nn.py (kernels take plain ints).
-ACT_IDENTITY = 0
-ACT_RELU = 1
-ACT_TANH = 2
-ACT_SOFTMAX = 3
-
-
-def _dense_rows_forward(x, w, b, act):
-    # x: (T, in), w: (in, out), b: (out,) -> (y, pre); row-wise matvec
+def dense_rows_forward(x, w, b):
+    # x: (T, in), w: (in, out), b: (out,) -> (T, out); row-wise matvec
     T = x.shape[0]
-    out = w.shape[1]
-    pre = np.empty((T, out), dtype=np.float64)
+    pre = np.empty((T, w.shape[1]), dtype=np.float64)
     for t in range(T):
         pre[t, :] = np.dot(x[t], w) + b
-    y = np.empty((T, out), dtype=np.float64)
-    if act == ACT_IDENTITY:
-        y[:, :] = pre
-    elif act == ACT_RELU:
-        y[:, :] = np.maximum(pre, 0.0)
-    elif act == ACT_TANH:
-        y[:, :] = np.tanh(pre)
-    else:
-        for t in range(T):
-            e = np.exp(pre[t] - np.max(pre[t]))
-            y[t, :] = e / np.sum(e)
-    return y, pre
+    return pre
 
 
-def _dense_rows_backward(x, pre, y, w, act, dy):
+def dense_rows_backward(x, w, dpre):
+    """(dx, dw, db) of the affine map given the gradient on its output."""
     T = x.shape[0]
-    n_in = w.shape[0]
-    n_out = w.shape[1]
-    dpre = np.empty_like(dy)
-    if act == ACT_IDENTITY:
-        dpre[:, :] = dy
-    elif act == ACT_RELU:
-        dpre[:, :] = dy * (pre > 0.0)
-    elif act == ACT_TANH:
-        dpre[:, :] = dy * (1.0 - y * y)
-    else:  # softmax rows: dpre_j = y_j * (dy_j - sum_k dy_k y_k)
-        for t in range(T):
-            s = np.sum(dy[t] * y[t])
-            dpre[t, :] = y[t] * (dy[t] - s)
+    n_in, n_out = w.shape
     wT = np.ascontiguousarray(w.T)
     dx = np.empty((T, n_in), dtype=np.float64)
     dw = np.zeros((n_in, n_out), dtype=np.float64)
@@ -86,42 +38,18 @@ def _dense_rows_backward(x, pre, y, w, act, dy):
     return dx, dw, db
 
 
-def _dense_gemm_forward(x, w, b, act):
-    # batched variant for non-recurrent nets; one matmul instead of a row loop
-    pre = np.dot(x, w) + b
-    y = np.empty_like(pre)
-    if act == ACT_IDENTITY:
-        y[:, :] = pre
-    elif act == ACT_RELU:
-        y[:, :] = np.maximum(pre, 0.0)
-    elif act == ACT_TANH:
-        y[:, :] = np.tanh(pre)
-    else:
-        for t in range(pre.shape[0]):
-            e = np.exp(pre[t] - np.max(pre[t]))
-            y[t, :] = e / np.sum(e)
-    return y, pre
+def dense_gemm_forward(x, w, b):
+    return np.dot(x, w) + b
 
 
-def _dense_gemm_backward(x, pre, y, w, act, dy):
-    dpre = np.empty_like(dy)
-    if act == ACT_IDENTITY:
-        dpre[:, :] = dy
-    elif act == ACT_RELU:
-        dpre[:, :] = dy * (pre > 0.0)
-    elif act == ACT_TANH:
-        dpre[:, :] = dy * (1.0 - y * y)
-    else:
-        for t in range(dy.shape[0]):
-            s = np.sum(dy[t] * y[t])
-            dpre[t, :] = y[t] * (dy[t] - s)
+def dense_gemm_backward(x, w, dpre):
     dx = np.dot(dpre, np.ascontiguousarray(w.T))
     dw = np.dot(np.ascontiguousarray(x.T), dpre)
     db = np.sum(dpre, axis=0)
     return dx, dw, db
 
 
-def _lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
+def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
     """Run an LSTM over a (T, in) sequence.
 
     resets[t] != 0 zeroes the carried state before consuming step t, which
@@ -165,8 +93,8 @@ def _lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
     return hs, cs, tanhc, gates, hprev, cprev, h, c
 
 
-def _lstm_seq_backward(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
-    """Backprop through time for `_lstm_seq_forward`.
+def lstm_seq_backward(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
+    """Backprop through time for `lstm_seq_forward`.
 
     dh_out is the per-step upstream gradient on hs; dh_final/dc_final seed
     the carried state at the sequence end. Gradient flow stops at reset
@@ -214,13 +142,12 @@ def _lstm_seq_backward(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out
 
 
 # ---------------------------------------------------------------------------
-# K-Means inner loops. The numba flavour uses explicit loops; the numpy
-# fallback vectorises the same direct squared-distance formula (kept direct,
-# not expanded, so exact ties break identically in both).
+# K-Means inner loops. The squared distance is kept direct, not expanded
+# into |p|^2 - 2 p.c + |c|^2, so exact ties break toward the lowest index.
 # ---------------------------------------------------------------------------
 
 
-def _kmeans_assign_py(points, centroids):
+def kmeans_assign(points, centroids):
     diff = points[:, None, :] - centroids[None, :, :]
     dists = np.sum(diff * diff, axis=2)
     labels = np.argmin(dists, axis=1).astype(np.int64)
@@ -228,31 +155,8 @@ def _kmeans_assign_py(points, centroids):
     return labels, inertia
 
 
-def _kmeans_assign_nb(points, centroids):
-    n, d = points.shape
-    k = centroids.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    inertia = 0.0
-    for p in range(n):
-        best = 0
-        best_d = 0.0
-        for j in range(d):
-            diff = points[p, j] - centroids[0, j]
-            best_d += diff * diff
-        for c in range(1, k):
-            dist = 0.0
-            for j in range(d):
-                diff = points[p, j] - centroids[c, j]
-                dist += diff * diff
-            if dist < best_d:
-                best_d = dist
-                best = c
-        labels[p] = best
-        inertia += best_d
-    return labels, inertia
-
-
-def _kmeans_update_py(points, labels, k):
+def kmeans_update(points, labels, k):
+    """Member means per cluster (NaN rows for empty clusters) and counts."""
     d = points.shape[1]
     sums = np.zeros((k, d), dtype=np.float64)
     counts = np.zeros(k, dtype=np.int64)
@@ -265,68 +169,3 @@ def _kmeans_update_py(points, labels, k):
         else:
             centroids[c] = np.nan
     return centroids, counts
-
-
-def _kmeans_update_nb(points, labels, k):
-    n, d = points.shape
-    sums = np.zeros((k, d), dtype=np.float64)
-    counts = np.zeros(k, dtype=np.int64)
-    for p in range(n):
-        c = labels[p]
-        counts[c] += 1
-        for j in range(d):
-            sums[c, j] += points[p, j]
-    centroids = np.empty((k, d), dtype=np.float64)
-    for c in range(k):
-        if counts[c] > 0:
-            for j in range(d):
-                centroids[c, j] = sums[c, j] / counts[c]
-        else:
-            for j in range(d):
-                centroids[c, j] = np.nan
-    return centroids, counts
-
-
-# Plain-python bindings (always importable, used by the benchmark and tests).
-dense_rows_forward_py = _dense_rows_forward
-dense_rows_backward_py = _dense_rows_backward
-dense_gemm_forward_py = _dense_gemm_forward
-dense_gemm_backward_py = _dense_gemm_backward
-lstm_seq_forward_py = _lstm_seq_forward
-lstm_seq_backward_py = _lstm_seq_backward
-kmeans_assign_py = _kmeans_assign_py
-kmeans_update_py = _kmeans_update_py
-
-if HAS_NUMBA:
-    _jit = njit(cache=True)
-    dense_rows_forward_nb = _jit(_dense_rows_forward)
-    dense_rows_backward_nb = _jit(_dense_rows_backward)
-    dense_gemm_forward_nb = _jit(_dense_gemm_forward)
-    dense_gemm_backward_nb = _jit(_dense_gemm_backward)
-    lstm_seq_forward_nb = _jit(_lstm_seq_forward)
-    lstm_seq_backward_nb = _jit(_lstm_seq_backward)
-    kmeans_assign_nb = _jit(_kmeans_assign_nb)
-    kmeans_update_nb = _jit(_kmeans_update_nb)
-
-if NUMBA_ENABLED:
-    dense_rows_forward = dense_rows_forward_nb
-    dense_rows_backward = dense_rows_backward_nb
-    dense_gemm_forward = dense_gemm_forward_nb
-    dense_gemm_backward = dense_gemm_backward_nb
-    lstm_seq_forward = lstm_seq_forward_nb
-    lstm_seq_backward = lstm_seq_backward_nb
-    kmeans_assign = kmeans_assign_nb
-    kmeans_update = kmeans_update_nb
-else:
-    dense_rows_forward = dense_rows_forward_py
-    dense_rows_backward = dense_rows_backward_py
-    dense_gemm_forward = dense_gemm_forward_py
-    dense_gemm_backward = dense_gemm_backward_py
-    lstm_seq_forward = lstm_seq_forward_py
-    lstm_seq_backward = lstm_seq_backward_py
-    kmeans_assign = kmeans_assign_py
-    kmeans_update = kmeans_update_py
-
-
-def backend_name():
-    return "numba" if NUMBA_ENABLED else "numpy"

@@ -7,6 +7,8 @@ auxiliary head. Both models are fit on training windows only and frozen
 before any evaluation data is labeled.
 """
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
 
 from . import kernels
@@ -42,44 +44,21 @@ class DegenerateData(LabelerError):
     pass
 
 
+@dataclass
 class AutoencoderConfig:
     """Architecture and training knobs for the window autoencoder."""
 
-    def __init__(
-        self,
-        input_size=80,
-        hidden_sizes=(128, 64, 32),
-        latent_size=12,
-        learning_rate=0.0000879678,
-        batch_size=32,
-        max_epochs=100,
-        patience=10,
-        holdout_fraction=0.1,
-    ):
-        self.input_size = input_size
-        self.hidden_sizes = tuple(hidden_sizes)
-        self.latent_size = latent_size
-        self.learning_rate = learning_rate
-        self.batch_size = batch_size
-        self.max_epochs = max_epochs
-        self.patience = patience
-        self.holdout_fraction = holdout_fraction
+    input_size: int = 80
+    hidden_sizes: tuple = (128, 64, 32)
+    latent_size: int = 12
+    learning_rate: float = 0.0000879678
+    batch_size: int = 32
+    max_epochs: int = 100
+    patience: int = 10
+    holdout_fraction: float = 0.1
 
-    def to_dict(self):
-        return {
-            "input_size": self.input_size,
-            "hidden_sizes": list(self.hidden_sizes),
-            "latent_size": self.latent_size,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "holdout_fraction": self.holdout_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+    def __post_init__(self):
+        self.hidden_sizes = tuple(self.hidden_sizes)
 
 
 class Autoencoder:
@@ -379,7 +358,7 @@ def silhouette_score(points, labels):
 def save_autoencoder(path, model):
     save_container(
         path,
-        {"kind": "autoencoder", "config": model.config.to_dict()},
+        {"kind": "autoencoder", "config": asdict(model.config)},
         model.param_blocks(),
     )
 
@@ -388,7 +367,7 @@ def load_autoencoder(path):
     meta, blocks = load_container(path)
     if meta.get("kind") != "autoencoder":
         raise LabelerError(f"{path}: not an autoencoder checkpoint")
-    model = Autoencoder(AutoencoderConfig.from_dict(meta["config"]))
+    model = Autoencoder(AutoencoderConfig(**meta["config"]))
     model.load_param_blocks(blocks)
     return model
 

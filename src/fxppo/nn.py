@@ -13,14 +13,8 @@ output ``j``; a dense layer computes ``act(x @ w + b)``.
 import numpy as np
 
 from . import kernels
-from .kernels import ACT_IDENTITY, ACT_RELU, ACT_SOFTMAX, ACT_TANH
 
-ACTIVATIONS = {
-    "identity": ACT_IDENTITY,
-    "relu": ACT_RELU,
-    "tanh": ACT_TANH,
-    "softmax": ACT_SOFTMAX,
-}
+ACTIVATIONS = ("identity", "relu")
 
 
 class ShapeMismatch(ValueError):
@@ -31,11 +25,6 @@ class NonFiniteValue(FloatingPointError):
     """A forward/backward pass or loss produced NaN or Inf."""
 
 
-def check_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"non-finite values in {name}")
-
-
 def init_uniform(rng, shape, fan_in):
     """Uniform init in +/- 1/sqrt(fan_in)."""
     bound = 1.0 / np.sqrt(fan_in)
@@ -43,7 +32,8 @@ def init_uniform(rng, shape, fan_in):
 
 
 class DenseLayer:
-    """Fully connected layer, ``y = act(x @ w + b)``.
+    """Fully connected layer, ``y = act(x @ w + b)`` with ``act`` one of
+    :data:`ACTIVATIONS`.
 
     ``forward`` takes a (T, in) or (in,) array. ``rows=True`` forces the
     row-at-a-time kernel whose outputs do not depend on how rows are
@@ -52,10 +42,11 @@ class DenseLayer:
     """
 
     def __init__(self, in_size, out_size, activation="identity", rng=None):
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
         self.in_size = in_size
         self.out_size = out_size
-        self.activation = activation
-        self.act = ACTIVATIONS[activation]
+        self.relu = activation == "relu"
         if rng is not None:
             self.w = init_uniform(rng, (in_size, out_size), in_size)
         else:
@@ -72,23 +63,24 @@ class DenseLayer:
                 f"dense expects input size {self.in_size}, got {x.shape[1]}"
             )
         if rows:
-            y, pre = kernels.dense_rows_forward(x, self.w, self.b, self.act)
+            pre = kernels.dense_rows_forward(x, self.w, self.b)
         else:
-            y, pre = kernels.dense_gemm_forward(x, self.w, self.b, self.act)
-        self._cache = (x, pre, y, rows)
-        return y
+            pre = kernels.dense_gemm_forward(x, self.w, self.b)
+        self._cache = (x, pre, rows)
+        return np.maximum(pre, 0.0) if self.relu else pre
 
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x, pre, y, rows = self._cache
+        x, pre, rows = self._cache
         dy = np.asarray(dy, dtype=np.float64)
-        if dy.shape != y.shape:
-            raise ShapeMismatch(f"gradient shape {dy.shape} != output {y.shape}")
+        if dy.shape != pre.shape:
+            raise ShapeMismatch(f"gradient shape {dy.shape} != output {pre.shape}")
+        dpre = dy * (pre > 0.0) if self.relu else dy
         if rows:
-            dx, dw, db = kernels.dense_rows_backward(x, pre, y, self.w, self.act, dy)
+            dx, dw, db = kernels.dense_rows_backward(x, self.w, dpre)
         else:
-            dx, dw, db = kernels.dense_gemm_backward(x, pre, y, self.w, self.act, dy)
+            dx, dw, db = kernels.dense_gemm_backward(x, self.w, dpre)
         self.dw += dw
         self.db += db
         return dx
@@ -191,26 +183,6 @@ def log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy of softmax(logits) against integer labels.
-
-    Returns (loss, dlogits) with dlogits already averaged over the batch.
-    """
-    logits = np.atleast_2d(logits)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.shape[0] != logits.shape[0]:
-        raise ShapeMismatch("labels/logits batch mismatch")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("label out of range")
-    logp = log_softmax(logits)
-    n = logits.shape[0]
-    loss = -float(np.mean(logp[np.arange(n), labels]))
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return loss, dlogits
-
-
 def mse_loss(estimates, targets):
     """Mean squared error and its gradient w.r.t. the estimates."""
     estimates = np.asarray(estimates, dtype=np.float64)
@@ -268,15 +240,6 @@ class Adam:
     def state_arrays(self):
         """Moment arrays in parameter order, for checkpointing."""
         return self.m, self.v
-
-    def load_state(self, m, v, step_count):
-        if len(m) != len(self.params) or len(v) != len(self.params):
-            raise ShapeMismatch("optimizer state length mismatch")
-        for slot, arr in zip(self.m, m):
-            slot[:] = arr
-        for slot, arr in zip(self.v, v):
-            slot[:] = arr
-        self.step_count = int(step_count)
 
 
 def zero_grads(layers):

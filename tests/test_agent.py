@@ -76,11 +76,11 @@ class TestPolicyNetwork:
             for p in layer.params():
                 p[:] = 0.0
         h, c = net.initial_state()
-        _, _, _, aux, _, _ = net.act(np.ones(6), h, c, 1, mode="greedy")
-        logits, _, _, _, _ = net.forward_sequence(
+        logits, aux_logits, _, _, _ = net.forward_sequence(
             np.ones((1, 6)), h, c, np.ones(1, dtype=np.uint8)
         )
         p = softmax(logits)[0]
+        aux = softmax(aux_logits)[0]
         assert np.all(np.abs(p - 1.0 / 3.0) < 1e-12)
         assert np.all(np.abs(aux - 1.0 / 12.0) < 1e-12)
 
@@ -91,7 +91,7 @@ class TestPolicyNetwork:
                 p[:] = 0.0
         net.policy_head.b[:] = np.log([0.2, 0.5, 0.3])
         h, c = net.initial_state()
-        action, log_prob, _, _, _, _ = net.act(np.zeros(6), h, c, 1, mode="greedy")
+        action, log_prob, _, _, _ = net.act(np.zeros(6), h, c, 1, mode="greedy")
         assert action == 1
         assert log_prob == pytest.approx(np.log(0.5), abs=1e-12)
 
@@ -106,7 +106,7 @@ class TestPolicyNetwork:
         counts = np.zeros(3)
         n = 30_000
         for _ in range(n):
-            a, _, _, _, _, _ = net.act(np.zeros(6), h, c, 1, rng)
+            a, _, _, _, _ = net.act(np.zeros(6), h, c, 1, rng)
             counts[a] += 1
         freqs = counts / n
         assert np.all(np.abs(freqs - [0.2, 0.5, 0.3]) < 0.02)
@@ -116,7 +116,7 @@ class TestPolicyNetwork:
         h, c = net.initial_state()
         obs = np.ones(6)
         a1 = net.act(obs, h, c, 1, mode="greedy")
-        h2, c2 = a1[4], a1[5]
+        h2, c2 = a1[3], a1[4]
         logits_fresh, _, _, _, _ = net.forward_sequence(
             obs[None], h, c, np.ones(1, dtype=np.uint8)
         )

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fxppo.agent import PolicyNetwork
@@ -96,10 +96,17 @@ class TestSharpe:
         st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=50),
         st.floats(0.1, 100.0),
     )
+    # a constant stream whose mean rounds off by an ulp or two
+    @example([0.013] * 10, 3.7)
+    # squared deviations of tiny rewards underflow into subnormals
+    @example([1e-160, 0.0, 0.0], 3.7)
     @settings(max_examples=40, deadline=None)
     def test_scale_invariance(self, rewards, scale):
         r = np.asarray(rewards)
-        if r.std() == 0:
+        if np.all(r == r[0]):
+            for stream in (r, r * scale):
+                with pytest.raises(DegenerateReturns):
+                    sharpe_ratio(stream)
             return
         base = sharpe_ratio(r)
         scaled = sharpe_ratio(r * scale)

@@ -65,3 +65,14 @@ def test_rejects_non_2d_meta_types(tmp_path):
     meta, blocks = load_container(path)
     assert meta["list"] == [1, 2, 3]
     assert blocks["w"].shape == (2, 2, 2)
+
+
+def test_every_prefix_and_trailing_byte_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_container(path, {"kind": "test"}, {"w": np.arange(3.0), "s": np.array(2.5).reshape(())})
+    raw = path.read_bytes()
+    damaged = [raw[:n] for n in range(len(raw))] + [raw + b"\x00"]
+    for data in damaged:
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError):
+            load_container(path)

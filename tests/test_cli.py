@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import fxppo
 from fxppo.backtest import parse_summary
 from fxppo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from fxppo.config import ConfigError, RunConfig, load_config, validate_split
@@ -116,6 +117,13 @@ class TestConfig:
         )
         with pytest.raises(ConfigError):
             validate_split(a, b)
+
+    def test_hash_values_pinned(self):
+        # output directories are keyed by these digests; a change re-keys
+        # every existing run
+        assert RunConfig("a", "b").config_hash() == "6ee35c2b4388"
+        c = RunConfig("a", "b", ppo={"learning_rate": 0.001}, tune={"k": [2, 8]})
+        assert c.config_hash() == "cb5ff601eb0e"
 
     def test_env_var_out_root(self, monkeypatch):
         monkeypatch.setenv("FXPPO_OUT", "/tmp/custom_out")
@@ -262,6 +270,35 @@ class TestBacktestCli:
         assert [p["seed"] for p in summary["per_seed"]] == [30, 50]
         mean = sum(p["total_return_pct"] for p in summary["per_seed"]) / 2
         assert abs(mean - summary["mean_total_return_pct"]) <= 1e-12
+
+    def test_truncated_checkpoint(self, prepared):
+        _, config_path, _ = prepared
+        run_cli(["train", "--config", config_path, "--seed", "30"])
+        final = os.path.join(load_config(config_path).run_dir("train", 30), "final.bin")
+        with open(final, "r+b") as fh:
+            fh.truncate(10)
+        code = run_cli(["backtest", "--config", config_path, "--seed", "30"])
+        assert code == EXIT_DATA
+
+    def test_parallel_seeds_keep_overrides(self, workspace, monkeypatch):
+        _, config_path, _ = workspace
+        # the per-seed children import fxppo from this checkout
+        src = os.path.dirname(os.path.dirname(fxppo.__file__))
+        monkeypatch.setenv(
+            "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        )
+        override = ["--set", "ppo.learning_rate=0.002"]
+        for stage in ("preprocess", "label", "train", "backtest"):
+            argv = [stage, "--config", config_path] + override
+            if stage in ("train", "backtest"):
+                argv.append("--parallel-seeds")
+            assert run_cli(argv) == EXIT_OK, stage
+        config = load_config(config_path, ["ppo.learning_rate=0.002"])
+        assert config.config_hash() != load_config(config_path).config_hash()
+        for seed in (30, 50):
+            assert os.path.exists(os.path.join(config.run_dir("train", seed), "final.bin"))
+            assert os.path.exists(os.path.join(config.run_dir("backtest", seed), "rewards.csv"))
+        assert os.path.exists(os.path.join(config.run_dir("backtest"), "summary.txt"))
 
     def test_report_reemits(self, prepared, capsys):
         _, config_path, _ = prepared

@@ -17,9 +17,7 @@ from fxppo.data import (
     build_windows,
     compute_features,
     compute_returns,
-    feature_stats,
     parse_candles,
-    standardize,
     window_end_indices,
 )
 
@@ -206,34 +204,3 @@ class TestWindows:
             expect = feats[end - WINDOW_LEN + 1 : end + 1].reshape(-1)
             assert np.array_equal(row, expect)
 
-
-class TestStandardize:
-    def test_zero_mean_unit_std(self):
-        x = np.random.default_rng(7).normal(3.0, 2.5, size=(200, 4))
-        z, mean, std = standardize(x)
-        assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(z.std(axis=0), 1.0, atol=1e-12)
-        back = z * std + mean
-        assert np.allclose(back, x, atol=1e-12)
-
-    def test_constant_column_untouched(self):
-        x = np.ones((10, 2))
-        x[:, 1] = np.arange(10)
-        z, _, std = standardize(x)
-        assert std[0] == 1.0
-        assert np.all(z[:, 0] == 0.0)
-
-    def test_reuse_given_stats(self):
-        x = np.random.default_rng(9).normal(size=(50, 3))
-        _, mean, std = standardize(x)
-        z2, m2, s2 = standardize(x, mean, std)
-        assert np.array_equal(m2, mean) and np.array_equal(s2, std)
-        assert np.allclose(z2, (x - mean) / std)
-
-
-def test_feature_stats_summary():
-    x = np.array([[1.0, 2.0], [3.0, 6.0]])
-    stats = feature_stats(x)
-    assert stats["mean"] == pytest.approx([2.0, 4.0])
-    assert stats["min"] == pytest.approx([1.0, 2.0])
-    assert stats["max"] == pytest.approx([3.0, 6.0])

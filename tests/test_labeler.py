@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fxppo import kernels
 from fxppo.labeler import (
     Autoencoder,
     AutoencoderConfig,
@@ -240,6 +241,14 @@ class TestKMeans:
         counts = np.array([3, 0], dtype=np.int64)
         repaired = _repair_empty(pts, labels, cents.copy(), counts)
         assert np.array_equal(repaired[1], [10.0, 0.0])
+
+    def test_update_marks_empty_clusters_nan(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        labels = np.array([0, 0], dtype=np.int64)
+        cents, counts = kernels.kmeans_update(pts, labels, 2)
+        assert counts.tolist() == [2, 0]
+        assert np.allclose(cents[0], [0.5, 0.5])
+        assert np.all(np.isnan(cents[1]))
 
     def test_no_nan_centroids_after_fit(self):
         rng = np.random.default_rng(19)
