@@ -9,9 +9,10 @@ failure.
 import argparse
 import json
 import math
+import multiprocessing
 import os
-import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .config import (
     write_effective_config,
 )
 from .data import (
-    CsvFormat,
     DataError,
     build_windows,
     compute_features,
@@ -92,7 +92,7 @@ def cmd_preprocess(config, args):
     series = {}
     for split in SPLITS:
         path = config.train_csv if split == "train" else config.test_csv
-        series[split] = parse_candles(_read_text(path), CsvFormat(), path)
+        series[split] = parse_candles(_read_text(path))
     validate_split(series["train"], series["test"])
 
     manifest = {}
@@ -173,49 +173,60 @@ def _load_labels_for(config, split, n_windows):
     return labels
 
 
-def _spawn_per_seed(args, seeds, command):
-    procs = []
-    for seed in seeds:
-        argv = [
-            sys.executable, "-m", "fxppo.cli", command,
-            "--config", args.config, "--seed", str(seed),
-        ]
-        for item in args.set:
-            argv += ["--set", item]
-        if getattr(args, "force", False):
-            argv.append("--force")
-        procs.append((seed, subprocess.Popen(argv)))
-    failed = [seed for seed, p in procs if p.wait() != 0]
+def _run_seeds(stage, fn, config, seeds, parallel, *args):
+    """Yields the line fn(config, seed, *args) returns for every seed, in
+    seed order.
+
+    Seeds run in this process, or with ``parallel`` in spawned worker
+    processes, at most one per CPU. A worker hands back a failure as its
+    exit code (see ``_guarded``), because not every exception survives
+    pickling.
+    """
+    if not parallel or len(seeds) < 2:
+        for seed in seeds:
+            yield fn(config, seed, *args)
+        return
+    failed = []
+    with ProcessPoolExecutor(
+        min(len(seeds), os.cpu_count() or 1),
+        mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        futures = [pool.submit(_guarded, fn, config, seed, *args) for seed in seeds]
+        for seed, future in zip(seeds, futures):
+            result = future.result()
+            if isinstance(result, int):
+                failed.append(seed)
+            else:
+                yield result
     if failed:
-        raise ConfigError(f"{command} failed for seeds {failed}")
+        raise ConfigError(f"{stage} failed for seeds {failed}")
 
 
-def cmd_train(config, args):
-    seeds = [args.seed] if args.seed is not None else list(config.seeds)
-    if args.parallel_seeds and len(seeds) > 1:
-        _spawn_per_seed(args, seeds, "train")
-        return EXIT_OK
-
+def _train_one_seed(config, seed, force):
     split_dir = _split_dir(config, "train")
     windows = _load_array(os.path.join(split_dir, "windows.npy"), "training windows")
     returns = _load_array(os.path.join(split_dir, "returns.npy"), "training returns")
     labels = _load_labels_for(config, "train", windows.shape[0])
+    out_dir = config.run_dir("train", seed)
+    final = os.path.join(out_dir, "final.bin")
+    if os.path.exists(final) and not force:
+        raise ConfigError(f"{final} already exists; pass --force to overwrite")
+    os.makedirs(out_dir, exist_ok=True)
+    write_effective_config(config, out_dir)
+    _, log_rows = train_agent(
+        windows, returns, labels, config.env, config.ppo, seed,
+        checkpoint_dir=out_dir,
+        log_path=os.path.join(out_dir, "train_log.csv"),
+    )
+    return f"train: seed {seed} finished {len(log_rows)} updates -> {out_dir}"
 
-    for seed in seeds:
-        out_dir = config.run_dir("train", seed)
-        final = os.path.join(out_dir, "final.bin")
-        if os.path.exists(final) and not args.force:
-            raise ConfigError(
-                f"{final} already exists; pass --force to overwrite"
-            )
-        os.makedirs(out_dir, exist_ok=True)
-        write_effective_config(config, out_dir)
-        _, log_rows = train_agent(
-            windows, returns, labels, config.env, config.ppo, seed,
-            checkpoint_dir=out_dir,
-            log_path=os.path.join(out_dir, "train_log.csv"),
-        )
-        print(f"train: seed {seed} finished {len(log_rows)} updates -> {out_dir}")
+
+def cmd_train(config, args):
+    seeds = [args.seed] if args.seed is not None else list(config.seeds)
+    for line in _run_seeds(
+        "train", _train_one_seed, config, seeds, args.parallel_seeds, args.force
+    ):
+        print(line)
     return EXIT_OK
 
 
@@ -247,57 +258,23 @@ def _backtest_one_seed(config, seed):
     seed_dir = config.run_dir("backtest", seed)
     os.makedirs(seed_dir, exist_ok=True)
     _write_rewards(os.path.join(seed_dir, "rewards.csv"), report.rewards)
+    meta = {"seed": seed, "checkpoint_hash": report.checkpoint_hash,
+            "data_range": list(report.data_range)}
     with open(os.path.join(seed_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "seed": seed,
-                "checkpoint_hash": report.checkpoint_hash,
-                "data_range": list(report.data_range),
-            },
-            fh,
-        )
-        fh.write("\n")
-    return report
-
-
-def _collect_reports(config, seeds):
-    reports = []
-    for seed in seeds:
-        seed_dir = config.run_dir("backtest", seed)
-        rewards_path = os.path.join(seed_dir, "rewards.csv")
-        if not os.path.exists(rewards_path):
-            raise MissingCheckpoint(seed)
-        with open(os.path.join(seed_dir, "meta.json"), encoding="utf-8") as fh:
-            meta = json.load(fh)
-        reports.append(
-            BacktestReport(
-                _read_rewards(rewards_path), seed,
-                tuple(meta["data_range"]), meta["checkpoint_hash"],
-            )
-        )
-    return reports
+        fh.write(json.dumps(meta) + "\n")
+    return f"backtest: seed {seed} done"
 
 
 def cmd_backtest(config, args):
     if args.seed is not None:
-        _backtest_one_seed(config, args.seed)
-        print(f"backtest: seed {args.seed} done")
+        print(_backtest_one_seed(config, args.seed))
         return EXIT_OK
-
-    seeds = list(config.seeds)
-    if args.parallel_seeds and len(seeds) > 1:
-        _spawn_per_seed(args, seeds, "backtest")
-        reports = _collect_reports(config, seeds)
-    else:
-        reports = [_backtest_one_seed(config, seed) for seed in seeds]
-
-    aggregate = aggregate_seeds(reports)
-    out_dir = config.run_dir("backtest")
-    equity_path, summary_path = emit_report(
-        aggregate, out_dir, baseline_summary=args.baseline
-    )
-    write_effective_config(config, out_dir)
-    print(open(summary_path, encoding="utf-8").read(), end="")
+    for _ in _run_seeds(
+        "backtest", _backtest_one_seed, config, list(config.seeds), args.parallel_seeds
+    ):
+        pass
+    write_effective_config(config, config.run_dir("backtest"))
+    equity_path, summary_path = _emit_summary(config, args.baseline)
     print(f"backtest: wrote {equity_path} and {summary_path}")
     return EXIT_OK
 
@@ -408,14 +385,30 @@ def cmd_tune(config, args):
     return EXIT_OK
 
 
-def cmd_report(config, args):
-    reports = _collect_reports(config, list(config.seeds))
-    aggregate = aggregate_seeds(reports)
-    out_dir = config.run_dir("backtest")
-    _, summary_path = emit_report(
-        aggregate, out_dir, baseline_summary=args.baseline
+def _emit_summary(config, baseline):
+    """Writes equity.csv and summary.txt from every seed's stored stream
+    and prints the summary; returns both paths."""
+    reports = []
+    for seed in config.seeds:
+        seed_dir = config.run_dir("backtest", seed)
+        rewards_path = os.path.join(seed_dir, "rewards.csv")
+        if not os.path.exists(rewards_path):
+            raise MissingCheckpoint(seed)
+        meta = json.loads(_read_text(os.path.join(seed_dir, "meta.json")))
+        reports.append(BacktestReport(
+            _read_rewards(rewards_path), seed,
+            tuple(meta["data_range"]), meta["checkpoint_hash"],
+        ))
+    paths = emit_report(
+        aggregate_seeds(reports), config.run_dir("backtest"),
+        baseline_summary=baseline,
     )
-    print(open(summary_path, encoding="utf-8").read(), end="")
+    print(_read_text(paths[1]), end="")
+    return paths
+
+
+def cmd_report(config, args):
+    _emit_summary(config, args.baseline)
     return EXIT_OK
 
 
@@ -470,6 +463,20 @@ def build_parser():
     return parser
 
 
+def _guarded(fn, *args):
+    """fn(*args), with a pipeline failure reported on stderr and returned
+    as its exit code."""
+    try:
+        return fn(*args)
+    except (NonFiniteValue, DivergedLoss) as exc:
+        print(f"fxppo: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (ConfigError, DataError, CheckpointError, LabelerError,
+            MissingCheckpoint, OSError) as exc:
+        print(f"fxppo: {exc}", file=sys.stderr)
+        return EXIT_DATA
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -481,22 +488,7 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    try:
-        config = load_config(args.config, args.set)
-        return args.func(config, args)
-    except (NonFiniteValue, DivergedLoss) as exc:
-        print(f"fxppo: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (
-        ConfigError,
-        DataError,
-        CheckpointError,
-        LabelerError,
-        MissingCheckpoint,
-        OSError,
-    ) as exc:
-        print(f"fxppo: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    return _guarded(lambda: args.func(load_config(args.config, args.set), args))
 
 
 if __name__ == "__main__":

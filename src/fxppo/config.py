@@ -11,6 +11,7 @@ import os
 from dataclasses import asdict, dataclass
 
 from .agent import PPOConfig
+from .data import N_FEATURES, WINDOW_LEN
 from .env import EnvConfig
 from .labeler import AutoencoderConfig
 
@@ -82,6 +83,13 @@ class RunConfig:
         self.env = EnvConfig(**(self.env or {}))
         self.ppo = PPOConfig(**(self.ppo or {}))
         self.tune = TuneSpec(**(self.tune or {}))
+        # preprocess always writes WINDOW_LEN-step windows of N_FEATURES each
+        for name, value, fixed in (
+            ("env.window_len", self.env.window_len, WINDOW_LEN),
+            ("labeler.input_size", self.labeler.input_size, WINDOW_LEN * N_FEATURES),
+        ):
+            if value != fixed:
+                raise ConfigError(f"{name} must be {fixed}, the window preprocess writes")
 
     @classmethod
     def from_dict(cls, d):

@@ -58,22 +58,6 @@ class TooFewFeatures(DataError):
     pass
 
 
-@dataclass(frozen=True)
-class CsvFormat:
-    """Column mapping for candle CSV files.
-
-    Columns are addressed by position; exports that append a volume column
-    (or anything else) simply leave those indices unmapped.
-    """
-
-    delimiter: str = ","
-    timestamp_col: int = 0
-    open_col: int = 1
-    high_col: int = 2
-    low_col: int = 3
-    close_col: int = 4
-
-
 @dataclass
 class CandleSeries:
     timestamps: list = field(default_factory=list)
@@ -81,7 +65,6 @@ class CandleSeries:
     high: np.ndarray = None
     low: np.ndarray = None
     close: np.ndarray = None
-    source_id: str = ""
 
     def __len__(self):
         return len(self.timestamps)
@@ -97,33 +80,34 @@ def _parse_timestamp(text):
     raise ValueError(f"unparseable timestamp {text!r}")
 
 
-def parse_candles(raw_text, fmt=None, source_id=""):
+def parse_candles(raw_text):
     """Parse a CSV document (header row required) into a CandleSeries.
+
+    Columns are time, open, high, low, close; any further columns (a
+    volume, say) are ignored.
 
     Raises MalformedRow / NonMonotonicTimestamp with 1-based line numbers;
     OHLC ordering and positivity are enforced per row.
     """
-    fmt = fmt or CsvFormat()
     lines = raw_text.splitlines()
     # skip blank lines but keep real line numbers for error messages
     rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
     if len(rows) <= 1:
         raise EmptyInput("no candle rows found (header plus at least one row required)")
-    needed = max(fmt.timestamp_col, fmt.open_col, fmt.high_col, fmt.low_col, fmt.close_col)
 
     timestamps = []
     opens, highs, lows, closes = [], [], [], []
     last_ts = None
     for lineno, line in rows[1:]:
-        cells = line.split(fmt.delimiter)
-        if len(cells) <= needed:
-            raise MalformedRow(lineno, f"expected at least {needed + 1} columns, got {len(cells)}")
+        cells = line.split(",")
+        if len(cells) < 5:
+            raise MalformedRow(lineno, f"expected at least 5 columns, got {len(cells)}")
         try:
-            ts = _parse_timestamp(cells[fmt.timestamp_col])
-            o = float(cells[fmt.open_col])
-            h = float(cells[fmt.high_col])
-            lo = float(cells[fmt.low_col])
-            c = float(cells[fmt.close_col])
+            ts = _parse_timestamp(cells[0])
+            o = float(cells[1])
+            h = float(cells[2])
+            lo = float(cells[3])
+            c = float(cells[4])
         except ValueError as exc:
             raise MalformedRow(lineno, str(exc)) from exc
         if not (o > 0 and h > 0 and lo > 0 and c > 0):
@@ -145,7 +129,6 @@ def parse_candles(raw_text, fmt=None, source_id=""):
         high=np.asarray(highs, dtype=np.float64),
         low=np.asarray(lows, dtype=np.float64),
         close=np.asarray(closes, dtype=np.float64),
-        source_id=source_id,
     )
 
 

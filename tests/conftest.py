@@ -5,6 +5,8 @@ criterion; this hook prints them after the run so the lines survive
 output capture.
 """
 
+import pytest
+
 ACCEPTANCE_RESULTS = []
 
 
@@ -14,3 +16,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num, desc, status, detail in sorted(ACCEPTANCE_RESULTS):
         terminalreporter.write_line(f"criterion {num:2d}: {status}  {desc}{detail}")
+
+
+def pytest_collection_modifyitems(config, items):
+    # A file left open fails the test. The filters are marks rather than
+    # ini settings so that they cover this directory only.
+    for item in items:
+        if item.path.is_relative_to(config.rootpath / "tests"):
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(
+                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+            )

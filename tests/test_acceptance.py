@@ -31,7 +31,6 @@ from fxppo.agent import (
 from fxppo.backtest import BacktestReport, ppi, run_backtest, sharpe_ratio
 from fxppo.cli import main as cli_main
 from fxppo.data import (
-    CsvFormat,
     build_windows,
     compute_features,
     compute_returns,
@@ -130,7 +129,7 @@ def write_walk_csv(path, n, seed, start_minute=0, scale=0.002):
 
 
 def prep_series(csv_text):
-    series = parse_candles(csv_text, CsvFormat(), "synthetic")
+    series = parse_candles(csv_text)
     features = compute_features(series)
     return (
         np.asarray(build_windows(features)),
@@ -160,7 +159,7 @@ class TestCriterion01FormulaExactness:
                 f"2017-01-02T00:{i:02d},{o!r},{h!r},{l!r},{c!r}"
                 for i, (o, h, l, c) in enumerate(candles)
             ]
-            series = parse_candles("\n".join(rows) + "\n", CsvFormat(), "fix")
+            series = parse_candles("\n".join(rows) + "\n")
             feats = compute_features(series)
             zs = compute_returns(series)
             assert feats.shape == (19, 5)

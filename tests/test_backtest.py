@@ -1,5 +1,7 @@
 """Backtest replay, metrics, and report round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -184,7 +186,7 @@ class TestEmitReport:
     def test_files_written_and_parse_back(self, tmp_path):
         agg = self.make_aggregate()
         equity_path, summary_path = emit_report(agg, str(tmp_path))
-        lines = open(equity_path).read().strip().split("\n")
+        lines = Path(equity_path).read_text().strip().split("\n")
         assert lines[0] == "step,seed,cumulative_return"
         assert len(lines) == 1 + 4 * 30
 
@@ -202,7 +204,7 @@ class TestEmitReport:
     def test_empty_curves_header_only(self, tmp_path):
         agg = aggregate_seeds([BacktestReport([], seed=30)])
         equity_path, _ = emit_report(agg, str(tmp_path))
-        assert open(equity_path).read() == "step,seed,cumulative_return\n"
+        assert Path(equity_path).read_text() == "step,seed,cumulative_return\n"
 
     def test_ppi_block_against_baseline(self, tmp_path):
         base_dir = tmp_path / "base"
@@ -217,7 +219,7 @@ class TestEmitReport:
         _, summary_path = emit_report(
             agg, str(new_dir), baseline_summary=str(base_dir / "summary.txt")
         )
-        text = open(summary_path).read()
+        text = Path(summary_path).read_text()
         assert "[ppi]" in text
         assert "metric,baseline,model,ppi_pct" in text
         row = [l for l in text.split("\n") if l.startswith("total_return_pct,")][0]

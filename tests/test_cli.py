@@ -2,15 +2,17 @@
 
 import json
 import os
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fxppo
-from fxppo.backtest import parse_summary
+from fxppo import cli
+from fxppo.backtest import MissingCheckpoint, parse_summary
 from fxppo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from fxppo.config import ConfigError, RunConfig, load_config, validate_split
-from fxppo.data import CsvFormat, parse_candles
+from fxppo.data import parse_candles
 
 
 def run_cli(argv):
@@ -108,13 +110,8 @@ class TestConfig:
             load_config(str(p))
 
     def test_split_order_enforced(self):
-        fmt = CsvFormat()
-        a = parse_candles(
-            "time,open,high,low,close\n2017-01-02T00:00,1,1,1,1\n", fmt, "a"
-        )
-        b = parse_candles(
-            "time,open,high,low,close\n2017-01-01T00:00,1,1,1,1\n", fmt, "b"
-        )
+        a = parse_candles("time,open,high,low,close\n2017-01-02T00:00,1,1,1,1\n")
+        b = parse_candles("time,open,high,low,close\n2017-01-01T00:00,1,1,1,1\n")
         with pytest.raises(ConfigError):
             validate_split(a, b)
 
@@ -154,8 +151,8 @@ class TestPreprocess:
         tmp_path, config_path, raw = workspace
         assert run_cli(["preprocess", "--config", config_path]) == EXIT_OK
         config = load_config(config_path)
-        manifest = json.load(
-            open(os.path.join(config.run_dir("preprocess"), "manifest.json"))
+        manifest = json.loads(
+            Path(config.run_dir("preprocess"), "manifest.json").read_text()
         )
         assert manifest["train"]["candles"] == 400
         assert manifest["train"]["files"]["features"]["rows"] == 399
@@ -169,9 +166,9 @@ class TestPreprocess:
         _, config_path, _ = workspace
         run_cli(["preprocess", "--config", config_path])
         config = load_config(config_path)
-        m1 = open(os.path.join(config.run_dir("preprocess"), "manifest.json")).read()
+        m1 = Path(config.run_dir("preprocess"), "manifest.json").read_text()
         run_cli(["preprocess", "--config", config_path])
-        m2 = open(os.path.join(config.run_dir("preprocess"), "manifest.json")).read()
+        m2 = Path(config.run_dir("preprocess"), "manifest.json").read_text()
         assert m1 == m2
 
     def test_missing_input_file(self, workspace):
@@ -201,11 +198,11 @@ class TestLabel:
         assert run_cli(["label", "--config", config_path]) == EXIT_OK
         config = load_config(config_path)
         label_dir = config.run_dir("label")
-        train_bytes = open(os.path.join(label_dir, "labels_train.csv"), "rb").read()
-        test_bytes = open(os.path.join(label_dir, "labels_test.csv"), "rb").read()
+        train_bytes = Path(label_dir, "labels_train.csv").read_bytes()
+        test_bytes = Path(label_dir, "labels_test.csv").read_bytes()
         assert run_cli(["label", "--config", config_path]) == EXIT_OK
-        assert open(os.path.join(label_dir, "labels_train.csv"), "rb").read() == train_bytes
-        assert open(os.path.join(label_dir, "labels_test.csv"), "rb").read() == test_bytes
+        assert Path(label_dir, "labels_train.csv").read_bytes() == train_bytes
+        assert Path(label_dir, "labels_test.csv").read_bytes() == test_bytes
 
         rows = train_bytes.decode().strip().split("\n")
         assert rows[0] == "window_end_index,label"
@@ -229,7 +226,7 @@ class TestTrain:
         config = load_config(config_path)
         out = config.run_dir("train", 30)
         assert os.path.exists(os.path.join(out, "final.bin"))
-        log = open(os.path.join(out, "train_log.csv")).read().strip().split("\n")
+        log = Path(out, "train_log.csv").read_text().strip().split("\n")
         assert log[0].startswith("timestep,")
         assert len(log) == 3  # header + 128/64 updates
 
@@ -282,11 +279,8 @@ class TestBacktestCli:
 
     def test_parallel_seeds_keep_overrides(self, workspace, monkeypatch):
         _, config_path, _ = workspace
-        # the per-seed children import fxppo from this checkout
-        src = os.path.dirname(os.path.dirname(fxppo.__file__))
-        monkeypatch.setenv(
-            "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        )
+        # the workers find fxppo on this process's sys.path, not the environment's
+        monkeypatch.delenv("PYTHONPATH", raising=False)
         override = ["--set", "ppo.learning_rate=0.002"]
         for stage in ("preprocess", "label", "train", "backtest"):
             argv = [stage, "--config", config_path] + override
@@ -300,6 +294,75 @@ class TestBacktestCli:
             assert os.path.exists(os.path.join(config.run_dir("backtest", seed), "rewards.csv"))
         assert os.path.exists(os.path.join(config.run_dir("backtest"), "summary.txt"))
 
+    def test_parallel_seeds_name_the_failed_seed(self, prepared, capfd):
+        _, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path, "--seed", "30"]) == EXIT_OK
+        code = run_cli(["backtest", "--config", config_path, "--parallel-seeds"])
+        assert code == EXIT_DATA
+        err = capfd.readouterr().err
+        assert "no checkpoint found for seed 50" in err
+        assert "backtest failed for seeds [50]" in err
+
+    SEED_OUTPUTS = (
+        "train/30/final.bin", "train/30/train_log.csv",
+        "train/50/final.bin", "train/50/train_log.csv",
+        "backtest/30/rewards.csv", "backtest/50/rewards.csv",
+        "backtest/equity.csv", "backtest/summary.txt",
+    )
+
+    def test_parallel_seeds_match_sequential(self, prepared, capsys):
+        tmp_path, config_path, _ = prepared
+        capsys.readouterr()
+        outputs = []
+        for mode in ("sequential", "parallel"):
+            root = str(tmp_path / mode)
+            argv = ["--config", config_path, "--set", f"out_root={root}"]
+            flag = ["--parallel-seeds"] if mode == "parallel" else []
+            for stage in ("preprocess", "label", "train", "backtest"):
+                argv_stage = [stage] + argv + (flag if stage in ("train", "backtest") else [])
+                assert run_cli(argv_stage) == EXIT_OK, (mode, stage)
+            stdout = capsys.readouterr().out.replace(root, "<root>")
+            config = load_config(config_path, [f"out_root={root}"])
+            out = Path(config.run_dir())
+            files = {rel: (out / rel).read_bytes() for rel in self.SEED_OUTPUTS}
+            outputs.append((stdout, files))
+        assert outputs[0] == outputs[1]
+
+    def test_pool_size_capped_by_cpus(self, monkeypatch):
+        pools = []
+
+        class StandIn:
+            """Runs each submitted call at once, in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        def one_seed(config, seed):
+            if seed == 70:
+                raise MissingCheckpoint(seed)
+            return f"seed {seed}"
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", StandIn)
+        config = RunConfig("a.csv", "b.csv")
+        for cpus, seeds in ((8, [30, 50]), (2, [30, 50, 99]), (1, [30, 50]), (8, [30])):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            lines = list(cli._run_seeds("stage", one_seed, config, seeds, True))
+            assert lines == [f"seed {s}" for s in seeds]
+        assert pools == [(2, "spawn"), (2, "spawn"), (1, "spawn")]
+        with pytest.raises(ConfigError, match=r"stage failed for seeds \[70\]"):
+            list(cli._run_seeds("stage", one_seed, config, [30, 70, 99], True))
+
     def test_report_reemits(self, prepared, capsys):
         _, config_path, _ = prepared
         run_cli(["train", "--config", config_path])
@@ -307,6 +370,30 @@ class TestBacktestCli:
         capsys.readouterr()
         assert run_cli(["report", "--config", config_path]) == EXIT_OK
         assert "mean_total_return_pct" in capsys.readouterr().out
+
+
+class TestWindowGeometry:
+    @pytest.mark.parametrize(
+        "override, stage",
+        [
+            ("env.window_len=8", "train"),
+            ("env.window_len=8", "simulate"),
+            ("labeler.input_size=40", "label"),
+        ],
+    )
+    def test_rejected_by_every_stage(self, workspace, capsys, override, stage):
+        # preprocess always writes 16-step, 80-value windows
+        tmp_path, config_path, _ = workspace
+        actions = tmp_path / "actions.csv"
+        actions.write_text("action\n1\n-1\n")
+        extra = {"simulate": ["--actions", str(actions)]}
+        stages = ["preprocess", "label", "train", "simulate"]
+        for earlier in stages[: stages.index(stage)]:
+            run_cli([earlier, "--config", config_path, "--set", override])
+        capsys.readouterr()
+        argv = [stage, "--config", config_path, "--set", override] + extra.get(stage, [])
+        assert run_cli(argv) == EXIT_DATA
+        assert override.split("=")[0] + " must be" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -354,11 +441,11 @@ class TestTune:
         assert run_cli(["tune", "--config", config_path]) == EXIT_OK
         config = load_config(config_path)
         tune_dir = config.run_dir("tune")
-        t1 = open(os.path.join(tune_dir, "trials.csv")).read()
+        t1 = Path(tune_dir, "trials.csv").read_text()
         assert run_cli(["tune", "--config", config_path]) == EXIT_OK
-        t2 = open(os.path.join(tune_dir, "trials.csv")).read()
+        t2 = Path(tune_dir, "trials.csv").read_text()
         assert t1 == t2
-        best = json.load(open(os.path.join(tune_dir, "best.json")))
+        best = json.loads(Path(tune_dir, "best.json").read_text())
         assert best["trial"] in (0, 1)
 
     def test_objective_recomputable_from_checkpoint(self, prepared):
@@ -366,7 +453,7 @@ class TestTune:
         run_cli(["tune", "--config", config_path])
         config = load_config(config_path)
         tune_dir = config.run_dir("tune")
-        rows = open(os.path.join(tune_dir, "trials.csv")).read().strip().split("\n")
+        rows = Path(tune_dir, "trials.csv").read_text().strip().split("\n")
         windows = np.load(
             os.path.join(config.run_dir("preprocess", "train"), "windows.npy")
         )

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fxppo.data import (
     N_FEATURES,
     WINDOW_LEN,
-    CsvFormat,
     EmptyInput,
     MalformedRow,
     NonMonotonicTimestamp,
@@ -20,8 +19,6 @@ from fxppo.data import (
     parse_candles,
     window_end_indices,
 )
-
-FMT = CsvFormat()
 
 
 def make_csv(rows):
@@ -41,45 +38,44 @@ def synth_rows(n, start=1.0, step=0.001):
 class TestParsing:
     def test_single_valid_row(self):
         text = make_csv(["2017-01-02T00:00,1.0465,1.0472,1.0460,1.0470"])
-        series = parse_candles(text, FMT, "unit")
+        series = parse_candles(text)
         assert len(series) == 1
         assert series.close[0] == pytest.approx(1.0470)
         assert series.open[0] == pytest.approx(1.0465)
-        assert series.source_id == "unit"
 
     def test_alternate_timestamp_format(self):
         text = make_csv(["2017.01.02 00:00,1.0465,1.0472,1.0460,1.0470"])
-        series = parse_candles(text, FMT, "unit")
+        series = parse_candles(text)
         assert len(series) == 1
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            parse_candles("", FMT, "unit")
+            parse_candles("")
 
     def test_header_only(self):
         with pytest.raises(EmptyInput):
-            parse_candles("time,open,high,low,close\n", FMT, "unit")
+            parse_candles("time,open,high,low,close\n")
 
     def test_high_below_low_rejected(self):
         text = make_csv(["2017-01-02T00:00,1.0465,1.0460,1.0472,1.0470"])
         with pytest.raises(MalformedRow) as exc:
-            parse_candles(text, FMT, "unit")
+            parse_candles(text)
         assert exc.value.line == 2
 
     def test_non_numeric_field(self):
         text = make_csv(["2017-01-02T00:00,abc,1.0472,1.0460,1.0470"])
         with pytest.raises(MalformedRow):
-            parse_candles(text, FMT, "unit")
+            parse_candles(text)
 
     def test_missing_column(self):
         text = make_csv(["2017-01-02T00:00,1.0465,1.0472,1.0460"])
         with pytest.raises(MalformedRow):
-            parse_candles(text, FMT, "unit")
+            parse_candles(text)
 
     def test_nonpositive_price(self):
         text = make_csv(["2017-01-02T00:00,1.0465,1.0472,-1.0,1.0470"])
         with pytest.raises(MalformedRow):
-            parse_candles(text, FMT, "unit")
+            parse_candles(text)
 
     def test_equal_timestamps_rejected(self):
         rows = [
@@ -87,7 +83,7 @@ class TestParsing:
             "2017-01-02T00:00,1.0470,1.0475,1.0465,1.0471",
         ]
         with pytest.raises(NonMonotonicTimestamp) as exc:
-            parse_candles(make_csv(rows), FMT, "unit")
+            parse_candles(make_csv(rows))
         assert exc.value.line == 3
 
     def test_decreasing_timestamps_rejected(self):
@@ -96,14 +92,14 @@ class TestParsing:
             "2017-01-02T00:00,1.0470,1.0475,1.0465,1.0471",
         ]
         with pytest.raises(NonMonotonicTimestamp):
-            parse_candles(make_csv(rows), FMT, "unit")
+            parse_candles(make_csv(rows))
 
     def test_blank_lines_skipped(self):
         text = (
             "time,open,high,low,close\n\n"
             "2017-01-02T00:00,1.0465,1.0472,1.0460,1.0470\n\n"
         )
-        series = parse_candles(text, FMT, "unit")
+        series = parse_candles(text)
         assert len(series) == 1
 
 
@@ -117,7 +113,7 @@ class TestFeatures:
                 "2017-01-02T00:01,1.0,1.10,0.99,1.10",
             ]
         )
-        series = parse_candles(text, FMT, "unit")
+        series = parse_candles(text)
         feats = compute_features(series)
         assert feats.shape == (1, N_FEATURES)
         assert feats[0, 0] == pytest.approx(0.10)          # close change
@@ -135,7 +131,7 @@ class TestFeatures:
                 "2017-01-02T00:01,1.0,2.1,0.45,1.01",
             ]
         )
-        series = parse_candles(text, FMT, "unit")
+        series = parse_candles(text)
         f = compute_features(series)[0]
         assert f[0] == pytest.approx(0.01)
         assert f[1] == pytest.approx((2.1 - 2.0) / 2.0)
@@ -151,19 +147,19 @@ class TestFeatures:
                 "2017-01-02T00:02,1.0,1.01,0.50,0.505",
             ]
         )
-        series = parse_candles(text, FMT, "unit")
+        series = parse_candles(text)
         rets = compute_returns(series)
         assert rets[0] == pytest.approx(0.01)
         assert rets[1] == pytest.approx(-0.5)
 
     def test_returns_match_first_feature(self):
-        series = parse_candles(make_csv(synth_rows(40)), FMT, "unit")
+        series = parse_candles(make_csv(synth_rows(40)))
         feats = compute_features(series)
         rets = compute_returns(series)
         assert np.array_equal(rets, feats[:, 0])
 
     def test_too_short_series(self):
-        series = parse_candles(make_csv(synth_rows(1)), FMT, "unit")
+        series = parse_candles(make_csv(synth_rows(1)))
         with pytest.raises(SeriesTooShort):
             compute_features(series)
 
