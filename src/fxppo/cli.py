@@ -178,22 +178,29 @@ def _run_seeds(stage, fn, config, seeds, parallel, *args):
     seed order.
 
     Seeds run in this process, or with ``parallel`` in spawned worker
-    processes, at most one per CPU. A worker hands back a failure as its
-    exit code (see ``_guarded``), because not every exception survives
-    pickling.
+    processes, at most one per CPU this process may run on. A worker hands
+    back a failure as its exit code (see ``_guarded``), because not every
+    exception survives pickling; a seed whose worker died or raised
+    anything else fails too.
     """
     if not parallel or len(seeds) < 2:
         for seed in seeds:
             yield fn(config, seed, *args)
         return
     failed = []
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     with ProcessPoolExecutor(
-        min(len(seeds), os.cpu_count() or 1),
+        min(len(seeds), cpus),
         mp_context=multiprocessing.get_context("spawn"),
     ) as pool:
         futures = [pool.submit(_guarded, fn, config, seed, *args) for seed in seeds]
         for seed, future in zip(seeds, futures):
-            result = future.result()
+            try:
+                result = future.result()
+            except Exception as exc:  # BrokenProcessPool included
+                print(f"fxppo: seed {seed}: {exc!r}", file=sys.stderr)
+                result = EXIT_DATA
             if isinstance(result, int):
                 failed.append(seed)
             else:
@@ -433,22 +440,12 @@ def build_parser():
 
     add("preprocess", cmd_preprocess)
     add("label", cmd_label)
-    add(
-        "train", cmd_train,
-        **{
-            "--seed": {"type": int, "default": None},
-            "--force": {"action": "store_true"},
-            "--parallel-seeds": {"action": "store_true", "dest": "parallel_seeds"},
-        },
-    )
-    add(
-        "backtest", cmd_backtest,
-        **{
-            "--seed": {"type": int, "default": None},
-            "--baseline": {"default": None},
-            "--parallel-seeds": {"action": "store_true", "dest": "parallel_seeds"},
-        },
-    )
+    per_seed = {
+        "--seed": {"type": int, "default": None},
+        "--parallel-seeds": {"action": "store_true"},
+    }
+    add("train", cmd_train, **per_seed, **{"--force": {"action": "store_true"}})
+    add("backtest", cmd_backtest, **per_seed, **{"--baseline": {"default": None}})
     add(
         "simulate", cmd_simulate,
         **{

@@ -3,6 +3,7 @@
 import json
 import os
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -328,12 +329,16 @@ class TestBacktestCli:
             outputs.append((stdout, files))
         assert outputs[0] == outputs[1]
 
-    def test_pool_size_capped_by_cpus(self, monkeypatch):
+    @staticmethod
+    def stand_in_pool(monkeypatch, raising=None):
+        """Replaces the process pool with one that runs each submitted call
+        at once, in this process, and records each pool's size and start
+        method. A seed in ``raising`` gets a future holding that exception,
+        as a worker that died or raised would leave."""
         pools = []
+        raising = raising or {}
 
         class StandIn:
-            """Runs each submitted call at once, in this process."""
-
             def __init__(self, max_workers, mp_context):
                 pools.append((max_workers, mp_context.get_start_method()))
 
@@ -345,23 +350,61 @@ class TestBacktestCli:
 
             def submit(self, fn, *args):
                 future = Future()
-                future.set_result(fn(*args))
+                seed = args[2]
+                if seed in raising:
+                    future.set_exception(raising[seed])
+                else:
+                    future.set_result(fn(*args))
                 return future
 
-        def one_seed(config, seed):
-            if seed == 70:
-                raise MissingCheckpoint(seed)
-            return f"seed {seed}"
-
         monkeypatch.setattr(cli, "ProcessPoolExecutor", StandIn)
+        return pools
+
+    @staticmethod
+    def one_seed(config, seed):
+        if seed == 70:
+            raise MissingCheckpoint(seed)
+        return f"seed {seed}"
+
+    def test_pool_size_capped_by_cpus(self, monkeypatch):
+        pools = self.stand_in_pool(monkeypatch)
         config = RunConfig("a.csv", "b.csv")
+        # the CPUs this process may run on count, not the machine's
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         for cpus, seeds in ((8, [30, 50]), (2, [30, 50, 99]), (1, [30, 50]), (8, [30])):
-            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-            lines = list(cli._run_seeds("stage", one_seed, config, seeds, True))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            lines = list(cli._run_seeds("stage", self.one_seed, config, seeds, True))
             assert lines == [f"seed {s}" for s in seeds]
         assert pools == [(2, "spawn"), (2, "spawn"), (1, "spawn")]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        list(cli._run_seeds("stage", self.one_seed, config, [30, 50, 99, 1], True))
+        assert pools[-1] == (3, "spawn")
         with pytest.raises(ConfigError, match=r"stage failed for seeds \[70\]"):
-            list(cli._run_seeds("stage", one_seed, config, [30, 70, 99], True))
+            list(cli._run_seeds("stage", self.one_seed, config, [30, 70, 99], True))
+
+    def test_pool_failures_name_the_seed(self, monkeypatch, capsys):
+        # a killed worker breaks the pool and fails every pending seed; an
+        # exception _guarded does not map comes back as it was raised
+        broken = BrokenProcessPool("a process terminated abruptly")
+        self.stand_in_pool(monkeypatch, {50: broken, 99: RuntimeError("boom")})
+        config = RunConfig("a.csv", "b.csv")
+        lines = []
+        with pytest.raises(ConfigError, match=r"stage failed for seeds \[50, 99\]"):
+            for line in cli._run_seeds("stage", self.one_seed, config, [30, 50, 99], True):
+                lines.append(line)
+        assert lines == ["seed 30"]
+        err = capsys.readouterr().err
+        assert "seed 50: BrokenProcessPool" in err
+        assert "seed 99: RuntimeError('boom')" in err
+
+    def test_pool_failure_exits_with_data_code(self, prepared, monkeypatch, capsys):
+        _, config_path, _ = prepared
+        self.stand_in_pool(monkeypatch, {50: BrokenProcessPool("killed")})
+        code = run_cli(["train", "--config", config_path, "--parallel-seeds"])
+        assert code == EXIT_DATA
+        assert "train failed for seeds [50]" in capsys.readouterr().err
 
     def test_report_reemits(self, prepared, capsys):
         _, config_path, _ = prepared
