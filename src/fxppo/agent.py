@@ -8,10 +8,11 @@ minibatch updates on the collected data.
 
 Exact-replay discipline: every forward pass on the policy path uses the
 row-at-a-time dense kernels and the stepwise LSTM, and the rollout
-records the LSTM state entering each step. Replaying any contiguous
-slice of a rollout therefore reproduces the original logits bit for
-bit, which makes the probability ratio exactly 1 on the first pass
-after a rollout.
+records the LSTM state entering each step. Rollouts call `act` one row
+at a time, the backtest passes a whole episode in one call, and updates
+replay 32-row slices from their stored state; because rows are computed
+independently, all three give the same logits bit for bit, which makes
+the probability ratio exactly 1 on the first pass after a rollout.
 """
 
 from dataclasses import asdict, dataclass
@@ -139,35 +140,32 @@ class PolicyNetwork:
         dy = self.fc1.backward(dy)
         self.lstm.backward(dy)
 
-    def act(self, observation, h, c, reset, rng=None, mode="sample"):
-        """One-step policy evaluation.
+    def act(self, observations, h, c, reset, rng=None, mode="sample"):
+        """Policy evaluation over a (T, 80) run from one episode.
 
-        Returns (action_index, log_prob, value, hT, cT). `reset` nonzero
-        discards the incoming recurrent state, marking an episode start.
+        Returns (actions, log_probs, values, hT, cT), one entry per row
+        in the first three. `reset` nonzero discards the incoming
+        recurrent state before the first row, marking an episode start.
         """
-        obs = np.asarray(observation, dtype=np.float64)[None, :]
-        resets = np.array([1 if reset else 0], dtype=np.uint8)
+        obs = np.asarray(observations, dtype=np.float64)
+        resets = np.zeros(obs.shape[0], dtype=np.uint8)
+        resets[0] = 1 if reset else 0
         logits, _, values, hT, cT = self.forward_sequence(
             obs, h, c, resets, want_aux=False
         )
-        probs = softmax(logits)[0]
+        probs = softmax(logits)
         if not np.all(np.isfinite(probs)):
             raise NonFiniteValue("policy probabilities are not finite")
         if mode == "greedy":
-            action = int(np.argmax(probs))
+            actions = np.argmax(probs, axis=1)
         elif mode == "sample":
-            u = rng.random()
-            cum = 0.0
-            action = N_ACTIONS - 1
-            for i in range(N_ACTIONS):
-                cum += probs[i]
-                if u < cum:
-                    action = i
-                    break
+            # first index whose cumulative probability exceeds u, else the last
+            below = rng.random(obs.shape[0])[:, None] < np.cumsum(probs, axis=1)
+            actions = np.where(below.any(axis=1), below.argmax(axis=1), N_ACTIONS - 1)
         else:
             raise ValueError(f"unknown act mode {mode!r}")
-        log_prob = float(log_softmax(logits)[0, action])
-        return action, log_prob, float(values[0]), hT, cT
+        log_probs = log_softmax(logits)[np.arange(obs.shape[0]), actions]
+        return actions, log_probs, values, hT, cT
 
     def param_blocks(self):
         names = ["lstm.wx", "lstm.wh", "lstm.b"]
@@ -445,12 +443,13 @@ def collect_rollout(net, env, labels, buffer, rng, state):
         else:
             obs = env.windows[env.cursor]
         window_index = env.cursor
-        action, log_prob, value, hT, cT = net.act(
-            obs, h, c, reset, rng, mode="sample"
+        actions, log_probs, values, hT, cT = net.act(
+            obs[None], h, c, reset, rng, mode="sample"
         )
+        action = int(actions[0])
         result = env.step(ACTION_VALUES[action])
         buffer.add(
-            obs, action, log_prob, result.reward, value,
+            obs, action, log_probs[0], result.reward, values[0],
             labels[window_index], result.done, reset, h, c,
         )
         h, c = hT, cT
@@ -460,9 +459,10 @@ def collect_rollout(net, env, labels, buffer, rng, state):
     if buffer.dones[-1]:
         bootstrap = 0.0
     else:
-        _, _, bootstrap, _, _ = net.act(
-            env.windows[env.cursor], h, c, 0, mode="greedy"
+        _, _, values, _, _ = net.act(
+            env.windows[env.cursor][None], h, c, 0, mode="greedy"
         )
+        bootstrap = float(values[0])
     state[0], state[1], state[2] = h, c, need_reset
     return bootstrap
 

@@ -72,22 +72,18 @@ class BacktestReport:
 
 
 def run_backtest(net, windows, returns, env_config, seed=0, checkpoint_hash=""):
-    """Greedy episode-by-episode replay over the whole range."""
+    """Greedy episode-by-episode replay over the whole range. Actions never
+    change the next observation, so one policy call covers an episode."""
     env = TradingEnv(windows, returns, env_config)
     rewards = []
     start = 0
     while start <= env.max_start_index():
-        obs = env.reset(start)
-        h, c = net.initial_state()
-        reset = 1
-        done = False
-        while not done:
-            action, _, _, h, c = net.act(obs, h, c, reset, mode="greedy")
-            reset = 0
-            result = env.step(ACTION_VALUES[action])
-            rewards.append(result.reward)
-            obs = result.observation
-            done = result.done
+        env.reset(start)
+        actions, _, _, _, _ = net.act(
+            env.windows[start : start + env.steps_left()],
+            *net.initial_state(), 1, mode="greedy",
+        )
+        rewards += [env.step(ACTION_VALUES[a]).reward for a in actions]
         start = env.cursor
     return BacktestReport(
         rewards, seed, (0, env.n_windows), checkpoint_hash
@@ -129,10 +125,6 @@ class SeedAggregate:
         n = len(self.per_seed)
         self.mean_total_return = sum(r.total_return for r in self.per_seed) / n
         self.mean_sharpe = sum(r.sharpe for r in self.per_seed) / n
-
-
-def aggregate_seeds(reports):
-    return SeedAggregate(reports)
 
 
 def emit_report(aggregate, out_dir, baseline_summary=None):

@@ -21,7 +21,7 @@ from .agent import train as train_agent
 from .backtest import (
     BacktestReport,
     MissingCheckpoint,
-    aggregate_seeds,
+    SeedAggregate,
     emit_report,
     run_backtest,
 )
@@ -305,6 +305,8 @@ def _read_actions(path):
 def cmd_simulate(config, args):
     """Direct arithmetic replay of an action file, independent of the
     stepping simulator, for cross-checking reward streams."""
+    if args.start < 0:
+        raise DataError(f"--start must be >= 0, got {args.start}")
     split_dir = _split_dir(config, args.split)
     returns = _load_array(os.path.join(split_dir, "returns.npy"), "returns")
     actions = _read_actions(args.actions)
@@ -400,14 +402,14 @@ def _emit_summary(config, baseline):
         seed_dir = config.run_dir("backtest", seed)
         rewards_path = os.path.join(seed_dir, "rewards.csv")
         if not os.path.exists(rewards_path):
-            raise MissingCheckpoint(seed)
+            raise ConfigError(f"rewards missing at {rewards_path}; run backtest first")
         meta = json.loads(_read_text(os.path.join(seed_dir, "meta.json")))
         reports.append(BacktestReport(
             _read_rewards(rewards_path), seed,
             tuple(meta["data_range"]), meta["checkpoint_hash"],
         ))
     paths = emit_report(
-        aggregate_seeds(reports), config.run_dir("backtest"),
+        SeedAggregate(reports), config.run_dir("backtest"),
         baseline_summary=baseline,
     )
     print(_read_text(paths[1]), end="")

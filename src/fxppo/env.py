@@ -92,6 +92,13 @@ class TradingEnv:
             1 if self.config.reward_timing == "next_return" else 0
         )
 
+    def steps_left(self):
+        """Steps left in this episode before its length or the data runs out."""
+        return min(
+            self.config.episode_length - self.steps_in_episode,
+            self.max_start_index() + 1 - self.cursor,
+        )
+
     def reset(self, start_index=0):
         start_index = int(start_index)
         if start_index < 0 or start_index > self.max_start_index():
@@ -118,19 +125,6 @@ class TradingEnv:
         self.position = action
         self.steps_in_episode += 1
         self.cursor += 1
-
-        exhausted = (
-            self.cursor >= self.n_windows
-            or self._z_index(self.cursor) >= self.returns.shape[0]
-        )
-        self.done = exhausted or self.steps_in_episode >= self.config.episode_length
+        self.done = self.steps_left() <= 0
         obs = self.windows[self.cursor] if self.cursor < self.n_windows else None
         return StepResult(obs, reward, self.done, z)
-
-
-def episode_return(rewards):
-    """Left-to-right sum so replays and equity curves agree bit for bit."""
-    total = 0.0
-    for r in rewards:
-        total += float(r)
-    return total

@@ -7,8 +7,9 @@ activation.
 The ``*_rows_*`` and LSTM kernels process sequences row by row with
 vector-matrix products. Row independence matters: a length-1 call and a
 length-T call must produce bitwise-identical values for the same row,
-because rollouts step one observation at a time while updates replay whole
-segments. The ``*_gemm_*`` kernels do one matmul for non-recurrent nets.
+because rollouts step one observation at a time, the backtest passes a
+whole episode and updates replay 32-row slices, and all three must agree.
+The ``*_gemm_*`` kernels do one matmul for non-recurrent nets.
 """
 
 import numpy as np

@@ -10,6 +10,14 @@ import pytest
 ACCEPTANCE_RESULTS = []
 
 
+def left_to_right_sum(values):
+    """Plain left-to-right float sum, the order the equity curve adds in."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

@@ -36,7 +36,7 @@ from fxppo.data import (
     compute_returns,
     parse_candles,
 )
-from fxppo.env import ACTION_VALUES, EnvConfig, TradingEnv, episode_return
+from fxppo.env import ACTION_VALUES, EnvConfig, TradingEnv
 from fxppo.labeler import (
     AutoencoderConfig,
     _kmeans_pp_init,
@@ -227,7 +227,7 @@ class TestCriterion01FormulaExactness:
 
             # total return is the plain left-to-right sum
             report = BacktestReport(rewards, seed=0)
-            assert report.total_return == episode_return(rewards)
+            assert report.total_return == conftest.left_to_right_sum(rewards)
 
             # improvement percentage vs hand arithmetic
             assert abs(ppi(42.0, 2.0) - 2000.0) <= 1e-12
@@ -521,10 +521,10 @@ class TestCriterion07Conservation:
                     rewards.append(result.reward)
                     done = result.done
                 streams[name] = rewards
-                totals[name] = episode_return(rewards)
+                totals[name] = conftest.left_to_right_sum(rewards)
             assert totals["hold"] == 0.0
             assert totals["buy"] + totals["sell"] == 0.0
-            z_sum = episode_return(
+            z_sum = conftest.left_to_right_sum(
                 float(returns[16 + i]) for i in range(len(streams["buy"]))
             )
             assert totals["buy"] == z_sum

@@ -91,9 +91,9 @@ class TestPolicyNetwork:
                 p[:] = 0.0
         net.policy_head.b[:] = np.log([0.2, 0.5, 0.3])
         h, c = net.initial_state()
-        action, log_prob, _, _, _ = net.act(np.zeros(6), h, c, 1, mode="greedy")
-        assert action == 1
-        assert log_prob == pytest.approx(np.log(0.5), abs=1e-12)
+        actions, log_probs, _, _, _ = net.act(np.zeros((1, 6)), h, c, 1, mode="greedy")
+        assert actions[0] == 1
+        assert log_probs[0] == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_sampling_frequencies(self):
         net = tiny_net(0)
@@ -106,8 +106,8 @@ class TestPolicyNetwork:
         counts = np.zeros(3)
         n = 30_000
         for _ in range(n):
-            a, _, _, _, _ = net.act(np.zeros(6), h, c, 1, rng)
-            counts[a] += 1
+            a, _, _, _, _ = net.act(np.zeros((1, 6)), h, c, 1, rng)
+            counts[a[0]] += 1
         freqs = counts / n
         assert np.all(np.abs(freqs - [0.2, 0.5, 0.3]) < 0.02)
 
@@ -115,7 +115,7 @@ class TestPolicyNetwork:
         net = tiny_net(5)
         h, c = net.initial_state()
         obs = np.ones(6)
-        a1 = net.act(obs, h, c, 1, mode="greedy")
+        a1 = net.act(obs[None], h, c, 1, mode="greedy")
         h2, c2 = a1[3], a1[4]
         logits_fresh, _, _, _, _ = net.forward_sequence(
             obs[None], h, c, np.ones(1, dtype=np.uint8)
@@ -124,6 +124,30 @@ class TestPolicyNetwork:
             obs[None], h2, c2, np.zeros(1, dtype=np.uint8)
         )
         assert not np.array_equal(logits_fresh, logits_carried)
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    @pytest.mark.parametrize("reset", [0, 1])
+    def test_run_matches_one_row_calls(self, mode, reset):
+        net = tiny_net(4)
+        net.policy_head.w *= 20.0  # sharpen so the greedy action moves
+        rng = np.random.default_rng(2)
+        obs = rng.normal(size=(40, 6))
+        h0, c0 = rng.normal(size=5), rng.normal(size=5)
+        run = net.act(obs, h0, c0, reset, np.random.default_rng(7), mode)
+        step_rng = np.random.default_rng(7)
+        h, c = h0, c0
+        rows = []
+        for t in range(obs.shape[0]):
+            a, lp, v, h, c = net.act(
+                obs[t : t + 1], h, c, reset if t == 0 else 0, step_rng, mode
+            )
+            rows.append((a[0], lp[0], v[0]))
+        actions, log_probs, values = (np.array(col) for col in zip(*rows))
+        assert len(set(actions)) > 1
+        assert np.array_equal(run[0], actions)
+        assert np.array_equal(run[1], log_probs)
+        assert np.array_equal(run[2], values)
+        assert np.array_equal(run[3], h) and np.array_equal(run[4], c)
 
     def test_save_load_round_trip(self, tmp_path):
         net = tiny_net(7)

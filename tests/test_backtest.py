@@ -12,16 +12,16 @@ from fxppo.backtest import (
     BacktestReport,
     DegenerateReturns,
     EmptyInput,
+    SeedAggregate,
     TooFewSamples,
     ZeroBaseline,
-    aggregate_seeds,
     emit_report,
     parse_summary,
     ppi,
     run_backtest,
     sharpe_ratio,
 )
-from fxppo.env import EnvConfig
+from fxppo.env import ACTION_VALUES, EnvConfig, TradingEnv
 
 
 def make_market(n_steps=120, seed=0, obs=6):
@@ -38,7 +38,42 @@ def biased_net(log_probs, obs=6):
     return net
 
 
+def stepwise_backtest(net, windows, returns, env_config):
+    """Reference replay: one single-row policy call per step."""
+    env = TradingEnv(windows, returns, env_config)
+    rewards = []
+    actions = []
+    start = 0
+    while start <= env.max_start_index():
+        obs = env.reset(start)
+        h, c = net.initial_state()
+        reset = 1
+        done = False
+        while not done:
+            action, _, _, h, c = net.act(obs[None], h, c, reset, mode="greedy")
+            reset = 0
+            result = env.step(ACTION_VALUES[action[0]])
+            actions.append(int(action[0]))
+            rewards.append(result.reward)
+            obs = result.observation
+            done = result.done
+        start = env.cursor
+    return rewards, actions
+
+
 class TestRunBacktest:
+    @pytest.mark.parametrize("timing", ["next_return", "same_step"])
+    def test_matches_stepwise_reference(self, timing):
+        windows, returns = make_market(n_steps=120, seed=4)
+        net = PolicyNetwork(6, 5, (4, 4, 4), np.random.default_rng(11))
+        net.policy_head.w *= 20.0  # sharpen so the greedy action moves
+        cfg = EnvConfig(episode_length=25, spread_cost=0.0003, reward_timing=timing)
+        expected, actions = stepwise_backtest(net, windows, returns, cfg)
+        assert len(expected) % 25 != 0  # the data cuts the last episode short
+        assert len(set(actions)) > 1
+        report = run_backtest(net, windows, returns, cfg)
+        assert report.rewards.tolist() == expected
+
     def test_hold_returns_zero(self):
         windows, returns = make_market()
         net = biased_net(np.log([0.1, 0.8, 0.1]))
@@ -140,11 +175,11 @@ class TestPpi:
 class TestAggregate:
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            aggregate_seeds([])
+            SeedAggregate([])
 
     def test_singleton(self):
         report = BacktestReport([0.01, -0.02, 0.03], seed=30)
-        agg = aggregate_seeds([report])
+        agg = SeedAggregate([report])
         assert agg.mean_total_return == report.total_return
         assert agg.mean_sharpe == report.sharpe
 
@@ -153,7 +188,7 @@ class TestAggregate:
             BacktestReport([float(v), 0.0], seed=s)
             for v, s in zip([1, 2, 3, 4], [30, 50, 70, 99])
         ]
-        agg = aggregate_seeds(reports)
+        agg = SeedAggregate(reports)
         assert agg.mean_total_return == pytest.approx(2.5, abs=0)
 
     def test_arithmetic_mean_exact(self):
@@ -162,7 +197,7 @@ class TestAggregate:
             BacktestReport(rng.normal(scale=0.01, size=40), seed=s)
             for s in (30, 50, 70, 99)
         ]
-        agg = aggregate_seeds(reports)
+        agg = SeedAggregate(reports)
         oracle_total = (
             sum(r.total_return for r in reports) / 4
         )
@@ -181,7 +216,7 @@ class TestEmitReport:
             )
             for s in (30, 50, 70, 99)
         ]
-        return aggregate_seeds(reports)
+        return SeedAggregate(reports)
 
     def test_files_written_and_parse_back(self, tmp_path):
         agg = self.make_aggregate()
@@ -202,18 +237,18 @@ class TestEmitReport:
         )
 
     def test_empty_curves_header_only(self, tmp_path):
-        agg = aggregate_seeds([BacktestReport([], seed=30)])
+        agg = SeedAggregate([BacktestReport([], seed=30)])
         equity_path, _ = emit_report(agg, str(tmp_path))
         assert Path(equity_path).read_text() == "step,seed,cumulative_return\n"
 
     def test_ppi_block_against_baseline(self, tmp_path):
         base_dir = tmp_path / "base"
         new_dir = tmp_path / "new"
-        base = aggregate_seeds(
+        base = SeedAggregate(
             [BacktestReport([-0.126, -0.126], seed=s) for s in (30, 50)]
         )
         emit_report(base, str(base_dir))
-        agg = aggregate_seeds(
+        agg = SeedAggregate(
             [BacktestReport([0.0743, 0.0743], seed=s) for s in (30, 50)]
         )
         _, summary_path = emit_report(

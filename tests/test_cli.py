@@ -406,6 +406,17 @@ class TestBacktestCli:
         assert code == EXIT_DATA
         assert "train failed for seeds [50]" in capsys.readouterr().err
 
+    def test_report_before_backtest_names_rewards(self, prepared, capsys):
+        _, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path, "--seed", "30"]) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(["report", "--config", config_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        seed_dir = load_config(config_path).run_dir("backtest", 30)
+        rewards = os.path.join(seed_dir, "rewards.csv")
+        assert f"rewards missing at {rewards}; run backtest first" in err
+        assert "checkpoint" not in err
+
     def test_report_reemits(self, prepared, capsys):
         _, config_path, _ = prepared
         run_cli(["train", "--config", config_path])
@@ -467,6 +478,19 @@ class TestSimulate:
         env.reset(0)
         expected = [env.step(a).reward for a in actions]
         assert sim == expected
+
+    def test_negative_start_rejected(self, prepared, tmp_path, capsys):
+        _, config_path, _ = prepared
+        actions_path = tmp_path / "actions.csv"
+        actions_path.write_text("action\n1\n1\n-1\n0\n")
+        out_path = tmp_path / "sim_rewards.csv"
+        code = run_cli([
+            "simulate", "--config", config_path, "--actions", str(actions_path),
+            "--start", "-20", "--out", str(out_path),
+        ])
+        assert code == EXIT_DATA
+        assert "--start must be >= 0, got -20" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_bad_action_file(self, prepared, tmp_path):
         _, config_path, _ = prepared

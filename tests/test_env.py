@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import left_to_right_sum
 from fxppo.data import WINDOW_LEN, build_windows
 from fxppo.env import (
     EnvConfig,
     EpisodeFinished,
     OutOfData,
     TradingEnv,
-    episode_return,
 )
 
 
@@ -115,6 +115,29 @@ class TestStep:
         # exist for cursors 0..3
         assert steps == 4
 
+    @given(
+        st.integers(18, 80),
+        st.integers(1, 30),
+        st.integers(0, 70),
+        st.sampled_from(["next_return", "same_step"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_episode_ends_after_steps_left(self, n_steps, episode_length, start, timing):
+        env, _, _ = make_env(
+            n_steps=n_steps, episode_length=episode_length, reward_timing=timing
+        )
+        start = min(start, env.max_start_index())
+        env.reset(start)
+        expected = env.steps_left()
+        assert expected >= 1
+        steps = 0
+        done = False
+        while not done:
+            done = env.step(1).done
+            steps += 1
+            assert env.steps_left() == expected - steps
+        assert steps == expected
+
     def test_invalid_action(self):
         env, _, _ = make_env()
         env.reset(0)
@@ -133,12 +156,6 @@ class TestStep:
 
 
 class TestEpisodeReturn:
-    def test_empty(self):
-        assert episode_return([]) == 0.0
-
-    def test_hand_values(self):
-        assert episode_return([0.01, -0.02, 0.005]) == pytest.approx(-0.005)
-
     def test_always_buy_equals_return_sum(self):
         env, returns, _ = make_env(n_steps=200)
         env.reset(0)
@@ -148,7 +165,7 @@ class TestEpisodeReturn:
             result = env.step(1)
             rewards.append(result.reward)
             done = result.done
-        total = episode_return(rewards)
+        total = left_to_right_sum(rewards)
         oracle = 0.0
         for z in returns[WINDOW_LEN : WINDOW_LEN + len(rewards)]:
             oracle += z
@@ -171,12 +188,12 @@ class TestConservation:
         buy = self.run_policy(env, 1)
         sell = self.run_policy(env, -1)
         assert len(buy) == len(sell)
-        assert episode_return(buy) + episode_return(sell) == 0.0
+        assert left_to_right_sum(buy) + left_to_right_sum(sell) == 0.0
 
     def test_hold_total_zero(self):
         env, _, _ = make_env(n_steps=300)
         hold = self.run_policy(env, 0)
-        assert episode_return(hold) == 0.0
+        assert left_to_right_sum(hold) == 0.0
 
     @given(st.integers(0, 2**31 - 1), st.integers(40, 120))
     @settings(max_examples=20, deadline=None)
@@ -184,7 +201,7 @@ class TestConservation:
         env, _, _ = make_env(n_steps=n_steps, seed=seed)
         buy = self.run_policy(env, 1)
         sell = self.run_policy(env, -1)
-        assert episode_return(buy) + episode_return(sell) == 0.0
+        assert left_to_right_sum(buy) + left_to_right_sum(sell) == 0.0
         assert all(b == -s for b, s in zip(buy, sell))
 
     def test_episode_never_exceeds_length(self):
