@@ -15,6 +15,7 @@ independently, all three give the same logits bit for bit, which makes
 the probability ratio exactly 1 on the first pass after a rollout.
 """
 
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -481,6 +482,7 @@ def train(
 
     Runs while another whole rollout still fits into total_timesteps.
     Returns (net, log_rows) where each log row mirrors LOG_HEADER.
+    The log is ``<log_path>.partial`` until the loop ends; final.bin comes last.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != np.asarray(windows).shape[0]:
@@ -496,7 +498,7 @@ def train(
     log_rows = []
     steps_done = 0
     n_updates = 0
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
+    log_file = open(f"{log_path}.partial", "w", encoding="utf-8") if log_path else None
     try:
         if log_file:
             log_file.write(LOG_HEADER + "\n")
@@ -530,14 +532,13 @@ def train(
                     f"{checkpoint_dir}/checkpoint_{steps_done}.bin",
                     net, optimizer, config, seed, steps_done,
                 )
-        if checkpoint_dir:
-            save_policy(
-                f"{checkpoint_dir}/final.bin", net, optimizer, config, seed,
-                steps_done,
-            )
     finally:
         if log_file:
             log_file.close()
+    if log_path:
+        os.replace(f"{log_path}.partial", log_path)
+    if checkpoint_dir:
+        save_policy(f"{checkpoint_dir}/final.bin", net, optimizer, config, seed, steps_done)
     return net, log_rows
 
 

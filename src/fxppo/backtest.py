@@ -8,8 +8,11 @@ mean over population standard deviation of those rewards, and relative
 improvement is (new - original) / |original| * 100.
 """
 
+import os
+
 import numpy as np
 
+from .checkpoint import write_artifact
 from .env import ACTION_VALUES, TradingEnv
 
 # The mean of n equal values can be off by a few ulps (numpy's pairwise
@@ -134,9 +137,6 @@ def emit_report(aggregate, out_dir, baseline_summary=None):
     its mean metrics become the denominators of an improvement block.
     Returns (equity_path, summary_path).
     """
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
     equity_path = os.path.join(out_dir, "equity.csv")
     summary_path = os.path.join(out_dir, "summary.txt")
 
@@ -144,8 +144,7 @@ def emit_report(aggregate, out_dir, baseline_summary=None):
     for report in aggregate.per_seed:
         for i, value in enumerate(report.equity_curve):
             lines.append(f"{i},{report.seed},{float(value)!r}")
-    with open(equity_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(equity_path, "\n".join(lines) + "\n")
 
     out = []
     for report in aggregate.per_seed:
@@ -175,13 +174,13 @@ def emit_report(aggregate, out_dir, baseline_summary=None):
             except ZeroBaseline:
                 improvement = "undefined"
             out.append(f"{name},{b!r},{m!r},{improvement}")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    write_artifact(summary_path, "\n".join(out) + "\n")
     return equity_path, summary_path
 
 
 def parse_summary(path):
-    """Reads a summary file back into {mean metrics, per_seed list}."""
+    """Reads a summary file back into {mean metrics, per_seed list}; a
+    malformed value or a missing mean line raises BacktestError."""
     per_seed = []
     result = {"per_seed": per_seed}
     current = None
@@ -191,15 +190,21 @@ def parse_summary(path):
             if not line or line.startswith("[") or "," in line:
                 continue
             key, _, value = line.partition(": ")
-            if key == "seed":
-                current = {"seed": int(value)}
-                per_seed.append(current)
-            elif key in ("total_return_pct", "sharpe") and current is not None:
-                current[key] = float(value)
-            elif key == "steps" and current is not None:
-                current[key] = int(value)
-            elif key in ("data_range", "checkpoint_hash") and current is not None:
-                current[key] = value
-            elif key in ("mean_total_return_pct", "mean_sharpe"):
-                result[key] = float(value)
+            try:
+                if key == "seed":
+                    current = {"seed": int(value)}
+                    per_seed.append(current)
+                elif key in ("total_return_pct", "sharpe") and current is not None:
+                    current[key] = float(value)
+                elif key == "steps" and current is not None:
+                    current[key] = int(value)
+                elif key in ("data_range", "checkpoint_hash") and current is not None:
+                    current[key] = value
+                elif key in ("mean_total_return_pct", "mean_sharpe"):
+                    result[key] = float(value)
+            except ValueError as exc:
+                raise BacktestError(f"{path}: {exc}") from exc
+    for key in ("mean_total_return_pct", "mean_sharpe"):
+        if key not in result:
+            raise BacktestError(f"{path}: no {key} line; not a summary file")
     return result

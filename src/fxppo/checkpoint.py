@@ -23,6 +23,7 @@ as blocks named ``adam.m.<param>`` / ``adam.v.<param>``.
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -38,21 +39,15 @@ class CheckpointError(IOError):
 def save_container(path, meta, blocks):
     """Write named float64 arrays plus a JSON meta dict to ``path``."""
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(blocks)))
-        for name, arr in blocks.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f8").tobytes())
+    parts = [MAGIC, struct.pack("<II", VERSION, len(meta_bytes)), meta_bytes,
+             struct.pack("<I", len(blocks))]
+    for name, arr in blocks.items():
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        name_bytes = name.encode("utf-8")
+        parts += [struct.pack("<H", len(name_bytes)), name_bytes,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                  arr.astype("<f8").tobytes()]
+    write_artifact(path, b"".join(parts))
 
 
 def load_container(path):
@@ -109,3 +104,23 @@ def file_sha256(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def write_artifact(path, data):
+    """Writes ``data`` (str as UTF-8, bytes, or a numpy array in ``np.save``
+    format) to a temporary file next to ``path`` and renames it into place,
+    creating the directory, so ``path`` is whole or absent; returns its sha256."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            if isinstance(data, np.ndarray):
+                np.save(fh, data)
+            else:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return file_sha256(path)

@@ -19,13 +19,14 @@ import numpy as np
 from .agent import load_policy
 from .agent import train as train_agent
 from .backtest import (
+    BacktestError,
     BacktestReport,
     MissingCheckpoint,
     SeedAggregate,
     emit_report,
     run_backtest,
 )
-from .checkpoint import CheckpointError, file_sha256
+from .checkpoint import CheckpointError, file_sha256, write_artifact
 from .config import (
     ConfigError,
     load_config,
@@ -81,7 +82,10 @@ def _read_text(path):
 def _load_array(path, what):
     if not os.path.exists(path):
         raise ConfigError(f"{what} missing at {path}; run the earlier stage first")
-    return np.load(path)
+    try:
+        return np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"{what} at {path} is not a readable array: {exc}") from exc
 
 
 def _split_dir(config, split):
@@ -98,7 +102,6 @@ def cmd_preprocess(config, args):
     manifest = {}
     for split in SPLITS:
         out_dir = _split_dir(config, split)
-        os.makedirs(out_dir, exist_ok=True)
         features = compute_features(series[split])
         returns = compute_returns(series[split])
         windows = build_windows(features)
@@ -108,15 +111,13 @@ def cmd_preprocess(config, args):
             ("returns", returns),
             ("windows", windows),
         ):
-            path = os.path.join(out_dir, f"{name}.npy")
-            np.save(path, arr)
-            files[name] = {"rows": int(arr.shape[0]), "sha256": file_sha256(path)}
+            digest = write_artifact(os.path.join(out_dir, f"{name}.npy"), arr)
+            files[name] = {"rows": int(arr.shape[0]), "sha256": digest}
         manifest[split] = {"candles": len(series[split]), "files": files}
 
     stage_dir = config.run_dir("preprocess")
-    with open(os.path.join(stage_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_artifact(os.path.join(stage_dir, "manifest.json"), text)
     write_effective_config(config, stage_dir)
     print(f"preprocess: wrote artifacts under {stage_dir}")
     return EXIT_OK
@@ -130,7 +131,6 @@ def cmd_label(config, args):
         os.path.join(_split_dir(config, "test"), "windows.npy"), "test windows"
     )
     out_dir = config.run_dir("label")
-    os.makedirs(out_dir, exist_ok=True)
 
     ae, history = train_autoencoder(train_windows, config.labeler, config.axt_seed)
     codes = ae.encode(train_windows)
@@ -218,7 +218,6 @@ def _train_one_seed(config, seed, force):
     final = os.path.join(out_dir, "final.bin")
     if os.path.exists(final) and not force:
         raise ConfigError(f"{final} already exists; pass --force to overwrite")
-    os.makedirs(out_dir, exist_ok=True)
     write_effective_config(config, out_dir)
     _, log_rows = train_agent(
         windows, returns, labels, config.env, config.ppo, seed,
@@ -238,16 +237,16 @@ def cmd_train(config, args):
 
 
 def _write_rewards(path, rewards):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,reward\n")
-        for i, r in enumerate(rewards):
-            fh.write(f"{i},{float(r)!r}\n")
+    rows = "".join(f"{i},{float(r)!r}\n" for i, r in enumerate(rewards))
+    write_artifact(path, "step,reward\n" + rows)
 
 
 def _read_rewards(path):
-    with open(path, encoding="utf-8") as fh:
-        rows = fh.read().strip().split("\n")
-    return np.array([float(r.split(",")[1]) for r in rows[1:]], dtype=np.float64)
+    rows = _read_text(path).strip().split("\n")
+    try:
+        return np.array([float(r.split(",")[1]) for r in rows[1:]], dtype=np.float64)
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed reward row: {exc}") from exc
 
 
 def _backtest_one_seed(config, seed):
@@ -263,12 +262,10 @@ def _backtest_one_seed(config, seed):
         checkpoint_hash=file_sha256(checkpoint),
     )
     seed_dir = config.run_dir("backtest", seed)
-    os.makedirs(seed_dir, exist_ok=True)
     _write_rewards(os.path.join(seed_dir, "rewards.csv"), report.rewards)
     meta = {"seed": seed, "checkpoint_hash": report.checkpoint_hash,
             "data_range": list(report.data_range)}
-    with open(os.path.join(seed_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta) + "\n")
+    write_artifact(os.path.join(seed_dir, "meta.json"), json.dumps(meta) + "\n")
     return f"backtest: seed {seed} done"
 
 
@@ -326,9 +323,6 @@ def cmd_simulate(config, args):
         rewards.append(action * z - spread * abs(action - position))
         position = action
     out = args.out or os.path.join(config.run_dir("simulate"), "rewards.csv")
-    out_parent = os.path.dirname(out)
-    if out_parent:
-        os.makedirs(out_parent, exist_ok=True)
     _write_rewards(out, rewards)
     print(f"simulate: wrote {len(rewards)} rewards to {out}")
     return EXIT_OK
@@ -339,7 +333,6 @@ def cmd_tune(config, args):
     split_dir = _split_dir(config, "train")
     windows = _load_array(os.path.join(split_dir, "windows.npy"), "training windows")
     out_dir = config.run_dir("tune")
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
 
     rows = ["trial,batch_size,learning_rate,latent_size,k,objective"]
@@ -381,11 +374,9 @@ def cmd_tune(config, args):
                 "latent_size": latent, "k": k, "objective": objective,
             }
 
-    with open(os.path.join(out_dir, "trials.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(os.path.join(out_dir, "best.json"), "w", encoding="utf-8") as fh:
-        json.dump(best, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_artifact(os.path.join(out_dir, "trials.csv"), "\n".join(rows) + "\n")
+    text = json.dumps(best, indent=2, sort_keys=True) + "\n"
+    write_artifact(os.path.join(out_dir, "best.json"), text)
     write_effective_config(config, out_dir)
     print(
         f"tune: {spec.trials} trials, best objective {best['objective']!r} "
@@ -403,10 +394,14 @@ def _emit_summary(config, baseline):
         rewards_path = os.path.join(seed_dir, "rewards.csv")
         if not os.path.exists(rewards_path):
             raise ConfigError(f"rewards missing at {rewards_path}; run backtest first")
-        meta = json.loads(_read_text(os.path.join(seed_dir, "meta.json")))
+        meta_path = os.path.join(seed_dir, "meta.json")
+        try:
+            meta = json.loads(_read_text(meta_path))
+            data_range, checkpoint_hash = tuple(meta["data_range"]), meta["checkpoint_hash"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{meta_path} is not a backtest meta file: {exc!r}") from exc
         reports.append(BacktestReport(
-            _read_rewards(rewards_path), seed,
-            tuple(meta["data_range"]), meta["checkpoint_hash"],
+            _read_rewards(rewards_path), seed, data_range, checkpoint_hash,
         ))
     paths = emit_report(
         SeedAggregate(reports), config.run_dir("backtest"),
@@ -471,7 +466,7 @@ def _guarded(fn, *args):
         print(f"fxppo: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, DataError, CheckpointError, LabelerError,
-            MissingCheckpoint, OSError) as exc:
+            BacktestError, OSError) as exc:
         print(f"fxppo: {exc}", file=sys.stderr)
         return EXIT_DATA
 

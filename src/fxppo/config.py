@@ -11,6 +11,7 @@ import os
 from dataclasses import asdict, dataclass
 
 from .agent import PPOConfig
+from .checkpoint import write_artifact
 from .data import N_FEATURES, WINDOW_LEN
 from .env import EnvConfig
 from .labeler import AutoencoderConfig
@@ -142,11 +143,8 @@ def apply_override(data, dotted_key, raw_value):
 
 
 def write_effective_config(config, directory):
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "effective_config.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_artifact(path, json.dumps(asdict(config), indent=2, sort_keys=True) + "\n")
     return path
 
 

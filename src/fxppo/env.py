@@ -117,10 +117,7 @@ class TradingEnv:
         action = int(action)
         if action not in ACTION_VALUES:
             raise ValueError(f"action must be one of {ACTION_VALUES}, got {action}")
-        zi = self._z_index(self.cursor)
-        if zi >= self.returns.shape[0]:
-            raise OutOfData(f"no return available at stream index {zi}")
-        z = float(self.returns[zi])
+        z = float(self.returns[self._z_index(self.cursor)])
         reward = action * z - self.config.spread_cost * abs(action - self.position)
         self.position = action
         self.steps_in_episode += 1

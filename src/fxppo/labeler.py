@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .checkpoint import load_container, save_container
+from .checkpoint import load_container, save_container, write_artifact
 from .nn import (
     Adam,
     DenseLayer,
@@ -397,8 +397,7 @@ def write_labels_csv(path, end_indices, labels):
     lines = ["window_end_index,label"]
     for idx, lab in zip(end_indices, labels):
         lines.append(f"{int(idx)},{int(lab)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def read_labels_csv(path):
@@ -409,7 +408,10 @@ def read_labels_csv(path):
     idx = np.empty(len(rows) - 1, dtype=np.int64)
     labels = np.empty(len(rows) - 1, dtype=np.int64)
     for i, row in enumerate(rows[1:]):
-        a, b = row.split(",")
-        idx[i] = int(a)
-        labels[i] = int(b)
+        try:
+            a, b = row.split(",")
+            idx[i] = int(a)
+            labels[i] = int(b)
+        except ValueError as exc:
+            raise LabelerError(f"{path}: malformed label row {row!r}") from exc
     return idx, labels

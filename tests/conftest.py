@@ -5,7 +5,11 @@ criterion; this hook prints them after the run so the lines survive
 output capture.
 """
 
+import builtins
+
 import pytest
+
+from fxppo import checkpoint
 
 ACCEPTANCE_RESULTS = []
 
@@ -16,6 +20,41 @@ def left_to_right_sum(values):
     for v in values:
         total += float(v)
     return total
+
+
+class _CutFile:
+    """A file opened for writing whose first write stores half of its data
+    and then raises, as a process stopped in the middle of a write would."""
+
+    def __init__(self, fh, exc):
+        self.fh = fh
+        self.exc = exc
+
+    def write(self, data):
+        self.fh.write(bytes(data)[: len(data) // 2])
+        raise self.exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+@pytest.fixture
+def cut_writes(monkeypatch):
+    """cut_writes(name, exc): from now on in this test, every file that
+    ``fxppo.checkpoint`` opens for writing with ``name`` in its path is
+    cut short by ``exc`` in its first write. ``monkeypatch.undo()`` ends it."""
+
+    def install(name, exc):
+        def cut_open(path, mode="r", *args, **kwargs):
+            fh = builtins.open(path, mode, *args, **kwargs)
+            return _CutFile(fh, exc) if name in str(path) and "w" in mode else fh
+
+        monkeypatch.setattr(checkpoint, "open", cut_open, raising=False)
+
+    return install
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,7 +1,18 @@
+import ast
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fxppo.checkpoint import CheckpointError, file_sha256, load_container, save_container
+import fxppo
+from fxppo.checkpoint import (
+    CheckpointError,
+    file_sha256,
+    load_container,
+    save_container,
+    write_artifact,
+)
 
 
 def test_round_trip(tmp_path):
@@ -76,3 +87,86 @@ def test_every_prefix_and_trailing_byte_rejected(tmp_path):
         path.write_bytes(data)
         with pytest.raises(CheckpointError):
             load_container(path)
+
+
+def test_container_bytes_pinned(tmp_path):
+    # the layout in the module docstring, byte for byte
+    path = tmp_path / "model.bin"
+    blocks = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([-0.5, 1e-300]),
+              "s": np.array(2.5).reshape(())}
+    save_container(path, {"kind": "test", "seed": 30}, blocks)
+    pinned = "e43fab942a7ead7bc33cde7655cc17296d351d95dc1938d668389c01d7ad718f"
+    assert file_sha256(path) == pinned
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, OSError])
+def test_write_artifact_whole_or_absent(tmp_path, cut_writes, exc):
+    fresh = tmp_path / "fresh.csv"
+    earlier = tmp_path / "earlier.csv"
+    write_artifact(earlier, "step,reward\n0,0.5\n")
+    cut_writes(".csv", exc)
+    for path in (fresh, earlier):
+        with pytest.raises(exc):
+            write_artifact(path, "step,reward\n" + "0,0.25\n" * 100)
+    assert not fresh.exists()
+    assert earlier.read_text() == "step,reward\n0,0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["earlier.csv"]
+
+
+def test_write_artifact_makes_directories_and_keeps_bytes(tmp_path):
+    arr = np.linspace(-1.0, 1.0, 24).reshape(4, 6)[:, ::2]
+    np.save(tmp_path / "reference.npy", arr)
+    path = tmp_path / "a" / "b" / "windows.npy"
+    digest = write_artifact(str(path), arr)
+    assert path.read_bytes() == (tmp_path / "reference.npy").read_bytes()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    text = tmp_path / "c" / "note.txt"
+    assert write_artifact(text, "caf\u00e9\n") == hashlib.sha256("caf\u00e9\n".encode()).hexdigest()
+    assert text.read_bytes() == b"caf\xc3\xa9\n"
+    assert write_artifact(text, b"\x00\x01") == file_sha256(text)
+    assert text.read_bytes() == b"\x00\x01"
+
+
+# (module, function, call): the only places in the package that write files
+WRITERS = [
+    ("agent.py", "train", "open"),
+    ("checkpoint.py", "write_artifact", "np.save"),
+    ("checkpoint.py", "write_artifact", "open"),
+    ("checkpoint.py", "write_artifact", "os.makedirs"),
+]
+
+
+def file_writes(tree, module):
+    """(module, enclosing function, call) for every call in ``tree`` that
+    creates a file or directory."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                call = ast.unparse(child.func)
+                if call == "open":
+                    mode = child.args[1] if len(child.args) > 1 else next(
+                        (k.value for k in child.keywords if k.arg == "mode"), None)
+                    writes = mode is not None and not (
+                        isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+                else:
+                    writes = call in (
+                        "np.save", "np.savez", "np.savetxt", "os.makedirs", "os.mkdir",
+                    ) or call.endswith((".write_text", ".write_bytes", ".tofile"))
+                if writes:
+                    found.append((module, scope, call))
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_artifact_writer():
+    found = []
+    for path in sorted(Path(fxppo.__file__).parent.glob("*.py")):
+        found += file_writes(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert sorted(found) == WRITERS

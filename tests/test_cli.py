@@ -240,6 +240,25 @@ class TestTrain:
             == EXIT_OK
         )
 
+    def test_interrupted_final_write_leaves_no_checkpoint(
+        self, prepared, cut_writes, monkeypatch
+    ):
+        _, config_path, _ = prepared
+        argv = ["train", "--config", config_path, "--seed", "30"]
+        cut_writes("final.bin", KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(argv)
+        out = Path(load_config(config_path).run_dir("train", 30))
+        assert not (out / "final.bin").exists()
+        assert not list(out.glob("*.tmp"))
+        monkeypatch.undo()
+        # no finished seed, so no --force needed
+        assert run_cli(argv) == EXIT_OK
+        names = ("final.bin", "train_log.csv")
+        resumed = {name: (out / name).read_bytes() for name in names}
+        assert run_cli(argv + ["--force"]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in names} == resumed
+
     def test_numeric_failure_exit_code(self, prepared):
         # the override changes the config hash, so every stage must see it
         _, config_path, _ = prepared
@@ -327,6 +346,8 @@ class TestBacktestCli:
             out = Path(config.run_dir())
             files = {rel: (out / rel).read_bytes() for rel in self.SEED_OUTPUTS}
             outputs.append((stdout, files))
+            leftovers = [p for p in out.rglob("*") if p.suffix in (".tmp", ".partial")]
+            assert not leftovers, mode
         assert outputs[0] == outputs[1]
 
     @staticmethod
@@ -448,6 +469,40 @@ class TestWindowGeometry:
         argv = [stage, "--config", config_path, "--set", override] + extra.get(stage, [])
         assert run_cli(argv) == EXIT_DATA
         assert override.split("=")[0] + " must be" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    STAGES = ["preprocess", "label", "train", "backtest"]
+    # file under the run directory, how it is damaged, the command that
+    # reads it ({path} is the damaged file)
+    CASES = {
+        "empty npy": ("preprocess/train/windows.npy", lambda b: b"", "label"),
+        "truncated npy": ("preprocess/train/windows.npy", lambda b: b[:200], "label"),
+        "cut labels": (
+            "label/labels_train.csv", lambda b: b[: b.index(b",", 300)], "train --seed 30"
+        ),
+        "cut meta": ("backtest/30/meta.json", lambda b: b[:20], "report"),
+        "bad reward row": (
+            "backtest/30/rewards.csv", lambda b: b"step,reward\n0,0.5\n1,\n", "report"
+        ),
+        "baseline without means": (
+            "baseline.txt", lambda b: b"seed: 30\nsteps: 3\n", "report --baseline {path}"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_2_names_the_file(self, workspace, capsys, case):
+        _, config_path, _ = workspace
+        rel, damage, command = self.CASES[case]
+        stage = command.split()[0]
+        for earlier in self.STAGES[: self.STAGES.index(stage) if stage in self.STAGES else None]:
+            assert run_cli([earlier, "--config", config_path]) == EXIT_OK, earlier
+        path = Path(load_config(config_path).run_dir(), rel)
+        path.write_bytes(damage(path.read_bytes() if path.exists() else b""))
+        capsys.readouterr()
+        argv = command.format(path=path).split()
+        assert run_cli(argv[:1] + ["--config", config_path] + argv[1:]) == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
 
 
 class TestSimulate:
