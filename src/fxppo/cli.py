@@ -237,8 +237,9 @@ def cmd_train(config, args):
 
 
 def _write_rewards(path, rewards):
+    """Writes the reward stream; returns its sha256."""
     rows = "".join(f"{i},{float(r)!r}\n" for i, r in enumerate(rewards))
-    write_artifact(path, "step,reward\n" + rows)
+    return write_artifact(path, "step,reward\n" + rows)
 
 
 def _read_rewards(path):
@@ -262,9 +263,10 @@ def _backtest_one_seed(config, seed):
         checkpoint_hash=file_sha256(checkpoint),
     )
     seed_dir = config.run_dir("backtest", seed)
-    _write_rewards(os.path.join(seed_dir, "rewards.csv"), report.rewards)
+    rewards_sha256 = _write_rewards(os.path.join(seed_dir, "rewards.csv"), report.rewards)
     meta = {"seed": seed, "checkpoint_hash": report.checkpoint_hash,
-            "data_range": list(report.data_range)}
+            "data_range": list(report.data_range), "steps": len(report.rewards),
+            "rewards_sha256": rewards_sha256}
     write_artifact(os.path.join(seed_dir, "meta.json"), json.dumps(meta) + "\n")
     return f"backtest: seed {seed} done"
 
@@ -398,11 +400,15 @@ def _emit_summary(config, baseline):
         try:
             meta = json.loads(_read_text(meta_path))
             data_range, checkpoint_hash = tuple(meta["data_range"]), meta["checkpoint_hash"]
+            steps, rewards_sha256 = meta["steps"], meta["rewards_sha256"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"{meta_path} is not a backtest meta file: {exc!r}") from exc
-        reports.append(BacktestReport(
-            _read_rewards(rewards_path), seed, data_range, checkpoint_hash,
-        ))
+        rewards = _read_rewards(rewards_path)
+        if len(rewards) != steps:
+            raise ConfigError(f"{rewards_path} has {len(rewards)} steps, {meta_path} records {steps}")
+        if file_sha256(rewards_path) != rewards_sha256:
+            raise ConfigError(f"{rewards_path} does not match the sha256 in {meta_path}")
+        reports.append(BacktestReport(rewards, seed, data_range, checkpoint_hash))
     paths = emit_report(
         SeedAggregate(reports), config.run_dir("backtest"),
         baseline_summary=baseline,

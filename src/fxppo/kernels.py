@@ -4,15 +4,37 @@ Plain numpy float64. The dense kernels compute only the affine map
 ``x @ w + b`` and its gradients; :class:`fxppo.nn.DenseLayer` applies the
 activation.
 
-The ``*_rows_*`` and LSTM kernels process sequences row by row with
-vector-matrix products. Row independence matters: a length-1 call and a
-length-T call must produce bitwise-identical values for the same row,
-because rollouts step one observation at a time, the backtest passes a
-whole episode and updates replay 32-row slices, and all three must agree.
-The ``*_gemm_*`` kernels do one matmul for non-recurrent nets.
+Row independence is a property of the forward kernels only. The
+``*_rows_*`` forward and the LSTM forward process sequences row by row
+with vector-matrix products, so a length-1 call and a length-T call give
+bitwise-identical values for the same row: rollouts step one observation
+at a time, the backtest passes a whole episode and updates replay 32-row
+slices, and all three must agree. ``dense_gemm_forward`` does one matmul
+for non-recurrent nets.
+
+The backward kernels are gemms. Weight gradients are sums of gemms over
+fixed ``GRAD_BLOCK_ROWS``-row blocks (:func:`block_sum_tn`), so their bits
+depend neither on how a minibatch is batched nor on the BLAS thread count:
+a single gemm whose reduction runs over a few hundred rows gives different
+bits under one and two OpenBLAS threads.
 """
 
 import numpy as np
+
+# Every batch the defaults and ``tune`` reach (PPO and autoencoder
+# minibatches of 32, tune batches of 16-64) is one block, where the block
+# sum is the plain gemm.
+GRAD_BLOCK_ROWS = 64
+
+
+def block_sum_tn(a, d):
+    """``a.T @ d`` for (T, m) and (T, n) arrays, as the left-to-right sum
+    of gemms over consecutive ``GRAD_BLOCK_ROWS``-row blocks."""
+    B = GRAD_BLOCK_ROWS
+    out = np.dot(np.ascontiguousarray(a[:B].T), d[:B])
+    for s in range(B, a.shape[0], B):
+        out += np.dot(np.ascontiguousarray(a[s : s + B].T), d[s : s + B])
+    return out
 
 
 def dense_rows_forward(x, w, b):
@@ -24,6 +46,8 @@ def dense_rows_forward(x, w, b):
     return pre
 
 
+# No caller since the backward passes became gemms; it goes with the next
+# change to perfbench, whose traced metrics still name it.
 def dense_rows_backward(x, w, dpre):
     """(dx, dw, db) of the affine map given the gradient on its output."""
     T = x.shape[0]
@@ -44,8 +68,9 @@ def dense_gemm_forward(x, w, b):
 
 
 def dense_gemm_backward(x, w, dpre):
+    """(dx, dw, db) of the affine map given the gradient on its output."""
     dx = np.dot(dpre, np.ascontiguousarray(w.T))
-    dw = np.dot(np.ascontiguousarray(x.T), dpre)
+    dw = block_sum_tn(x, dpre)
     db = np.sum(dpre, axis=0)
     return dx, dw, db
 
@@ -100,19 +125,15 @@ def lstm_seq_backward(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out,
     dh_out is the per-step upstream gradient on hs; dh_final/dc_final seed
     the carried state at the sequence end. Gradient flow stops at reset
     steps (the pre-reset state never influenced anything after the reset).
+    The recurrence runs row by row and stores each step's gate gradient;
+    dx and the parameter gradients are then gemms over all steps.
     """
     T = x.shape[0]
     H = cs.shape[1]
-    n_in = x.shape[1]
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * H, dtype=np.float64)
-    dx = np.empty((T, n_in), dtype=np.float64)
-    wxT = np.ascontiguousarray(wx.T)
     whT = np.ascontiguousarray(wh.T)
     dh_carry = dh_final.copy()
     dc_carry = dc_final.copy()
-    dz = np.empty(4 * H, dtype=np.float64)
+    dZ = np.empty((T, 4 * H), dtype=np.float64)
     for t in range(T - 1, -1, -1):
         i = gates[t, :H]
         f = gates[t, H : 2 * H]
@@ -125,21 +146,21 @@ def lstm_seq_backward(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out,
         di = dc * g
         df = dc * cprev[t]
         dg = dc * i
+        dz = dZ[t]
         dz[:H] = di * i * (1.0 - i)
         dz[H : 2 * H] = df * f * (1.0 - f)
         dz[2 * H : 3 * H] = dg * (1.0 - g * g)
         dz[3 * H :] = do * o * (1.0 - o)
-        dwx += x[t].reshape(n_in, 1) * dz.reshape(1, 4 * H)
-        dwh += hprev[t].reshape(H, 1) * dz.reshape(1, 4 * H)
-        db += dz
-        dx[t, :] = np.dot(dz, wxT)
         if resets[t] != 0:
             dh_carry = np.zeros(H, dtype=np.float64)
             dc_carry = np.zeros(H, dtype=np.float64)
         else:
             dh_carry = np.dot(dz, whT)
             dc_carry = dc * f
-    return dx, dwx, dwh, db, dh_carry, dc_carry
+    dx = np.dot(dZ, np.ascontiguousarray(wx.T))
+    dwx = block_sum_tn(x, dZ)
+    dwh = block_sum_tn(hprev, dZ)
+    return dx, dwx, dwh, dZ.sum(axis=0), dh_carry, dc_carry
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Everything is float64 and seeded: a run's parameter trajectory is a pure
 function of (seed, data). Layers cache their last forward pass and
 accumulate parameter gradients on backward, in the usual
 from-scratch-numpy style. Shapes are tiny here, so clarity wins over
-cleverness; the per-row kernels live in :mod:`fxppo.kernels`.
+cleverness; the kernels live in :mod:`fxppo.kernels`.
 
 Weight matrices are stored input-major, ``w[i, j]`` mapping input ``i`` to
 output ``j``; a dense layer computes ``act(x @ w + b)``.
@@ -35,10 +35,11 @@ class DenseLayer:
     """Fully connected layer, ``y = act(x @ w + b)`` with ``act`` one of
     :data:`ACTIVATIONS`.
 
-    ``forward`` takes a (T, in) or (in,) array. ``rows=True`` forces the
-    row-at-a-time kernel whose outputs do not depend on how rows are
-    batched together; the recurrent policy path needs that for exact
-    rollout/replay agreement. The batched gemm path is the default.
+    ``forward`` takes a (T, in) or (in,) array. ``rows=True`` selects the
+    row-at-a-time forward kernel, whose outputs do not depend on how rows
+    are batched together; the recurrent policy path needs that for exact
+    rollout/replay agreement. The batched gemm forward is the default.
+    ``backward`` is the gemm kernel either way.
     """
 
     def __init__(self, in_size, out_size, activation="identity", rng=None):
@@ -66,21 +67,18 @@ class DenseLayer:
             pre = kernels.dense_rows_forward(x, self.w, self.b)
         else:
             pre = kernels.dense_gemm_forward(x, self.w, self.b)
-        self._cache = (x, pre, rows)
+        self._cache = (x, pre)
         return np.maximum(pre, 0.0) if self.relu else pre
 
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x, pre, rows = self._cache
+        x, pre = self._cache
         dy = np.asarray(dy, dtype=np.float64)
         if dy.shape != pre.shape:
             raise ShapeMismatch(f"gradient shape {dy.shape} != output {pre.shape}")
         dpre = dy * (pre > 0.0) if self.relu else dy
-        if rows:
-            dx, dw, db = kernels.dense_rows_backward(x, self.w, dpre)
-        else:
-            dx, dw, db = kernels.dense_gemm_backward(x, self.w, dpre)
+        dx, dw, db = kernels.dense_gemm_backward(x, self.w, dpre)
         self.dw += dw
         self.db += db
         return dx
@@ -209,7 +207,13 @@ def clip_grad_norm(grads, max_norm):
 
 
 class Adam:
-    """Adam with bias correction; state mirrors the parameter list."""
+    """Adam with bias correction; state mirrors the parameter list.
+
+    ``step`` updates in place through two scratch arrays per parameter, in
+    the operation order of ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``
+    with ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g**2``, so it
+    gives the same bits as that formula written with temporaries.
+    """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -220,6 +224,7 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in self.params]
 
     def step(self, grads):
         grads = list(grads)
@@ -228,14 +233,23 @@ class Adam:
         self.step_count += 1
         b1t = 1.0 - self.beta1**self.step_count
         b2t = 1.0 - self.beta2**self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, g, m, v, (s1, s2) in zip(self.params, grads, self.m, self.v, self._scratch):
             if g.shape != p.shape:
                 raise ShapeMismatch("gradient/parameter shape mismatch")
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s1)
+            m += s1
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - self.beta2
+            v += s1
+            np.divide(m, b1t, out=s1)
+            s1 *= self.lr
+            np.divide(v, b2t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p -= s1
 
     def state_arrays(self):
         """Moment arrays in parameter order, for checkpointing."""

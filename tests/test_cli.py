@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fxppo
 from fxppo import cli
 from fxppo.backtest import MissingCheckpoint, parse_summary
 from fxppo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -259,6 +262,30 @@ class TestTrain:
         assert run_cli(argv + ["--force"]) == EXIT_OK
         assert {name: (out / name).read_bytes() for name in names} == resumed
 
+    @pytest.mark.parametrize("minibatch", [32, 600])
+    def test_train_bytes_independent_of_blas_threads(self, workspace, minibatch):
+        # One gemm over the 600 rows of a rollout gives different bits
+        # under one and two OpenBLAS threads; the weight gradients, summed
+        # over 64-row blocks, must not.
+        _, config_path, _ = workspace
+        override = [
+            "--set", "ppo.rollout_length=600", "--set", "ppo.total_timesteps=600",
+            "--set", f"ppo.minibatch_size={minibatch}",
+        ]
+        for stage in ("preprocess", "label"):
+            assert run_cli([stage, "--config", config_path] + override) == EXIT_OK
+        out = Path(load_config(config_path, override[1::2]).run_dir("train", 30))
+        src = os.path.dirname(os.path.dirname(fxppo.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            argv = ["train", "--config", config_path, "--seed", "30", "--force"]
+            subprocess.run([sys.executable, "-m", "fxppo.cli"] + argv + override,
+                           env=env, check=True, capture_output=True, timeout=600)
+            runs.append({name: (out / name).read_bytes()
+                         for name in ("final.bin", "train_log.csv")})
+        assert runs[0] == runs[1]
+
     def test_numeric_failure_exit_code(self, prepared):
         # the override changes the config hash, so every stage must see it
         _, config_path, _ = prepared
@@ -482,6 +509,16 @@ class TestMalformedInputs:
             "label/labels_train.csv", lambda b: b[: b.index(b",", 300)], "train --seed 30"
         ),
         "cut meta": ("backtest/30/meta.json", lambda b: b[:20], "report"),
+        "cut rewards": (
+            "backtest/30/rewards.csv", lambda b: b"\n".join(b.split(b"\n")[:51]) + b"\n",
+            "report",
+        ),
+        "meta without the stream's length and hash": (
+            "backtest/30/meta.json",
+            lambda b: json.dumps({k: v for k, v in json.loads(b).items()
+                                  if k not in ("steps", "rewards_sha256")}).encode(),
+            "report",
+        ),
         "bad reward row": (
             "backtest/30/rewards.csv", lambda b: b"step,reward\n0,0.5\n1,\n", "report"
         ),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fxppo import nn
+from fxppo import kernels, nn
+from fxppo.agent import PolicyNetwork
 
 SEED = 1234
 
@@ -111,6 +112,31 @@ def test_dense_rows_batch_invariance():
     assert np.array_equal(full, single)
 
 
+def plain_gemm_tn(x, d):
+    # the single gemm the dense backward made before block sums
+    return np.dot(np.ascontiguousarray(x.T), d)
+
+
+@pytest.mark.parametrize("T", [1, 33, 64])
+@pytest.mark.parametrize("shape", [(64, 3), (80, 32)])
+def test_dense_gemm_dw_is_one_gemm_up_to_64_rows(T, shape):
+    # one block: the autoencoder and PPO minibatches keep their bits
+    rng = np.random.default_rng(T)
+    x = rng.normal(size=(T, shape[0]))
+    dpre = rng.normal(size=(T, shape[1]))
+    _, dw, _ = kernels.dense_gemm_backward(x, rng.normal(size=shape), dpre)
+    assert np.array_equal(dw, plain_gemm_tn(x, dpre))
+
+
+def test_dense_gemm_dw_sums_64_row_blocks_left_to_right():
+    rng = np.random.default_rng(150)
+    x = rng.normal(size=(150, 64))
+    dpre = rng.normal(size=(150, 12))
+    _, dw, _ = kernels.dense_gemm_backward(x, rng.normal(size=(64, 12)), dpre)
+    blocks = [plain_gemm_tn(x[s : s + 64], dpre[s : s + 64]) for s in (0, 64, 128)]
+    assert np.array_equal(dw, (blocks[0] + blocks[1]) + blocks[2])
+
+
 # ---------------------------------------------------------------------------
 # LSTM layer
 # ---------------------------------------------------------------------------
@@ -213,6 +239,75 @@ def test_lstm_initial_state_gradcheck():
     assert max_rel_err(dc0, finite_diff_grad(loss, c0)) <= 1e-4
 
 
+def lstm_backward_rowwise(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
+    """Backprop through time with one outer product per step: the oracle
+    for the gemm form in `kernels.lstm_seq_backward`."""
+    T = x.shape[0]
+    H = cs.shape[1]
+    n_in = x.shape[1]
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * H)
+    dx = np.empty((T, n_in))
+    wxT = np.ascontiguousarray(wx.T)
+    whT = np.ascontiguousarray(wh.T)
+    dh_carry = dh_final.copy()
+    dc_carry = dc_final.copy()
+    dz = np.empty(4 * H)
+    for t in range(T - 1, -1, -1):
+        i = gates[t, :H]
+        f = gates[t, H : 2 * H]
+        g = gates[t, 2 * H : 3 * H]
+        o = gates[t, 3 * H :]
+        tc = tanhc[t]
+        dh = dh_out[t] + dh_carry
+        dc = dc_carry + dh * o * (1.0 - tc * tc)
+        do = dh * tc
+        di = dc * g
+        df = dc * cprev[t]
+        dg = dc * i
+        dz[:H] = di * i * (1.0 - i)
+        dz[H : 2 * H] = df * f * (1.0 - f)
+        dz[2 * H : 3 * H] = dg * (1.0 - g * g)
+        dz[3 * H :] = do * o * (1.0 - o)
+        dwx += x[t].reshape(n_in, 1) * dz.reshape(1, 4 * H)
+        dwh += hprev[t].reshape(H, 1) * dz.reshape(1, 4 * H)
+        db += dz
+        dx[t, :] = np.dot(dz, wxT)
+        if resets[t] != 0:
+            dh_carry = np.zeros(H)
+            dc_carry = np.zeros(H)
+        else:
+            dh_carry = np.dot(dz, whT)
+            dc_carry = dc * f
+    return dx, dwx, dwh, db, dh_carry, dc_carry
+
+
+@pytest.mark.parametrize("T", [1, 7, 32, 65, 130])
+def test_lstm_backward_matches_rowwise_oracle(T):
+    rng = np.random.default_rng(T)
+    n_in, H = 10, 32
+    wx = rng.normal(0, 0.3, (n_in, 4 * H))
+    wh = rng.normal(0, 0.3, (H, 4 * H))
+    x = rng.normal(size=(T, n_in))
+    resets = np.zeros(T, dtype=np.uint8)
+    resets[rng.integers(0, T, size=T // 20)] = 1
+    forward = kernels.lstm_seq_forward(
+        x, resets, rng.normal(size=H), rng.normal(size=H), wx, wh, rng.normal(0, 0.3, 4 * H)
+    )
+    hs, cs, tanhc, gates, hprev, cprev = forward[:6]
+    args = (x, resets, gates, cs, tanhc, hprev, cprev, wx, wh,
+            rng.normal(size=(T, H)), rng.normal(size=H), rng.normal(size=H))
+    dx, dwx, dwh, db, dh0, dc0 = kernels.lstm_seq_backward(*args)
+    ref = lstm_backward_rowwise(*args)
+    # the recurrence keeps its operation order
+    assert np.array_equal(dh0, ref[4])
+    assert np.array_equal(dc0, ref[5])
+    # the sums over steps change order only
+    for got, want in zip((dx, dwx, dwh, db), ref[:4]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 # ---------------------------------------------------------------------------
 # softmax / losses
 # ---------------------------------------------------------------------------
@@ -273,6 +368,27 @@ def test_adam_deterministic():
         return p
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_in_place_matches_textbook_formula_bit_for_bit():
+    lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(60)
+    params = nn.collect_params(PolicyNetwork(rng=rng).layers)
+    ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
+    opt = nn.Adam(params, lr, b1, b2, eps)
+    for t in range(1, 61):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape) for p in params]
+        opt.step(grads)
+        for k, ((p, m, v), g) in enumerate(zip(ref, grads)):
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            ref[k] = (p, m, v)
+    assert len(params) == 15
+    for k, (p, m, v) in enumerate(ref):
+        assert np.array_equal(params[k], p)
+        assert np.array_equal(opt.m[k], m)
+        assert np.array_equal(opt.v[k], v)
 
 
 def test_clip_grad_norm():
