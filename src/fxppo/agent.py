@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import load_container, save_container
+from .checkpoint import CheckpointError, load_container, save_container
 from .env import ACTION_VALUES, TradingEnv
 from .nn import (
     Adam,
@@ -566,17 +566,43 @@ def save_policy(path, net, optimizer, config, seed, steps_done):
     save_container(path, meta, blocks)
 
 
+def _param_shapes(input_size, hidden_size, trunk):
+    """Shape of every block `PolicyNetwork.param_blocks` returns, without
+    allocating the network."""
+    shapes = {
+        "lstm.wx": (input_size, 4 * hidden_size),
+        "lstm.wh": (hidden_size, 4 * hidden_size),
+        "lstm.b": (4 * hidden_size,),
+    }
+    t1, t2, t3 = trunk
+    for tag, n_in, n_out in [
+        ("fc1", hidden_size, t1), ("fc2", t1, t2), ("fc3", t2, t3),
+        ("policy", t3, N_ACTIONS), ("aux", t3, N_CLUSTERS), ("value", t3, 1),
+    ]:
+        shapes[f"{tag}.w"] = (n_in, n_out)
+        shapes[f"{tag}.b"] = (n_out,)
+    return shapes
+
+
 def load_policy(path):
-    """Returns (net, meta). The Adam moments stored next to the
+    """Returns (net, meta). The kind, the sizes and the shape of every
+    parameter block are checked before the network is built, so a malformed
+    container raises CheckpointError. The Adam moments stored next to the
     parameters are not read: training cannot resume from a checkpoint yet."""
     meta, blocks = load_container(path)
-    if meta.get("kind") != "policy":
-        raise AgentError(f"{path}: not a policy checkpoint")
-    net = PolicyNetwork(
-        input_size=meta["input_size"],
-        hidden_size=meta["hidden_size"],
-        trunk=tuple(meta["trunk"]),
-    )
+    if not isinstance(meta, dict) or meta.get("kind") != "policy":
+        raise CheckpointError(f"{path}: not a policy checkpoint")
+    input_size, hidden_size = meta.get("input_size"), meta.get("hidden_size")
+    trunk = meta.get("trunk") if isinstance(meta.get("trunk"), list) else []
+    sizes = [input_size, hidden_size, *trunk]
+    if len(trunk) != 3 or not all(type(n) is int and n >= 1 for n in sizes):
+        raise CheckpointError(
+            f"{path}: input_size, hidden_size and the three trunk sizes "
+            "must be positive integers"
+        )
+    for name, shape in _param_shapes(input_size, hidden_size, trunk).items():
+        if name not in blocks or blocks[name].shape != shape:
+            raise CheckpointError(f"{path}: block {name!r} missing or not of shape {shape}")
+    net = PolicyNetwork(input_size, hidden_size, tuple(trunk))
     net.load_param_blocks(blocks)
     return net, meta
-

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .checkpoint import write_artifact
-from .env import ACTION_VALUES, TradingEnv
+from .env import ACTION_VALUES, position_rewards, step_returns
 
 # The mean of n equal values can be off by a few ulps (numpy's pairwise
 # summation), which leaves that much spurious spread in a constant stream.
@@ -77,20 +77,17 @@ class BacktestReport:
 def run_backtest(net, windows, returns, env_config, seed=0, checkpoint_hash=""):
     """Greedy episode-by-episode replay over the whole range. Actions never
     change the next observation, so one policy call covers an episode."""
-    env = TradingEnv(windows, returns, env_config)
-    rewards = []
-    start = 0
-    while start <= env.max_start_index():
-        env.reset(start)
+    z = step_returns(returns, windows, env_config)
+    rewards = np.empty(len(z))
+    for s in range(0, len(z), env_config.episode_length):
+        e = min(s + env_config.episode_length, len(z))
         actions, _, _, _, _ = net.act(
-            env.windows[start : start + env.steps_left()],
-            *net.initial_state(), 1, mode="greedy",
+            windows[s:e], *net.initial_state(), 1, mode="greedy"
         )
-        rewards += [env.step(ACTION_VALUES[a]).reward for a in actions]
-        start = env.cursor
-    return BacktestReport(
-        rewards, seed, (0, env.n_windows), checkpoint_hash
-    )
+        rewards[s:e] = position_rewards(
+            np.take(ACTION_VALUES, actions), z[s:e], env_config.spread_cost
+        )
+    return BacktestReport(rewards, seed, (0, len(windows)), checkpoint_hash)
 
 
 def sharpe_ratio(rewards):

@@ -41,6 +41,7 @@ from .data import (
     parse_candles,
     window_end_indices,
 )
+from .env import EnvError, position_rewards, step_returns
 from .labeler import (
     AutoencoderConfig,
     DivergedLoss,
@@ -90,6 +91,19 @@ def _load_array(path, what):
 
 def _split_dir(config, split):
     return config.run_dir("preprocess", split)
+
+
+def _load_split(config, split):
+    """(windows, returns, z) of a split, with z from `step_returns`; arrays
+    that do not align name the split's returns.npy."""
+    split_dir = _split_dir(config, split)
+    windows = _load_array(os.path.join(split_dir, "windows.npy"), f"{split} windows")
+    path = os.path.join(split_dir, "returns.npy")
+    returns = _load_array(path, f"{split} returns")
+    try:
+        return windows, returns, step_returns(returns, windows, config.env)
+    except EnvError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def cmd_preprocess(config, args):
@@ -210,9 +224,7 @@ def _run_seeds(stage, fn, config, seeds, parallel, *args):
 
 
 def _train_one_seed(config, seed, force):
-    split_dir = _split_dir(config, "train")
-    windows = _load_array(os.path.join(split_dir, "windows.npy"), "training windows")
-    returns = _load_array(os.path.join(split_dir, "returns.npy"), "training returns")
+    windows, returns, _ = _load_split(config, "train")
     labels = _load_labels_for(config, "train", windows.shape[0])
     out_dir = config.run_dir("train", seed)
     final = os.path.join(out_dir, "final.bin")
@@ -254,9 +266,7 @@ def _backtest_one_seed(config, seed):
     checkpoint = os.path.join(config.run_dir("train", seed), "final.bin")
     if not os.path.exists(checkpoint):
         raise MissingCheckpoint(seed)
-    split_dir = _split_dir(config, "test")
-    windows = _load_array(os.path.join(split_dir, "windows.npy"), "test windows")
-    returns = _load_array(os.path.join(split_dir, "returns.npy"), "test returns")
+    windows, returns, _ = _load_split(config, "test")
     net, _ = load_policy(checkpoint)
     report = run_backtest(
         net, windows, returns, config.env, seed=seed,
@@ -302,28 +312,19 @@ def _read_actions(path):
 
 
 def cmd_simulate(config, args):
-    """Direct arithmetic replay of an action file, independent of the
-    stepping simulator, for cross-checking reward streams."""
+    """Pays out an action file from --start with `position_rewards`, the
+    backtest's arithmetic, for cross-checking reward streams."""
     if args.start < 0:
         raise DataError(f"--start must be >= 0, got {args.start}")
-    split_dir = _split_dir(config, args.split)
-    returns = _load_array(os.path.join(split_dir, "returns.npy"), "returns")
+    _, _, z = _load_split(config, args.split)
     actions = _read_actions(args.actions)
-    window_len = config.env.window_len
-    offset = window_len if config.env.reward_timing == "next_return" else window_len - 1
-    spread = config.env.spread_cost
-
-    rewards = []
-    position = 0
-    for i, action in enumerate(actions):
-        zi = args.start + offset + i
-        if zi >= returns.shape[0]:
-            raise DataError(
-                f"action {i} needs return index {zi}, beyond {returns.shape[0]}"
-            )
-        z = float(returns[zi])
-        rewards.append(action * z - spread * abs(action - position))
-        position = action
+    end = args.start + len(actions)
+    if end > len(z):
+        raise DataError(
+            f"{len(actions)} actions from --start {args.start} need {end} steps; "
+            f"the {args.split} split has {len(z)}"
+        )
+    rewards = position_rewards(actions, z[args.start : end], config.env.spread_cost)
     out = args.out or os.path.join(config.run_dir("simulate"), "rewards.csv")
     _write_rewards(out, rewards)
     print(f"simulate: wrote {len(rewards)} rewards to {out}")

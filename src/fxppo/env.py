@@ -1,11 +1,11 @@
-"""Episodic trading simulator over precomputed feature windows.
+"""Trading rewards over precomputed feature windows.
 
-The agent sees the window ending at the cursor, picks a position in
-{-1, 0, +1} (sell, stay out, buy), and earns position times the close
-return of the following step, minus an optional spread charge on
-position changes. Episodes are fixed-length unless the data runs out
-first. The simulator itself is deterministic; all randomness lives in
-the caller's start-index schedule.
+Acting on window i holds a position in {-1, 0, +1} (sell, stay out, buy)
+and earns position times z[i] (`step_returns`), less an optional spread on
+each change of position. `position_rewards` pays out a whole episode that
+starts flat; `TradingEnv` steps the same arithmetic one action at a time,
+for the rollout and as the reference the array path is tested against.
+Episodes are fixed-length unless the data runs out first.
 """
 
 from collections import namedtuple
@@ -51,46 +51,50 @@ class EnvConfig:
             raise ValueError(f"unknown reward_timing {self.reward_timing!r}")
 
 
+def step_returns(returns, windows, config):
+    """z[i], the return that acting on windows[i] earns: the one after the
+    window's newest row ("next_return") or that row's own ("same_step").
+    `returns` is the close-return stream the windows were built from, so
+    `len(returns) == len(windows) + window_len - 1`."""
+    windows = np.asarray(windows)
+    if windows.ndim != 2:
+        raise EnvError("windows must be 2-D")
+    expected = windows.shape[0] + config.window_len - 1
+    if len(returns) != expected:
+        raise EnvError(
+            f"returns length {len(returns)} does not align with "
+            f"{windows.shape[0]} windows (expected {expected})"
+        )
+    first = config.window_len - (0 if config.reward_timing == "next_return" else 1)
+    return np.asarray(returns, dtype=np.float64)[first:]
+
+
+def position_rewards(actions, z, spread):
+    """Rewards of an episode that starts flat and holds actions[i] in
+    {-1, 0, 1} against z[i], less spread per unit change of position."""
+    a = np.asarray(actions, dtype=np.int64)
+    return a * z - spread * np.abs(np.diff(a, prepend=0))
+
+
 StepResult = namedtuple("StepResult", ["observation", "reward", "done", "z"])
 
 
 class TradingEnv:
-    """Steps through aligned (windows, returns) arrays.
-
-    `windows[i]` is the flattened feature window whose newest feature
-    row is `i + window_len - 1`; `returns` is the full close-return
-    stream those windows were built from, so
-    `len(returns) == len(windows) + window_len - 1`.
-    """
+    """Steps through aligned (windows, returns) arrays (see `step_returns`)."""
 
     def __init__(self, windows, returns, config=None):
         self.config = config or EnvConfig()
         self.windows = np.asarray(windows, dtype=np.float64)
-        self.returns = np.asarray(returns, dtype=np.float64)
-        if self.windows.ndim != 2:
-            raise ValueError("windows must be 2-D")
-        expected = self.windows.shape[0] + self.config.window_len - 1
-        if self.returns.shape[0] != expected:
-            raise ValueError(
-                f"returns length {self.returns.shape[0]} does not align with "
-                f"{self.windows.shape[0]} windows (expected {expected})"
-            )
+        self.z = step_returns(returns, self.windows, self.config)
         self.n_windows = self.windows.shape[0]
         self.cursor = None
         self.steps_in_episode = 0
         self.position = 0
         self.done = True
 
-    def _z_index(self, cursor):
-        if self.config.reward_timing == "next_return":
-            return cursor + self.config.window_len
-        return cursor + self.config.window_len - 1
-
     def max_start_index(self):
         """Largest start index that still allows one step."""
-        return self.n_windows - 1 - (
-            1 if self.config.reward_timing == "next_return" else 0
-        )
+        return len(self.z) - 1
 
     def steps_left(self):
         """Steps left in this episode before its length or the data runs out."""
@@ -117,7 +121,7 @@ class TradingEnv:
         action = int(action)
         if action not in ACTION_VALUES:
             raise ValueError(f"action must be one of {ACTION_VALUES}, got {action}")
-        z = float(self.returns[self._z_index(self.cursor)])
+        z = float(self.z[self.cursor])
         reward = action * z - self.config.spread_cost * abs(action - self.position)
         self.position = action
         self.steps_in_episode += 1

@@ -82,13 +82,13 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
     is how episode boundaries are replayed. Gate order in the fused weight
     matrices is input, forget, candidate, output.
 
-    Returns (hs, cs, tanhc, gates, hprev, cprev, hT, cT); hprev/cprev hold
-    the state *before* each step so any sub-segment can be replayed later.
+    Returns (hs, tanhc, gates, hprev, cprev, hT, cT): the hidden states, the
+    tanh of each cell state, the gate activations, and in hprev/cprev the
+    state *before* each step, so any sub-segment can be replayed later.
     """
     T = x.shape[0]
     H = h0.shape[0]
     hs = np.empty((T, H), dtype=np.float64)
-    cs = np.empty((T, H), dtype=np.float64)
     tanhc = np.empty((T, H), dtype=np.float64)
     gates = np.empty((T, 4 * H), dtype=np.float64)
     hprev = np.empty((T, H), dtype=np.float64)
@@ -113,13 +113,12 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
         gates[t, H : 2 * H] = f
         gates[t, 2 * H : 3 * H] = g
         gates[t, 3 * H :] = o
-        cs[t, :] = c
         tanhc[t, :] = tc
         hs[t, :] = h
-    return hs, cs, tanhc, gates, hprev, cprev, h, c
+    return hs, tanhc, gates, hprev, cprev, h, c
 
 
-def lstm_seq_backward(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
+def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
     """Backprop through time for `lstm_seq_forward`.
 
     dh_out is the per-step upstream gradient on hs; dh_final/dc_final seed
@@ -129,7 +128,7 @@ def lstm_seq_backward(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out,
     dx and the parameter gradients are then gemms over all steps.
     """
     T = x.shape[0]
-    H = cs.shape[1]
+    H = tanhc.shape[1]
     whT = np.ascontiguousarray(wh.T)
     dh_carry = dh_final.copy()
     dc_carry = dc_final.copy()

@@ -132,18 +132,18 @@ class LSTMLayer:
             resets = np.zeros(T, dtype=np.uint8)
         else:
             resets = np.ascontiguousarray(resets, dtype=np.uint8)
-        hs, cs, tanhc, gates, hprev, cprev, hT, cT = kernels.lstm_seq_forward(
+        hs, tanhc, gates, hprev, cprev, hT, cT = kernels.lstm_seq_forward(
             x, resets, np.asarray(h0, dtype=np.float64), np.asarray(c0, dtype=np.float64),
             self.wx, self.wh, self.b,
         )
-        self._cache = (x, resets, gates, cs, tanhc, hprev, cprev)
+        self._cache = (x, resets, gates, tanhc, hprev, cprev)
         return hs, hT, cT
 
     def backward(self, dh_out, dh_final=None, dc_final=None):
         """Returns (dx, dh0, dc0) given per-step gradients on the outputs."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x, resets, gates, cs, tanhc, hprev, cprev = self._cache
+        x, resets, gates, tanhc, hprev, cprev = self._cache
         dh_out = np.asarray(dh_out, dtype=np.float64)
         if dh_out.shape != (x.shape[0], self.hidden_size):
             raise ShapeMismatch("dh_out shape mismatch")
@@ -152,7 +152,7 @@ class LSTMLayer:
         if dc_final is None:
             dc_final = np.zeros(self.hidden_size)
         dx, dwx, dwh, db, dh0, dc0 = kernels.lstm_seq_backward(
-            x, resets, gates, cs, tanhc, hprev, cprev,
+            x, resets, gates, tanhc, hprev, cprev,
             self.wx, self.wh, dh_out, dh_final, dc_final,
         )
         self.dwx += dwx

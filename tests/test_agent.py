@@ -1,7 +1,13 @@
 """Policy network, advantage estimation, and the update loop."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fxppo.agent import (
     EmptyBuffer,
@@ -21,6 +27,7 @@ from fxppo.agent import (
     update,
     value_loss,
 )
+from fxppo.checkpoint import CheckpointError, load_container, save_container
 from fxppo.env import EnvConfig, TradingEnv
 from fxppo.nn import Adam, collect_grads, collect_params, log_softmax, softmax
 
@@ -159,6 +166,85 @@ class TestPolicyNetwork:
         assert meta["seed"] == 30 and meta["steps_done"] == 48
         for name, arr in net.param_blocks().items():
             assert np.array_equal(arr, net2.param_blocks()[name])
+
+
+def policy_container(trunk=(4, 4, 4)):
+    """Bytes of a saved tiny policy, Adam moments included."""
+    net = tiny_net(7, trunk=trunk)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "policy.bin")
+        save_policy(path, net, Adam(collect_params(net.layers), 1e-3), PPOConfig(),
+                    seed=30, steps_done=0)
+        return path.read_bytes()
+
+
+POLICY = policy_container()
+META_END = 16 + struct.unpack("<I", POLICY[12:16])[0]
+
+
+def change(marker, offset, new):
+    """(position, xor mask) that turns the byte `offset` into `marker` into `new`."""
+    pos = POLICY.index(marker) + offset
+    return pos, POLICY[pos] ^ ord(new)
+
+
+class TestLoadPolicy:
+    def test_round_trip_distinct_trunk_sizes(self, tmp_path):
+        path = tmp_path / "policy.bin"
+        path.write_bytes(policy_container(trunk=(3, 4, 5)))
+        net, meta = load_policy(path)
+        assert net.trunk_sizes == (3, 4, 5) and meta["trunk"] == [3, 4, 5]
+        for name, arr in tiny_net(7, trunk=(3, 4, 5)).param_blocks().items():
+            assert np.array_equal(arr, net.param_blocks()[name])
+
+    @pytest.mark.parametrize("key, value", [
+        ("kind", "autoencoder"),
+        ("hidden_size", 9e9),
+        ("hidden_size", 9_000_000_000),
+        ("hidden_size", 6),
+        ("hidden_size", 0),
+        ("hidden_size", True),
+        ("input_size", "6"),
+        ("trunk", [4, 4]),
+        ("trunk", 4),
+    ])
+    def test_meta_that_does_not_fit_the_blocks(self, tmp_path, key, value):
+        src, path = tmp_path / "policy.bin", tmp_path / "bad.bin"
+        src.write_bytes(POLICY)
+        meta, blocks = load_container(src)
+        save_container(path, {**meta, key: value}, blocks)
+        with pytest.raises(CheckpointError):
+            load_policy(path)
+
+    def test_missing_block(self, tmp_path):
+        src, path = tmp_path / "policy.bin", tmp_path / "bad.bin"
+        src.write_bytes(POLICY)
+        meta, blocks = load_container(src)
+        del blocks["value.b"]
+        save_container(path, meta, blocks)
+        with pytest.raises(CheckpointError, match="value.b"):
+            load_policy(path)
+
+    @given(
+        st.one_of(st.integers(0, META_END + 256), st.integers(0, len(POLICY) - 1)),
+        st.integers(1, 255),
+    )
+    @example(*change(b'"input_size"', 3, "X"))
+    @example(*change(b"fc1.w", 4, "x"))
+    @example(*change(b'"hidden_size": 5', 15, "6"))
+    @example(*change(b'"hidden_size": 5', 14, "-"))
+    @example(*change(b'"kind": "policy"', 9, "P"))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_single_byte_change_loads_or_raises_checkpoint_error(self, tmp_path, pos, mask):
+        data = bytearray(POLICY)
+        data[pos] ^= mask
+        path = tmp_path / "policy.bin"
+        path.write_bytes(bytes(data))
+        try:
+            load_policy(path)
+        except CheckpointError:
+            pass
 
 
 class TestGAE:

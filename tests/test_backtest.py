@@ -104,6 +104,15 @@ class TestRunBacktest:
         r2 = run_backtest(net, windows, returns, EnvConfig(episode_length=25))
         assert np.array_equal(r1.rewards, r2.rewards)
 
+    def test_one_window_split_has_no_steps(self, tmp_path):
+        windows, returns = make_market()
+        net = PolicyNetwork(6, 5, (4, 4, 4), np.random.default_rng(3))
+        report = run_backtest(net, windows[:1], returns[:16], EnvConfig(episode_length=25))
+        assert report.rewards.shape == (0,)
+        assert report.data_range == (0, 1)
+        _, summary_path = emit_report(SeedAggregate([report]), str(tmp_path))
+        assert parse_summary(summary_path)["per_seed"][0]["steps"] == 0
+
     def test_equity_terminal_equals_total(self):
         windows, returns = make_market()
         net = PolicyNetwork(6, 5, (4, 4, 4), np.random.default_rng(5))

@@ -1,5 +1,6 @@
 """Config handling and the pipeline subcommands end to end."""
 
+import io
 import json
 import os
 import subprocess
@@ -315,6 +316,16 @@ class TestBacktestCli:
         mean = sum(p["total_return_pct"] for p in summary["per_seed"]) / 2
         assert abs(mean - summary["mean_total_return_pct"]) <= 1e-12
 
+    def test_autoencoder_as_checkpoint(self, prepared, capsys):
+        _, config_path, _ = prepared
+        run_cli(["train", "--config", config_path, "--seed", "30"])
+        config = load_config(config_path)
+        final = Path(config.run_dir("train", 30), "final.bin")
+        final.write_bytes(Path(config.run_dir("label"), "ae.bin").read_bytes())
+        capsys.readouterr()
+        assert run_cli(["backtest", "--config", config_path, "--seed", "30"]) == EXIT_DATA
+        assert f"{final}: not a policy checkpoint" in capsys.readouterr().err
+
     def test_truncated_checkpoint(self, prepared):
         _, config_path, _ = prepared
         run_cli(["train", "--config", config_path, "--seed", "30"])
@@ -498,10 +509,17 @@ class TestWindowGeometry:
         assert override.split("=")[0] + " must be" in capsys.readouterr().err
 
 
+def five_rows_short(npy_bytes):
+    """The same array saved again without its last five rows: a valid .npy."""
+    out = io.BytesIO()
+    np.save(out, np.load(io.BytesIO(npy_bytes))[:-5])
+    return out.getvalue()
+
+
 class TestMalformedInputs:
     STAGES = ["preprocess", "label", "train", "backtest"]
     # file under the run directory, how it is damaged, the command that
-    # reads it ({path} is the damaged file)
+    # reads it ({path} is the damaged file, {actions} a valid action file)
     CASES = {
         "empty npy": ("preprocess/train/windows.npy", lambda b: b"", "label"),
         "truncated npy": ("preprocess/train/windows.npy", lambda b: b[:200], "label"),
@@ -525,19 +543,30 @@ class TestMalformedInputs:
         "baseline without means": (
             "baseline.txt", lambda b: b"seed: 30\nsteps: 3\n", "report --baseline {path}"
         ),
+        "misaligned training returns": (
+            "preprocess/train/returns.npy", five_rows_short, "train --seed 30"
+        ),
+        "misaligned test returns": (
+            "preprocess/test/returns.npy", five_rows_short, "backtest --seed 30"
+        ),
+        "misaligned simulate returns": (
+            "preprocess/test/returns.npy", five_rows_short, "simulate --actions {actions}"
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_exit_2_names_the_file(self, workspace, capsys, case):
-        _, config_path, _ = workspace
+        tmp_path, config_path, _ = workspace
         rel, damage, command = self.CASES[case]
         stage = command.split()[0]
         for earlier in self.STAGES[: self.STAGES.index(stage) if stage in self.STAGES else None]:
             assert run_cli([earlier, "--config", config_path]) == EXIT_OK, earlier
         path = Path(load_config(config_path).run_dir(), rel)
         path.write_bytes(damage(path.read_bytes() if path.exists() else b""))
+        actions = tmp_path / "actions.csv"
+        actions.write_text("action\n1\n")
         capsys.readouterr()
-        argv = command.format(path=path).split()
+        argv = command.format(path=path, actions=actions).split()
         assert run_cli(argv[:1] + ["--config", config_path] + argv[1:]) == EXIT_DATA
         assert str(path) in capsys.readouterr().err
 
@@ -583,6 +612,22 @@ class TestSimulate:
         assert code == EXIT_DATA
         assert "--start must be >= 0, got -20" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_actions_beyond_the_split(self, prepared, tmp_path, capsys):
+        _, config_path, _ = prepared
+        split_dir = load_config(config_path).run_dir("preprocess", "test")
+        steps = np.load(os.path.join(split_dir, "windows.npy")).shape[0] - 1
+        actions_path = tmp_path / "actions.csv"
+        out_path = tmp_path / "sim_rewards.csv"
+        argv = ["simulate", "--config", config_path, "--actions", str(actions_path),
+                "--out", str(out_path)]
+        actions_path.write_text("action\n" + "1\n" * (steps + 1))
+        assert run_cli(argv) == EXIT_DATA
+        assert f"need {steps + 1} steps; the test split has {steps}" in capsys.readouterr().err
+        assert not out_path.exists()
+        actions_path.write_text("action\n" + "1\n" * steps)
+        assert run_cli(argv) == EXIT_OK
+        assert len(out_path.read_text().strip().split("\n")) == steps + 1
 
     def test_bad_action_file(self, prepared, tmp_path):
         _, config_path, _ = prepared

@@ -1,17 +1,25 @@
 """Trading simulator stepping, rewards, and conservation properties."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fxppo
 from conftest import left_to_right_sum
 from fxppo.data import WINDOW_LEN, build_windows
 from fxppo.env import (
+    ACTION_VALUES,
     EnvConfig,
+    EnvError,
     EpisodeFinished,
     OutOfData,
     TradingEnv,
+    position_rewards,
+    step_returns,
 )
 
 
@@ -209,3 +217,64 @@ class TestConservation:
         for start in range(0, env.max_start_index(), 13):
             rewards = self.run_policy(env, 1, start)
             assert len(rewards) <= 7
+
+
+class TestPositionRewards:
+    @given(
+        st.lists(st.sampled_from(ACTION_VALUES), min_size=1, max_size=40),
+        st.integers(0, 80),
+        st.sampled_from(["next_return", "same_step"]),
+        st.floats(1e-6, 1e-2),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stepping_bit_for_bit(self, actions, start, timing, spread, seed):
+        env, returns, windows = make_env(
+            n_steps=100, seed=seed, episode_length=len(actions),
+            spread_cost=spread, reward_timing=timing,
+        )
+        start = min(start, env.max_start_index() + 1 - len(actions))
+        env.reset(start)
+        stepped = np.array([env.step(a).reward for a in actions])
+        z = step_returns(returns, windows, env.config)
+        paid = position_rewards(actions, z[start : start + len(actions)], spread)
+        assert paid.tobytes() == stepped.tobytes()
+
+    def test_empty_episode(self):
+        assert position_rewards([], np.empty(0), 0.001).shape == (0,)
+
+    def test_misaligned_arrays_rejected(self):
+        _, returns, windows = make_env(n_steps=40)
+        with pytest.raises(EnvError, match="does not align"):
+            step_returns(returns[:-5], windows, EnvConfig())
+        with pytest.raises(EnvError, match="does not align"):
+            TradingEnv(windows, returns[:-5])
+
+
+def reward_timing_reads(tree, module):
+    """(module, enclosing class/function path) for every read of
+    reward_timing in ``tree``, by attribute or by name string."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "reward_timing"
+                    or isinstance(child, ast.Constant) and child.value == "reward_timing"):
+                found.append((module, scope))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_reward_timing_decided_in_one_function():
+    found = []
+    for path in sorted(Path(fxppo.__file__).parent.glob("*.py")):
+        found += reward_timing_reads(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert sorted(set(found)) == [
+        ("env.py", "EnvConfig.__post_init__"),
+        ("env.py", "step_returns"),
+    ]

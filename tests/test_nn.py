@@ -239,11 +239,11 @@ def test_lstm_initial_state_gradcheck():
     assert max_rel_err(dc0, finite_diff_grad(loss, c0)) <= 1e-4
 
 
-def lstm_backward_rowwise(x, resets, gates, cs, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
+def lstm_backward_rowwise(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
     """Backprop through time with one outer product per step: the oracle
     for the gemm form in `kernels.lstm_seq_backward`."""
     T = x.shape[0]
-    H = cs.shape[1]
+    H = tanhc.shape[1]
     n_in = x.shape[1]
     dwx = np.zeros_like(wx)
     dwh = np.zeros_like(wh)
@@ -295,8 +295,8 @@ def test_lstm_backward_matches_rowwise_oracle(T):
     forward = kernels.lstm_seq_forward(
         x, resets, rng.normal(size=H), rng.normal(size=H), wx, wh, rng.normal(0, 0.3, 4 * H)
     )
-    hs, cs, tanhc, gates, hprev, cprev = forward[:6]
-    args = (x, resets, gates, cs, tanhc, hprev, cprev, wx, wh,
+    hs, tanhc, gates, hprev, cprev = forward[:5]
+    args = (x, resets, gates, tanhc, hprev, cprev, wx, wh,
             rng.normal(size=(T, H)), rng.normal(size=H), rng.normal(size=H))
     dx, dwx, dwh, db, dh0, dc0 = kernels.lstm_seq_backward(*args)
     ref = lstm_backward_rowwise(*args)
