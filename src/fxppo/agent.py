@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_container, save_container
+from .checkpoint import is_count, is_number, load_checked, save_container
 from .env import ACTION_VALUES, TradingEnv
 from .nn import (
     Adam,
@@ -76,8 +76,16 @@ class PPOConfig:
         if not 0 <= self.gae_lambda <= 1:
             raise ValueError("gae_lambda must be in [0, 1]")
         for name in ("aux_loss_weight", "value_loss_weight", "entropy_coefficient"):
-            if getattr(self, name) < 0:
+            if not (is_number(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("epochs_per_update", "minibatch_size", "rollout_length",
+                     "total_timesteps", "checkpoint_every"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive integer")
+        # NaN passes, and fails training as a numeric failure
+        for name in ("learning_rate", "max_grad_norm"):
+            if not is_number(getattr(self, name)) or getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 class PolicyNetwork:
@@ -584,25 +592,20 @@ def _param_shapes(input_size, hidden_size, trunk):
     return shapes
 
 
-def load_policy(path):
-    """Returns (net, meta). The kind, the sizes and the shape of every
-    parameter block are checked before the network is built, so a malformed
-    container raises CheckpointError. The Adam moments stored next to the
-    parameters are not read: training cannot resume from a checkpoint yet."""
-    meta, blocks = load_container(path)
-    if not isinstance(meta, dict) or meta.get("kind") != "policy":
-        raise CheckpointError(f"{path}: not a policy checkpoint")
-    input_size, hidden_size = meta.get("input_size"), meta.get("hidden_size")
-    trunk = meta.get("trunk") if isinstance(meta.get("trunk"), list) else []
-    sizes = [input_size, hidden_size, *trunk]
-    if len(trunk) != 3 or not all(type(n) is int and n >= 1 for n in sizes):
-        raise CheckpointError(
-            f"{path}: input_size, hidden_size and the three trunk sizes "
-            "must be positive integers"
+def _policy_shapes(meta):
+    sizes = [meta["input_size"], meta["hidden_size"], *meta["trunk"]]
+    if len(sizes) != 5 or not all(is_count(n) for n in sizes):
+        raise ValueError(
+            "input_size, hidden_size and the three trunk sizes must be positive integers"
         )
-    for name, shape in _param_shapes(input_size, hidden_size, trunk).items():
-        if name not in blocks or blocks[name].shape != shape:
-            raise CheckpointError(f"{path}: block {name!r} missing or not of shape {shape}")
-    net = PolicyNetwork(input_size, hidden_size, tuple(trunk))
+    return _param_shapes(sizes[0], sizes[1], sizes[2:])
+
+
+def load_policy(path):
+    """Returns (net, meta), through `checkpoint.load_checked`. The Adam
+    moments stored next to the parameters are not read: training cannot
+    resume from a checkpoint yet."""
+    meta, blocks = load_checked(path, "policy", _policy_shapes)
+    net = PolicyNetwork(meta["input_size"], meta["hidden_size"], tuple(meta["trunk"]))
     net.load_param_blocks(blocks)
     return net, meta

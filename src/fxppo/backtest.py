@@ -77,7 +77,7 @@ class BacktestReport:
 def run_backtest(net, windows, returns, env_config, seed=0, checkpoint_hash=""):
     """Greedy episode-by-episode replay over the whole range. Actions never
     change the next observation, so one policy call covers an episode."""
-    z = step_returns(returns, windows, env_config)
+    z = step_returns(returns, windows)
     rewards = np.empty(len(z))
     for s in range(0, len(z), env_config.episode_length):
         e = min(s + env_config.episode_length, len(z))
@@ -176,31 +176,17 @@ def emit_report(aggregate, out_dir, baseline_summary=None):
 
 
 def parse_summary(path):
-    """Reads a summary file back into {mean metrics, per_seed list}; a
-    malformed value or a missing mean line raises BacktestError."""
-    per_seed = []
-    result = {"per_seed": per_seed}
-    current = None
+    """The two mean lines of a summary file, {mean_total_return_pct,
+    mean_sharpe}; a missing or malformed one raises BacktestError."""
+    result = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("[") or "," in line:
-                continue
-            key, _, value = line.partition(": ")
-            try:
-                if key == "seed":
-                    current = {"seed": int(value)}
-                    per_seed.append(current)
-                elif key in ("total_return_pct", "sharpe") and current is not None:
-                    current[key] = float(value)
-                elif key == "steps" and current is not None:
-                    current[key] = int(value)
-                elif key in ("data_range", "checkpoint_hash") and current is not None:
-                    current[key] = value
-                elif key in ("mean_total_return_pct", "mean_sharpe"):
+            key, _, value = line.strip().partition(": ")
+            if key in ("mean_total_return_pct", "mean_sharpe"):
+                try:
                     result[key] = float(value)
-            except ValueError as exc:
-                raise BacktestError(f"{path}: {exc}") from exc
+                except ValueError as exc:
+                    raise BacktestError(f"{path}: {exc}") from exc
     for key in ("mean_total_return_pct", "mean_sharpe"):
         if key not in result:
             raise BacktestError(f"{path}: no {key} line; not a summary file")

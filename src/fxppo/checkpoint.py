@@ -98,6 +98,35 @@ def load_container(path):
     return meta, blocks
 
 
+def is_count(n, least=1):
+    """True for an int (not a bool) of at least ``least``."""
+    return type(n) is int and n >= least
+
+
+def is_number(x):
+    """True for an int or float that is not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def load_checked(path, kind, block_shapes):
+    """(meta, blocks) of a container whose meta is a dict of this ``kind``
+    and whose blocks include every one ``block_shapes(meta)`` names, at its
+    shape. block_shapes raises KeyError, TypeError or ValueError on a meta
+    it cannot use. All of it is checked before the caller allocates
+    anything, so a malformed container raises CheckpointError."""
+    meta, blocks = load_container(path)
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
+        raise CheckpointError(f"{path}: not a {kind} checkpoint")
+    try:
+        shapes = block_shapes(meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: unusable {kind} metadata: {exc!r}") from exc
+    for name, shape in shapes.items():
+        if name not in blocks or blocks[name].shape != shape:
+            raise CheckpointError(f"{path}: block {name!r} missing or not of shape {shape}")
+    return meta, blocks
+
+
 def file_sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:

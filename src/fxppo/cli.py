@@ -1,9 +1,10 @@
 """Pipeline driver: preprocess -> label -> train -> backtest.
 
 Every stage reads one JSON config and writes under
-out_root/<config-hash>/<stage>/, so differently configured runs never
-share files. Exit codes: 0 success, 1 usage, 2 data problem, 3 numeric
-failure.
+out_root/<stage>/<key>/, where the key covers only the settings that
+stage and the stages upstream of it read (`config.STAGES`), so a run
+that changes a training setting reuses the windows and labels.
+Exit codes: 0 success, 1 usage, 2 data problem, 3 numeric failure.
 """
 
 import argparse
@@ -69,7 +70,7 @@ SPLITS = ("train", "test")
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _read_text(path):
@@ -89,19 +90,15 @@ def _load_array(path, what):
         raise ConfigError(f"{what} at {path} is not a readable array: {exc}") from exc
 
 
-def _split_dir(config, split):
-    return config.run_dir("preprocess", split)
-
-
 def _load_split(config, split):
     """(windows, returns, z) of a split, with z from `step_returns`; arrays
     that do not align name the split's returns.npy."""
-    split_dir = _split_dir(config, split)
+    split_dir = config.run_dir("preprocess", split)
     windows = _load_array(os.path.join(split_dir, "windows.npy"), f"{split} windows")
     path = os.path.join(split_dir, "returns.npy")
     returns = _load_array(path, f"{split} returns")
     try:
-        return windows, returns, step_returns(returns, windows, config.env)
+        return windows, returns, step_returns(returns, windows)
     except EnvError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -115,34 +112,28 @@ def cmd_preprocess(config, args):
 
     manifest = {}
     for split in SPLITS:
-        out_dir = _split_dir(config, split)
-        features = compute_features(series[split])
-        returns = compute_returns(series[split])
-        windows = build_windows(features)
         files = {}
         for name, arr in (
-            ("features", features),
-            ("returns", returns),
-            ("windows", windows),
+            ("returns", compute_returns(series[split])),
+            ("windows", build_windows(compute_features(series[split]))),
         ):
-            digest = write_artifact(os.path.join(out_dir, f"{name}.npy"), arr)
+            digest = write_artifact(config.run_dir("preprocess", split, f"{name}.npy"), arr)
             files[name] = {"rows": int(arr.shape[0]), "sha256": digest}
         manifest[split] = {"candles": len(series[split]), "files": files}
 
-    stage_dir = config.run_dir("preprocess")
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    write_artifact(os.path.join(stage_dir, "manifest.json"), text)
-    write_effective_config(config, stage_dir)
-    print(f"preprocess: wrote artifacts under {stage_dir}")
+    write_artifact(config.run_dir("preprocess", "manifest.json"), text)
+    write_effective_config(config, "preprocess")
+    print(f"preprocess: wrote artifacts under {config.run_dir('preprocess')}")
     return EXIT_OK
 
 
 def cmd_label(config, args):
     train_windows = _load_array(
-        os.path.join(_split_dir(config, "train"), "windows.npy"), "training windows"
+        config.run_dir("preprocess", "train", "windows.npy"), "training windows"
     )
     test_windows = _load_array(
-        os.path.join(_split_dir(config, "test"), "windows.npy"), "test windows"
+        config.run_dir("preprocess", "test", "windows.npy"), "test windows"
     )
     out_dir = config.run_dir("label")
 
@@ -166,7 +157,7 @@ def cmd_label(config, args):
             window_end_indices(windows.shape[0]),
             labels,
         )
-    write_effective_config(config, out_dir)
+    write_effective_config(config, "label")
     print(
         f"label: ae epochs={len(history)} kmeans iters={km.n_iter} "
         f"inertia={km.inertia:.6g}; wrote {out_dir}"
@@ -175,7 +166,7 @@ def cmd_label(config, args):
 
 
 def _load_labels_for(config, split, n_windows):
-    path = os.path.join(config.run_dir("label"), f"labels_{split}.csv")
+    path = config.run_dir("label", f"labels_{split}.csv")
     if not os.path.exists(path):
         raise ConfigError(f"labels missing at {path}; run the label stage first")
     _, labels = read_labels_csv(path)
@@ -230,7 +221,7 @@ def _train_one_seed(config, seed, force):
     final = os.path.join(out_dir, "final.bin")
     if os.path.exists(final) and not force:
         raise ConfigError(f"{final} already exists; pass --force to overwrite")
-    write_effective_config(config, out_dir)
+    write_effective_config(config, "train", seed)
     _, log_rows = train_agent(
         windows, returns, labels, config.env, config.ppo, seed,
         checkpoint_dir=out_dir,
@@ -263,7 +254,7 @@ def _read_rewards(path):
 
 
 def _backtest_one_seed(config, seed):
-    checkpoint = os.path.join(config.run_dir("train", seed), "final.bin")
+    checkpoint = config.run_dir("train", seed, "final.bin")
     if not os.path.exists(checkpoint):
         raise MissingCheckpoint(seed)
     windows, returns, _ = _load_split(config, "test")
@@ -289,7 +280,7 @@ def cmd_backtest(config, args):
         "backtest", _backtest_one_seed, config, list(config.seeds), args.parallel_seeds
     ):
         pass
-    write_effective_config(config, config.run_dir("backtest"))
+    write_effective_config(config, "backtest")
     equity_path, summary_path = _emit_summary(config, args.baseline)
     print(f"backtest: wrote {equity_path} and {summary_path}")
     return EXIT_OK
@@ -325,7 +316,7 @@ def cmd_simulate(config, args):
             f"the {args.split} split has {len(z)}"
         )
     rewards = position_rewards(actions, z[args.start : end], config.env.spread_cost)
-    out = args.out or os.path.join(config.run_dir("simulate"), "rewards.csv")
+    out = args.out or config.run_dir("simulate", "rewards.csv")
     _write_rewards(out, rewards)
     print(f"simulate: wrote {len(rewards)} rewards to {out}")
     return EXIT_OK
@@ -333,8 +324,7 @@ def cmd_simulate(config, args):
 
 def cmd_tune(config, args):
     spec = config.tune
-    split_dir = _split_dir(config, "train")
-    windows = _load_array(os.path.join(split_dir, "windows.npy"), "training windows")
+    windows = _load_array(config.run_dir("preprocess", "train", "windows.npy"), "training windows")
     out_dir = config.run_dir("tune")
     rng = np.random.default_rng(spec.seed)
 
@@ -380,7 +370,7 @@ def cmd_tune(config, args):
     write_artifact(os.path.join(out_dir, "trials.csv"), "\n".join(rows) + "\n")
     text = json.dumps(best, indent=2, sort_keys=True) + "\n"
     write_artifact(os.path.join(out_dir, "best.json"), text)
-    write_effective_config(config, out_dir)
+    write_effective_config(config, "tune")
     print(
         f"tune: {spec.trials} trials, best objective {best['objective']!r} "
         f"(trial {best['trial']}) -> {out_dir}"
@@ -481,6 +471,8 @@ def _guarded(fn, *args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and getattr(args, "baseline", None) is not None:
+        parser.error("--baseline compares the all-seeds summary; it cannot go with --seed")
     if getattr(args, "version", False) and args.command is None:
         from . import __version__
 

@@ -1,8 +1,9 @@
 """Run configuration: one JSON file drives the whole pipeline.
 
 Defaults merged with the file, then with `--set key=value` overrides
-(flags win). The sha256 hash of the effective config keys every output
-directory, so runs with different settings can never collide.
+(flags win). A stage writes under `<out_root>/<stage>/<key>/`; the key
+hashes the settings `STAGES` lists for it plus its upstream stage's key,
+so a setting re-keys only the stages that read it and those downstream.
 """
 
 import hashlib
@@ -10,14 +11,23 @@ import json
 import os
 from dataclasses import asdict, dataclass
 
-from .agent import PPOConfig
-from .checkpoint import write_artifact
-from .data import N_FEATURES, WINDOW_LEN
+from .agent import N_CLUSTERS, PPOConfig
+from .checkpoint import is_count, is_number, write_artifact
 from .env import EnvConfig
 from .labeler import AutoencoderConfig
 
 OUT_ROOT_ENV = "FXPPO_OUT"
 DEFAULT_SEEDS = (30, 50, 70, 99)
+
+# stage -> (its upstream stage, the settings it reads); backtest's summary covers the seeds
+STAGES = {
+    "preprocess": (None, ("train_csv", "test_csv")),
+    "label": ("preprocess", ("labeler", "kmeans", "axt_seed")),
+    "train": ("label", ("env", "ppo")),
+    "backtest": ("train", ("seeds",)),
+    "simulate": ("preprocess", ("env",)),
+    "tune": ("preprocess", ("tune", "axt_seed")),
+}
 
 
 class ConfigError(Exception):
@@ -29,6 +39,16 @@ class KMeansConfig:
     k: int = 12
     max_iters: int = 300
     tol: float = 1e-8
+
+    def __post_init__(self):
+        if not is_count(self.k) or self.k > N_CLUSTERS:
+            raise ValueError(
+                f"k must be an integer in [1, {N_CLUSTERS}], the auxiliary head's size"
+            )
+        if not is_count(self.max_iters):
+            raise ValueError("max_iters must be a positive integer")
+        if not (is_number(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be >= 0")
 
 
 @dataclass
@@ -45,14 +65,19 @@ class TuneSpec:
     k: tuple = (4, 16)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("tune.trials must be >= 1")
+        for name in ("trials", "ae_epochs"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive integer")
+        if not is_count(self.seed, 0):
+            raise ValueError("seed must be a non-negative integer")
         if self.objective not in ("ae_reconstruction_mse", "kmeans_silhouette"):
-            raise ConfigError(f"unknown tune objective {self.objective!r}")
+            raise ValueError(f"unknown objective {self.objective!r}")
         for name in ("batch_size", "learning_rate", "latent_size", "k"):
             lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ConfigError(f"tune.{name} range must be non-degenerate")
+            if not (is_number(lo) and is_number(hi) and 0 < lo < hi):
+                raise ValueError(f"{name} range must be positive and non-degenerate")
+            if name != "learning_rate" and not (is_count(lo) and is_count(hi)):
+                raise ValueError(f"{name} range must hold integers")
             setattr(self, name, (lo, hi))
 
 
@@ -76,21 +101,19 @@ class RunConfig:
         self.seeds = list(self.seeds) if self.seeds is not None else list(DEFAULT_SEEDS)
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
+        if not all(is_count(seed, 0) for seed in [self.axt_seed, *self.seeds]):
+            raise ConfigError("seeds and axt_seed must be non-negative integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seed list entries must be unique")
         self.out_root = self.out_root or os.environ.get(OUT_ROOT_ENV, "out")
-        self.labeler = AutoencoderConfig(**(self.labeler or {}))
-        self.kmeans = KMeansConfig(**(self.kmeans or {}))
-        self.env = EnvConfig(**(self.env or {}))
-        self.ppo = PPOConfig(**(self.ppo or {}))
-        self.tune = TuneSpec(**(self.tune or {}))
-        # preprocess always writes WINDOW_LEN-step windows of N_FEATURES each
-        for name, value, fixed in (
-            ("env.window_len", self.env.window_len, WINDOW_LEN),
-            ("labeler.input_size", self.labeler.input_size, WINDOW_LEN * N_FEATURES),
-        ):
-            if value != fixed:
-                raise ConfigError(f"{name} must be {fixed}, the window preprocess writes")
+        if not all(isinstance(p, str) for p in (self.train_csv, self.test_csv, self.out_root)):
+            raise ConfigError("train_csv, test_csv and out_root must be strings")
+        for name, cls in (("labeler", AutoencoderConfig), ("kmeans", KMeansConfig),
+                          ("env", EnvConfig), ("ppo", PPOConfig), ("tune", TuneSpec)):
+            try:
+                setattr(self, name, cls(**(getattr(self, name) or {})))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, d):
@@ -99,16 +122,21 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
 
-    def config_hash(self):
-        """Stable digest of everything that affects results (the output
-        root itself is excluded so moving outputs does not rekey them)."""
-        d = asdict(self)
-        d.pop("out_root")
-        canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    def stage_config(self, stage):
+        """Everything the key of ``stage`` covers, as effective_config.json holds it."""
+        upstream, names = STAGES[stage]
+        settings = asdict(self)
+        d = {name: settings[name] for name in names}
+        if upstream:
+            d["upstream"] = f"{upstream}/{self.stage_key(upstream)}"
+        return d
+
+    def stage_key(self, stage):
+        canonical = json.dumps(self.stage_config(stage), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
-    def run_dir(self, *parts):
-        return os.path.join(self.out_root, self.config_hash(), *map(str, parts))
+    def run_dir(self, stage, *parts):
+        return os.path.join(self.out_root, stage, self.stage_key(stage), *map(str, parts))
 
 
 def load_config(path, overrides=()):
@@ -142,10 +170,11 @@ def apply_override(data, dotted_key, raw_value):
     node[keys[-1]] = value
 
 
-def write_effective_config(config, directory):
-    path = os.path.join(directory, "effective_config.json")
-    write_artifact(path, json.dumps(asdict(config), indent=2, sort_keys=True) + "\n")
-    return path
+def write_effective_config(config, stage, *parts):
+    """Writes the dict that keys ``stage`` into its directory, or the
+    subdirectory ``parts`` of it."""
+    text = json.dumps(config.stage_config(stage), indent=2, sort_keys=True) + "\n"
+    write_artifact(config.run_dir(stage, *parts, "effective_config.json"), text)
 
 
 def validate_split(train_series, test_series):

@@ -1,10 +1,11 @@
 """Trading rewards over precomputed feature windows.
 
 Acting on window i holds a position in {-1, 0, +1} (sell, stay out, buy)
-and earns position times z[i] (`step_returns`), less an optional spread on
-each change of position. `position_rewards` pays out a whole episode that
-starts flat; `TradingEnv` steps the same arithmetic one action at a time,
-for the rollout and as the reference the array path is tested against.
+and earns position times z[i] (`step_returns`), the return realized after
+the window's newest candle, less an optional spread on each change of
+position. `position_rewards` pays out a whole episode that starts flat;
+`TradingEnv` steps the same arithmetic one action at a time, for the
+rollout and as the reference the array path is tested against.
 Episodes are fixed-length unless the data runs out first.
 """
 
@@ -12,6 +13,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checkpoint import is_count, is_number
+from .data import WINDOW_LEN
 
 ACTION_VALUES = (-1, 0, 1)
 
@@ -30,43 +34,32 @@ class EpisodeFinished(EnvError):
 
 @dataclass
 class EnvConfig:
-    """Simulator knobs.
-
-    reward_timing "next_return" pays the return realized after the
-    action; "same_step" pays the newest return already inside the
-    observed window (look-ahead, kept only for comparison runs).
-    """
+    """Simulator knobs."""
 
     episode_length: int = 600
-    window_len: int = 16
     spread_cost: float = 0.0
-    reward_timing: str = "next_return"
 
     def __post_init__(self):
-        if self.episode_length < 1:
-            raise ValueError("episode_length must be >= 1")
-        if self.spread_cost < 0:
+        if not is_count(self.episode_length):
+            raise ValueError("episode_length must be a positive integer")
+        if not (is_number(self.spread_cost) and self.spread_cost >= 0):
             raise ValueError("spread_cost must be >= 0")
-        if self.reward_timing not in ("next_return", "same_step"):
-            raise ValueError(f"unknown reward_timing {self.reward_timing!r}")
 
 
-def step_returns(returns, windows, config):
-    """z[i], the return that acting on windows[i] earns: the one after the
-    window's newest row ("next_return") or that row's own ("same_step").
-    `returns` is the close-return stream the windows were built from, so
-    `len(returns) == len(windows) + window_len - 1`."""
+def step_returns(returns, windows):
+    """z[i], the return that acting on windows[i] earns: the one realized
+    after the window's newest row. `returns` is the close-return stream the
+    windows were built from, so `len(returns) == len(windows) + WINDOW_LEN - 1`."""
     windows = np.asarray(windows)
     if windows.ndim != 2:
         raise EnvError("windows must be 2-D")
-    expected = windows.shape[0] + config.window_len - 1
+    expected = windows.shape[0] + WINDOW_LEN - 1
     if len(returns) != expected:
         raise EnvError(
             f"returns length {len(returns)} does not align with "
             f"{windows.shape[0]} windows (expected {expected})"
         )
-    first = config.window_len - (0 if config.reward_timing == "next_return" else 1)
-    return np.asarray(returns, dtype=np.float64)[first:]
+    return np.asarray(returns, dtype=np.float64)[WINDOW_LEN:]
 
 
 def position_rewards(actions, z, spread):
@@ -85,7 +78,7 @@ class TradingEnv:
     def __init__(self, windows, returns, config=None):
         self.config = config or EnvConfig()
         self.windows = np.asarray(windows, dtype=np.float64)
-        self.z = step_returns(returns, self.windows, self.config)
+        self.z = step_returns(returns, self.windows)
         self.n_windows = self.windows.shape[0]
         self.cursor = None
         self.steps_in_episode = 0

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .checkpoint import load_container, save_container, write_artifact
+from .checkpoint import is_count, is_number, load_checked, save_container, write_artifact
 from .nn import (
     Adam,
     DenseLayer,
@@ -46,9 +46,9 @@ class DegenerateData(LabelerError):
 
 @dataclass
 class AutoencoderConfig:
-    """Architecture and training knobs for the window autoencoder."""
+    """Architecture and training knobs for the window autoencoder; the
+    input size is the windows' width."""
 
-    input_size: int = 80
     hidden_sizes: tuple = (128, 64, 32)
     latent_size: int = 12
     learning_rate: float = 0.0000879678
@@ -59,6 +59,22 @@ class AutoencoderConfig:
 
     def __post_init__(self):
         self.hidden_sizes = tuple(self.hidden_sizes)
+        if not all(is_count(n) for n in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be positive integers")
+        for name in ("latent_size", "batch_size", "max_epochs", "patience"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive integer")
+        if not (is_number(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be > 0")
+        if not (is_number(self.holdout_fraction) and 0 < self.holdout_fraction < 1):
+            raise ValueError("holdout_fraction must lie in (0, 1)")
+
+
+def _layer_sizes(input_size, config):
+    """In and out size of every encoder layer, then every decoder layer."""
+    sizes = [input_size, *config.hidden_sizes, config.latent_size]
+    rev = sizes[::-1]
+    return list(zip(sizes, sizes[1:])), list(zip(rev, rev[1:]))
 
 
 class Autoencoder:
@@ -68,18 +84,14 @@ class Autoencoder:
     output are linear so codes and outputs are unbounded.
     """
 
-    def __init__(self, config, rng=None):
+    def __init__(self, config, rng=None, input_size=80):
         self.config = config
-        sizes = [config.input_size, *config.hidden_sizes, config.latent_size]
-        self.encoder = []
-        for i in range(len(sizes) - 1):
-            act = "identity" if i == len(sizes) - 2 else "relu"
-            self.encoder.append(DenseLayer(sizes[i], sizes[i + 1], act, rng))
-        rev = sizes[::-1]
-        self.decoder = []
-        for i in range(len(rev) - 1):
-            act = "identity" if i == len(rev) - 2 else "relu"
-            self.decoder.append(DenseLayer(rev[i], rev[i + 1], act, rng))
+        self.input_size = input_size
+        self.encoder, self.decoder = [], []
+        for layers, pairs in zip((self.encoder, self.decoder), _layer_sizes(input_size, config)):
+            for i, (n_in, n_out) in enumerate(pairs):
+                act = "identity" if i == len(pairs) - 1 else "relu"
+                layers.append(DenseLayer(n_in, n_out, act, rng))
 
     @property
     def layers(self):
@@ -87,9 +99,9 @@ class Autoencoder:
 
     def encode(self, windows):
         x = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-        if x.shape[1] != self.config.input_size:
+        if x.shape[1] != self.input_size:
             raise ShapeMismatch(
-                f"expected windows of size {self.config.input_size}, got {x.shape[1]}"
+                f"expected windows of size {self.input_size}, got {x.shape[1]}"
             )
         for layer in self.encoder:
             x = layer.forward(x)
@@ -124,10 +136,7 @@ class Autoencoder:
 
     def load_param_blocks(self, blocks):
         for name, target in self.param_blocks().items():
-            src = blocks[name]
-            if src.shape != target.shape:
-                raise ShapeMismatch(f"block {name}: {src.shape} != {target.shape}")
-            target[:] = src
+            target[:] = blocks[name]
 
 
 def train_autoencoder(windows, config=None, seed=0):
@@ -140,23 +149,22 @@ def train_autoencoder(windows, config=None, seed=0):
     """
     config = config or AutoencoderConfig()
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[1] != config.input_size:
-        raise ShapeMismatch(
-            f"expected (n, {config.input_size}) windows, got {windows.shape}"
-        )
+    if windows.ndim != 2:
+        raise ShapeMismatch(f"expected 2-D windows, got shape {windows.shape}")
     n = windows.shape[0]
-    if n < 2 * config.batch_size:
+    n_val = max(1, int(round(config.holdout_fraction * n)))
+    if n < 2 * config.batch_size or n_val == n:
         raise TooFewSamples(
-            f"need at least {2 * config.batch_size} windows, got {n}"
+            f"need at least {2 * config.batch_size} windows, and one outside "
+            f"the holdout; got {n}"
         )
 
     rng = np.random.default_rng(seed)
-    model = Autoencoder(config, rng)
+    model = Autoencoder(config, rng, windows.shape[1])
     params = collect_params(model.layers)
     grads = collect_grads(model.layers)
     opt = Adam(params, config.learning_rate)
 
-    n_val = max(1, int(round(config.holdout_fraction * n)))
     perm = rng.permutation(n)
     val_x = windows[perm[:n_val]]
     train_idx = perm[n_val:]
@@ -358,16 +366,27 @@ def silhouette_score(points, labels):
 def save_autoencoder(path, model):
     save_container(
         path,
-        {"kind": "autoencoder", "config": asdict(model.config)},
+        {"kind": "autoencoder", "input_size": model.input_size,
+         "config": asdict(model.config)},
         model.param_blocks(),
     )
 
 
+def _autoencoder_shapes(meta):
+    if not is_count(meta["input_size"]):
+        raise ValueError("input_size must be a positive integer")
+    encoder, decoder = _layer_sizes(meta["input_size"], AutoencoderConfig(**meta["config"]))
+    shapes = {}
+    for tag, pairs in (("enc", encoder), ("dec", decoder)):
+        for i, (n_in, n_out) in enumerate(pairs):
+            shapes[f"{tag}{i}.w"], shapes[f"{tag}{i}.b"] = (n_in, n_out), (n_out,)
+    return shapes
+
+
 def load_autoencoder(path):
-    meta, blocks = load_container(path)
-    if meta.get("kind") != "autoencoder":
-        raise LabelerError(f"{path}: not an autoencoder checkpoint")
-    model = Autoencoder(AutoencoderConfig(**meta["config"]))
+    """The autoencoder at ``path``, through `checkpoint.load_checked`."""
+    meta, blocks = load_checked(path, "autoencoder", _autoencoder_shapes)
+    model = Autoencoder(AutoencoderConfig(**meta["config"]), input_size=meta["input_size"])
     model.load_param_blocks(blocks)
     return model
 
@@ -384,10 +403,16 @@ def save_kmeans(path, model):
     save_container(path, meta, {"centroids": model.centroids})
 
 
+def _kmeans_shapes(meta):
+    if not (is_count(meta["k"]) and is_count(meta["dim"]) and is_number(meta["inertia"])
+            and is_count(meta["n_iter"], 0) and is_count(meta["seed"], 0)):
+        raise ValueError("k, dim, n_iter and seed must be integers and inertia a number")
+    return {"centroids": (meta["k"], meta["dim"])}
+
+
 def load_kmeans(path):
-    meta, blocks = load_container(path)
-    if meta.get("kind") != "kmeans":
-        raise LabelerError(f"{path}: not a k-means model file")
+    """The k-means model at ``path``, through `checkpoint.load_checked`."""
+    meta, blocks = load_checked(path, "kmeans", _kmeans_shapes)
     return KMeansModel(
         blocks["centroids"], meta["inertia"], meta["n_iter"], meta["seed"]
     )

@@ -11,6 +11,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from fxppo.agent import (
     train,
     update,
 )
-from fxppo.backtest import BacktestReport, ppi, run_backtest, sharpe_ratio
+from fxppo.backtest import BacktestReport, parse_summary, ppi, run_backtest, sharpe_ratio
+from fxppo.cli import _read_rewards
 from fxppo.cli import main as cli_main
+from fxppo.config import load_config
 from fxppo.data import (
     build_windows,
     compute_features,
@@ -86,7 +89,7 @@ def _warm_kernels():
     returns = rng.normal(scale=0.003, size=55)
     labels = rng.integers(0, 12, size=40)
     net = PolicyNetwork(8, 5, (4, 4, 4), rng)
-    env = TradingEnv(windows, returns, EnvConfig(episode_length=10, window_len=16))
+    env = TradingEnv(windows, returns, EnvConfig(episode_length=10))
     buffer = RolloutBuffer(8, 8, 5)
     h, c = net.initial_state()
     bootstrap = collect_rollout(net, env, labels, buffer, rng, [h, c, True])
@@ -101,7 +104,7 @@ def _warm_kernels():
     )
     train_autoencoder(
         rng.normal(size=(30, 8)),
-        AutoencoderConfig(input_size=8, hidden_sizes=(6, 5), latent_size=3,
+        AutoencoderConfig(hidden_sizes=(6, 5), latent_size=3,
                           batch_size=8, max_epochs=1, patience=1),
         seed=0,
     )
@@ -190,9 +193,7 @@ class TestCriterion01FormulaExactness:
             }))
             assert cli_main(["preprocess", "--config", str(cfg_path)]) == 0
 
-            out_root = tmp_path / "out"
-            hash_dir = next((out_root).iterdir())
-            split_dir = hash_dir / "preprocess" / "test"
+            split_dir = Path(load_config(str(cfg_path)).run_dir("preprocess", "test"))
             windows = np.load(split_dir / "windows.npy")
             returns = np.load(split_dir / "returns.npy")
             actions = [1, -1, 0, 1, 1, -1, 0, 0, 1, -1, 1, 0, -1, -1, 1]
@@ -486,8 +487,7 @@ class TestCriterion06LabelDeterminism:
             assert cli_main(["preprocess", "--config", str(cfg_path)]) == 0
             assert cli_main(["label", "--config", str(cfg_path)]) == 0
 
-            hash_dir = next((tmp_path / "out").iterdir())
-            label_dir = hash_dir / "label"
+            label_dir = Path(load_config(str(cfg_path)).run_dir("label"))
             first = {
                 name: (label_dir / name).read_bytes()
                 for name in ("labels_train.csv", "labels_test.csv")
@@ -684,17 +684,18 @@ class TestCriterion10MultiSeedProtocol:
 
         with criterion(10, "aggregate equals arithmetic per-seed means", 10.0):
             assert cli_main(["backtest", "--config", str(cfg_path)]) == 0
-            from fxppo.backtest import parse_summary
+            config = load_config(str(cfg_path))
+            summary = parse_summary(config.run_dir("backtest", "summary.txt"))
+            per_seed = [
+                BacktestReport(_read_rewards(config.run_dir("backtest", s, "rewards.csv")), s)
+                for s in config.seeds
+            ]
+            assert [r.seed for r in per_seed] == [30, 50, 70, 99]
 
-            hash_dir = next((tmp_path / "out").iterdir())
-            summary = parse_summary(str(hash_dir / "backtest" / "summary.txt"))
-            per_seed = summary["per_seed"]
-            assert [p["seed"] for p in per_seed] == [30, 50, 70, 99]
-
-            mean_ret = sum(p["total_return_pct"] for p in per_seed) / len(per_seed)
+            mean_ret = sum(r.total_return * 100.0 for r in per_seed) / len(per_seed)
             assert abs(summary["mean_total_return_pct"] - mean_ret) <= 1e-12
 
-            sharpes = [p["sharpe"] for p in per_seed]
+            sharpes = [r.sharpe for r in per_seed]
             if all(math.isfinite(s) for s in sharpes):
                 mean_sharpe = sum(sharpes) / len(sharpes)
                 assert abs(summary["mean_sharpe"] - mean_sharpe) <= 1e-12

@@ -1,5 +1,7 @@
 """Config handling and the pipeline subcommands end to end."""
 
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -11,12 +13,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fxppo
 from fxppo import cli
-from fxppo.backtest import MissingCheckpoint, parse_summary
+from fxppo.backtest import BacktestReport, MissingCheckpoint, parse_summary
 from fxppo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from fxppo.config import ConfigError, RunConfig, load_config, validate_split
+from fxppo.config import (
+    STAGES,
+    ConfigError,
+    RunConfig,
+    apply_override,
+    load_config,
+    validate_split,
+    write_effective_config,
+)
 from fxppo.data import parse_candles
 
 
@@ -72,25 +84,106 @@ def workspace(tmp_path):
     return tmp_path, str(config_path), config
 
 
+def stage_dirs(config):
+    """Each stage's directory under out_root."""
+    return {stage: os.path.relpath(config.run_dir(stage), config.out_root) for stage in STAGES}
+
+
+ALL_STAGES = {"preprocess", "label", "train", "backtest", "simulate", "tune"}
+# top-level setting -> the stages whose directory it keys
+DOWNSTREAM = {
+    "train_csv": ALL_STAGES,
+    "test_csv": ALL_STAGES,
+    "labeler": {"label", "train", "backtest"},
+    "kmeans": {"label", "train", "backtest"},
+    "axt_seed": {"label", "train", "backtest", "tune"},
+    "env": {"train", "backtest", "simulate"},
+    "ppo": {"train", "backtest"},
+    "seeds": {"backtest"},
+    "tune": {"tune"},
+    "out_root": set(),
+}
+# every settable value, with a valid value other than its default
+OTHER_VALUES = {
+    "train_csv": "c.csv", "test_csv": "d.csv", "seeds": [1], "axt_seed": 7,
+    "out_root": "elsewhere",
+    "labeler.hidden_sizes": [8], "labeler.latent_size": 5, "labeler.learning_rate": 0.01,
+    "labeler.batch_size": 16, "labeler.max_epochs": 3, "labeler.patience": 2,
+    "labeler.holdout_fraction": 0.2,
+    "kmeans.k": 5, "kmeans.max_iters": 10, "kmeans.tol": 0.001,
+    "env.episode_length": 10, "env.spread_cost": 0.001,
+    "ppo.clip_epsilon": 0.1, "ppo.discount": 0.9, "ppo.gae_lambda": 0.9,
+    "ppo.aux_loss_weight": 0, "ppo.value_loss_weight": 1, "ppo.entropy_coefficient": 0,
+    "ppo.epochs_per_update": 1, "ppo.minibatch_size": 8, "ppo.rollout_length": 16,
+    "ppo.total_timesteps": 32, "ppo.learning_rate": 0.01, "ppo.max_grad_norm": 1,
+    "ppo.checkpoint_every": 2,
+    "tune.trials": 2, "tune.objective": "kmeans_silhouette", "tune.seed": 1,
+    "tune.ae_epochs": 1, "tune.batch_size": [8, 9], "tune.learning_rate": [0.001, 0.01],
+    "tune.latent_size": [2, 3], "tune.k": [2, 3],
+}
+
+
+def settable_values():
+    """Dotted name of every settable config value."""
+    config = RunConfig("a", "b")
+    names = []
+    for field in dataclasses.fields(config):
+        section = getattr(config, field.name)
+        if dataclasses.is_dataclass(section):
+            names += [f"{field.name}.{f.name}" for f in dataclasses.fields(section)]
+        else:
+            names.append(field.name)
+    return names
+
+
+def with_value(name, value):
+    """A config dict with one dotted value set."""
+    d = {"train_csv": "a.csv", "test_csv": "b.csv"}
+    apply_override(d, name, json.dumps(value))
+    return d
+
+
 class TestConfig:
     def test_load_and_hash_stable(self, workspace):
         _, config_path, _ = workspace
-        c1 = load_config(config_path)
-        c2 = load_config(config_path)
-        assert c1.config_hash() == c2.config_hash()
+        assert stage_dirs(load_config(config_path)) == stage_dirs(load_config(config_path))
 
     def test_hash_changes_with_settings(self, workspace):
         _, config_path, _ = workspace
         c1 = load_config(config_path)
         c2 = load_config(config_path, ["ppo.learning_rate=0.01"])
-        assert c1.config_hash() != c2.config_hash()
+        assert c1.run_dir("train") != c2.run_dir("train")
+        assert c1.run_dir("label") == c2.run_dir("label")
         assert c2.ppo.learning_rate == 0.01
 
     def test_out_root_not_in_hash(self, workspace):
         _, config_path, _ = workspace
         c1 = load_config(config_path)
         c2 = load_config(config_path, ["out_root=elsewhere"])
-        assert c1.config_hash() == c2.config_hash()
+        assert stage_dirs(c1) == stage_dirs(c2)
+
+    def test_every_setting_rekeys_exactly_its_downstream_stages(self):
+        assert sorted(OTHER_VALUES) == sorted(settable_values())
+        assert len(OTHER_VALUES) == 38
+        base = stage_dirs(RunConfig.from_dict(with_value("seeds", [30, 50, 70, 99])))
+        for name, value in OTHER_VALUES.items():
+            changed = stage_dirs(RunConfig.from_dict(with_value(name, value)))
+            rekeyed = {stage for stage in base if changed[stage] != base[stage]}
+            assert rekeyed == DOWNSTREAM[name.split(".")[0]], name
+
+    def test_effective_config_is_the_hashed_dict(self, workspace):
+        _, config_path, _ = workspace
+        config = load_config(config_path)
+        upstream = {"label": "preprocess", "train": "label", "backtest": "train",
+                    "simulate": "preprocess", "tune": "preprocess"}
+        for stage in STAGES:
+            write_effective_config(config, stage)
+            written = json.loads(Path(config.run_dir(stage, "effective_config.json")).read_text())
+            canonical = json.dumps(written, sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(canonical.encode()).hexdigest()[:12] == config.stage_key(stage)
+            if stage in upstream:
+                up = upstream[stage]
+                assert written["upstream"] == f"{up}/{config.stage_key(up)}"
 
     def test_nested_override_types(self, workspace):
         _, config_path, _ = workspace
@@ -122,10 +215,16 @@ class TestConfig:
 
     def test_hash_values_pinned(self):
         # output directories are keyed by these digests; a change re-keys
-        # every existing run
-        assert RunConfig("a", "b").config_hash() == "6ee35c2b4388"
+        # every existing run of that stage
+        shared = {"preprocess": "0506190c364b", "label": "5c6a310518a8",
+                  "simulate": "30e0c0693dd1"}
+        assert {s: RunConfig("a", "b").stage_key(s) for s in STAGES} == {
+            **shared, "train": "c6bc5e562e42", "backtest": "d6fc02eb1bec",
+            "tune": "9ec4ec8b67d5"}
         c = RunConfig("a", "b", ppo={"learning_rate": 0.001}, tune={"k": [2, 8]})
-        assert c.config_hash() == "cb5ff601eb0e"
+        assert {s: c.stage_key(s) for s in STAGES} == {
+            **shared, "train": "c51871b1a325", "backtest": "efc5c761b0ee",
+            "tune": "47a793f5b6a8"}
 
     def test_env_var_out_root(self, monkeypatch):
         monkeypatch.setenv("FXPPO_OUT", "/tmp/custom_out")
@@ -160,7 +259,8 @@ class TestPreprocess:
             Path(config.run_dir("preprocess"), "manifest.json").read_text()
         )
         assert manifest["train"]["candles"] == 400
-        assert manifest["train"]["files"]["features"]["rows"] == 399
+        assert sorted(manifest["train"]["files"]) == ["returns", "windows"]
+        assert manifest["train"]["files"]["returns"]["rows"] == 399
         assert manifest["train"]["files"]["windows"]["rows"] == 399 - 15
         windows = np.load(
             os.path.join(config.run_dir("preprocess", "train"), "windows.npy")
@@ -287,12 +387,26 @@ class TestTrain:
                          for name in ("final.bin", "train_log.csv")})
         assert runs[0] == runs[1]
 
+    def test_later_settings_reuse_earlier_stages(self, prepared):
+        _, config_path, _ = prepared
+        config = load_config(config_path)
+        earlier = [p for stage in ("preprocess", "label")
+                   for p in sorted(Path(config.run_dir(stage)).rglob("*")) if p.is_file()]
+
+        def snapshot():
+            return [(p, p.stat().st_mtime_ns, p.read_bytes()) for p in earlier]
+
+        before = snapshot()
+        for argv in (["train", "--seed", "30", "--set", "ppo.learning_rate=3e-4"],
+                     ["tune", "--set", "tune.trials=3"]):
+            assert run_cli(argv[:1] + ["--config", config_path] + argv[1:]) == EXIT_OK, argv
+        assert snapshot() == before
+        assert not os.path.exists(config.run_dir("train", 30))
+
     def test_numeric_failure_exit_code(self, prepared):
-        # the override changes the config hash, so every stage must see it
+        # the override keys train only, so it reuses the prepared labels
         _, config_path, _ = prepared
         override = ["--set", "ppo.learning_rate=NaN"]
-        assert run_cli(["preprocess", "--config", config_path] + override) == EXIT_OK
-        assert run_cli(["label", "--config", config_path] + override) == EXIT_OK
         code = run_cli(
             ["train", "--config", config_path, "--seed", "99"] + override
         )
@@ -309,12 +423,25 @@ class TestBacktestCli:
         run_cli(["train", "--config", config_path])
         assert run_cli(["backtest", "--config", config_path]) == EXIT_OK
         config = load_config(config_path)
-        summary = parse_summary(
-            os.path.join(config.run_dir("backtest"), "summary.txt")
-        )
-        assert [p["seed"] for p in summary["per_seed"]] == [30, 50]
-        mean = sum(p["total_return_pct"] for p in summary["per_seed"]) / 2
-        assert abs(mean - summary["mean_total_return_pct"]) <= 1e-12
+        summary_path = config.run_dir("backtest", "summary.txt")
+        seed_lines = [line for line in Path(summary_path).read_text().splitlines()
+                      if line.startswith("seed: ")]
+        assert seed_lines == ["seed: 30", "seed: 50"]
+        totals = [
+            BacktestReport(cli._read_rewards(config.run_dir("backtest", s, "rewards.csv")), s)
+            .total_return for s in (30, 50)
+        ]
+        mean = sum(t * 100.0 for t in totals) / 2
+        assert abs(mean - parse_summary(summary_path)["mean_total_return_pct"]) <= 1e-12
+
+    def test_seed_with_baseline_is_a_usage_error(self, prepared, capsys):
+        _, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path, "--seed", "30"]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["backtest", "--config", config_path, "--seed", "30", "--baseline", "absent.txt"]
+        assert run_cli(argv) == EXIT_USAGE
+        assert "--baseline" in capsys.readouterr().err
+        assert not os.path.exists(load_config(config_path).run_dir("backtest", 30))
 
     def test_autoencoder_as_checkpoint(self, prepared, capsys):
         _, config_path, _ = prepared
@@ -346,7 +473,7 @@ class TestBacktestCli:
                 argv.append("--parallel-seeds")
             assert run_cli(argv) == EXIT_OK, stage
         config = load_config(config_path, ["ppo.learning_rate=0.002"])
-        assert config.config_hash() != load_config(config_path).config_hash()
+        assert config.run_dir("train") != load_config(config_path).run_dir("train")
         for seed in (30, 50):
             assert os.path.exists(os.path.join(config.run_dir("train", seed), "final.bin"))
             assert os.path.exists(os.path.join(config.run_dir("backtest", seed), "rewards.csv"))
@@ -362,10 +489,10 @@ class TestBacktestCli:
         assert "backtest failed for seeds [50]" in err
 
     SEED_OUTPUTS = (
-        "train/30/final.bin", "train/30/train_log.csv",
-        "train/50/final.bin", "train/50/train_log.csv",
-        "backtest/30/rewards.csv", "backtest/50/rewards.csv",
-        "backtest/equity.csv", "backtest/summary.txt",
+        ("train", 30, "final.bin"), ("train", 30, "train_log.csv"),
+        ("train", 50, "final.bin"), ("train", 50, "train_log.csv"),
+        ("backtest", 30, "rewards.csv"), ("backtest", 50, "rewards.csv"),
+        ("backtest", "equity.csv"), ("backtest", "summary.txt"),
     )
 
     def test_parallel_seeds_match_sequential(self, prepared, capsys):
@@ -381,10 +508,9 @@ class TestBacktestCli:
                 assert run_cli(argv_stage) == EXIT_OK, (mode, stage)
             stdout = capsys.readouterr().out.replace(root, "<root>")
             config = load_config(config_path, [f"out_root={root}"])
-            out = Path(config.run_dir())
-            files = {rel: (out / rel).read_bytes() for rel in self.SEED_OUTPUTS}
+            files = {rel: Path(config.run_dir(*rel)).read_bytes() for rel in self.SEED_OUTPUTS}
             outputs.append((stdout, files))
-            leftovers = [p for p in out.rglob("*") if p.suffix in (".tmp", ".partial")]
+            leftovers = [p for p in Path(root).rglob("*") if p.suffix in (".tmp", ".partial")]
             assert not leftovers, mode
         assert outputs[0] == outputs[1]
 
@@ -495,7 +621,8 @@ class TestWindowGeometry:
         ],
     )
     def test_rejected_by_every_stage(self, workspace, capsys, override, stage):
-        # preprocess always writes 16-step, 80-value windows
+        # the window is fixed by preprocess and no longer a setting: these
+        # keys are unknown
         tmp_path, config_path, _ = workspace
         actions = tmp_path / "actions.csv"
         actions.write_text("action\n1\n-1\n")
@@ -506,7 +633,43 @@ class TestWindowGeometry:
         capsys.readouterr()
         argv = [stage, "--config", config_path, "--set", override] + extra.get(stage, [])
         assert run_cli(argv) == EXIT_DATA
-        assert override.split("=")[0] + " must be" in capsys.readouterr().err
+        section, _, key = override.split("=")[0].partition(".")
+        err = capsys.readouterr().err
+        assert f"{section}: " in err and f"unexpected keyword argument '{key}'" in err
+
+
+class TestUnusableValues:
+    @pytest.mark.parametrize(
+        "override, stage, names",
+        [
+            ("ppo.minibatch_size=0", "train", "ppo: minibatch_size"),
+            ("ppo.rollout_length=0", "train", "ppo: rollout_length"),
+            ("ppo.checkpoint_every=0", "train", "ppo: checkpoint_every"),
+            ("ppo.epochs_per_update=0", "train", "ppo: epochs_per_update"),
+            ("ppo.learning_rate=-1", "train", "ppo: learning_rate"),
+            ("kmeans.k=0", "label", "kmeans: k must"),
+            ("kmeans.k=13", "train", "kmeans: k must"),
+            ("kmeans.max_iters=0", "label", "kmeans: max_iters"),
+            ("labeler.batch_size=0", "label", "labeler: batch_size"),
+            ("labeler.holdout_fraction=2", "label", "labeler: holdout_fraction"),
+            ("seeds=[1.5]", "train", "seeds"),
+        ],
+    )
+    def test_exit_2_names_the_value(self, prepared, capsys, override, stage, names):
+        _, config_path, _ = prepared
+        capsys.readouterr()
+        assert run_cli([stage, "--config", config_path, "--set", override]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert names in err and "Traceback" not in err
+
+    @given(st.sampled_from(sorted(OTHER_VALUES)),
+           st.sampled_from([0, -1, 0.5, "x", True, None]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_odd_value_loads_or_raises_config_error(self, name, value):
+        try:
+            RunConfig.from_dict(with_value(name, value))
+        except ConfigError:
+            pass
 
 
 def five_rows_short(npy_bytes):
@@ -561,7 +724,8 @@ class TestMalformedInputs:
         stage = command.split()[0]
         for earlier in self.STAGES[: self.STAGES.index(stage) if stage in self.STAGES else None]:
             assert run_cli([earlier, "--config", config_path]) == EXIT_OK, earlier
-        path = Path(load_config(config_path).run_dir(), rel)
+        stage, _, rest = rel.partition("/")
+        path = Path(load_config(config_path).run_dir(stage, rest)) if rest else tmp_path / rel
         path.write_bytes(damage(path.read_bytes() if path.exists() else b""))
         actions = tmp_path / "actions.csv"
         actions.write_text("action\n1\n")

@@ -1,14 +1,10 @@
 """Trading simulator stepping, rewards, and conservation properties."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fxppo
 from conftest import left_to_right_sum
 from fxppo.data import WINDOW_LEN, build_windows
 from fxppo.env import (
@@ -90,12 +86,6 @@ class TestStep:
         env.reset(0)
         assert env.step(-1).reward == pytest.approx(-0.004, abs=0)
 
-    def test_same_step_timing_uses_observed_return(self):
-        env, returns, _ = make_env(reward_timing="same_step")
-        env.reset(0)
-        result = env.step(1)
-        assert result.reward == returns[WINDOW_LEN - 1]
-
     def test_observation_advances(self):
         env, _, windows = make_env()
         env.reset(0)
@@ -127,13 +117,10 @@ class TestStep:
         st.integers(18, 80),
         st.integers(1, 30),
         st.integers(0, 70),
-        st.sampled_from(["next_return", "same_step"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_episode_ends_after_steps_left(self, n_steps, episode_length, start, timing):
-        env, _, _ = make_env(
-            n_steps=n_steps, episode_length=episode_length, reward_timing=timing
-        )
+    def test_episode_ends_after_steps_left(self, n_steps, episode_length, start):
+        env, _, _ = make_env(n_steps=n_steps, episode_length=episode_length)
         start = min(start, env.max_start_index())
         env.reset(start)
         expected = env.steps_left()
@@ -223,20 +210,18 @@ class TestPositionRewards:
     @given(
         st.lists(st.sampled_from(ACTION_VALUES), min_size=1, max_size=40),
         st.integers(0, 80),
-        st.sampled_from(["next_return", "same_step"]),
         st.floats(1e-6, 1e-2),
         st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_stepping_bit_for_bit(self, actions, start, timing, spread, seed):
+    def test_matches_stepping_bit_for_bit(self, actions, start, spread, seed):
         env, returns, windows = make_env(
-            n_steps=100, seed=seed, episode_length=len(actions),
-            spread_cost=spread, reward_timing=timing,
+            n_steps=100, seed=seed, episode_length=len(actions), spread_cost=spread,
         )
         start = min(start, env.max_start_index() + 1 - len(actions))
         env.reset(start)
         stepped = np.array([env.step(a).reward for a in actions])
-        z = step_returns(returns, windows, env.config)
+        z = step_returns(returns, windows)
         paid = position_rewards(actions, z[start : start + len(actions)], spread)
         assert paid.tobytes() == stepped.tobytes()
 
@@ -246,35 +231,7 @@ class TestPositionRewards:
     def test_misaligned_arrays_rejected(self):
         _, returns, windows = make_env(n_steps=40)
         with pytest.raises(EnvError, match="does not align"):
-            step_returns(returns[:-5], windows, EnvConfig())
+            step_returns(returns[:-5], windows)
         with pytest.raises(EnvError, match="does not align"):
             TradingEnv(windows, returns[:-5])
 
-
-def reward_timing_reads(tree, module):
-    """(module, enclosing class/function path) for every read of
-    reward_timing in ``tree``, by attribute or by name string."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if (isinstance(child, ast.Attribute) and child.attr == "reward_timing"
-                    or isinstance(child, ast.Constant) and child.value == "reward_timing"):
-                found.append((module, scope))
-            visit(child, scope)
-
-    visit(tree, "")
-    return found
-
-
-def test_reward_timing_decided_in_one_function():
-    found = []
-    for path in sorted(Path(fxppo.__file__).parent.glob("*.py")):
-        found += reward_timing_reads(ast.parse(path.read_text(encoding="utf-8")), path.name)
-    assert sorted(set(found)) == [
-        ("env.py", "EnvConfig.__post_init__"),
-        ("env.py", "step_returns"),
-    ]

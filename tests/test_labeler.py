@@ -1,13 +1,21 @@
 """Autoencoder training, k-means fitting, and label persistence."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fxppo import kernels
+from fxppo.checkpoint import CheckpointError, load_container, save_container
 from fxppo.labeler import (
     Autoencoder,
     AutoencoderConfig,
     DegenerateData,
+    KMeansModel,
     TooFewPoints,
     TooFewSamples,
     _kmeans_pp_init,
@@ -112,6 +120,11 @@ class TestAutoencoder:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             train_autoencoder(np.zeros((63, 80)), AutoencoderConfig(), seed=0)
+
+    def test_holdout_leaves_no_training_window(self):
+        cfg = AutoencoderConfig(holdout_fraction=0.999)
+        with pytest.raises(TooFewSamples):
+            train_autoencoder(np.zeros((100, 80)), cfg, seed=0)
 
     def test_constant_dataset_fits_to_zero(self):
         pattern = np.random.default_rng(5).normal(size=80)
@@ -300,3 +313,106 @@ class TestLabeling:
         assert np.array_equal(l2, labels)
         write_labels_csv(path, ends, labels)
         assert np.array_equal(read_labels_csv(path)[1], labels)
+
+
+def label_containers():
+    """Bytes of a saved tiny autoencoder (6 -> 4 -> 3) and k-means model."""
+    rng = np.random.default_rng(3)
+    ae = Autoencoder(AutoencoderConfig(hidden_sizes=(4,), latent_size=3), rng, input_size=6)
+    km = KMeansModel(rng.normal(size=(3, 3)), 1.5, 4, 30)
+    with tempfile.TemporaryDirectory() as d:
+        save_autoencoder(Path(d, "ae.bin"), ae)
+        save_kmeans(Path(d, "kmeans.bin"), km)
+        return {"ae": Path(d, "ae.bin").read_bytes(), "kmeans": Path(d, "kmeans.bin").read_bytes()}
+
+
+CONTAINERS = label_containers()
+LOADERS = {"ae": load_autoencoder, "kmeans": load_kmeans}
+
+
+def meta_end(data):
+    return 16 + struct.unpack("<I", data[12:16])[0]
+
+
+def change(which, marker, offset, new):
+    """(which, position, xor mask) that turns the byte `offset` into
+    `marker` into `new`."""
+    pos = CONTAINERS[which].index(marker) + offset
+    return which, pos, CONTAINERS[which][pos] ^ ord(new)
+
+
+class TestLoadLabelModels:
+    def test_round_trip(self, tmp_path):
+        for which, data in CONTAINERS.items():
+            (tmp_path / which).write_bytes(data)
+        ae = load_autoencoder(tmp_path / "ae")
+        assert ae.input_size == 6 and ae.config.hidden_sizes == (4,)
+        x = np.random.default_rng(0).normal(size=(5, 6))
+        km = load_kmeans(tmp_path / "kmeans")
+        assert (km.k, km.dim, km.inertia, km.n_iter, km.seed) == (3, 3, 1.5, 4, 30)
+        assert label_dataset(ae, km, x).shape == (5,)
+
+    @pytest.mark.parametrize("which, key, value", [
+        ("ae", "kind", "kmeans"),
+        ("ae", "input_size", 7),
+        ("ae", "input_size", 9e9),
+        ("ae", "input_size", True),
+        ("ae", "config", {"hidden_sizes": [5], "latent_size": 3}),
+        ("ae", "config", {"hidden_sizes": [4], "latent_size": 3, "input_size": 6}),
+        ("ae", "config", {"hidden_sizes": [4], "latent_size": 0}),
+        ("ae", "config", [4]),
+        ("kmeans", "kind", "autoencoder"),
+        ("kmeans", "k", 4),
+        ("kmeans", "dim", "3"),
+        ("kmeans", "inertia", None),
+        ("kmeans", "n_iter", 1.5),
+        ("kmeans", "seed", -1),
+    ])
+    def test_meta_that_does_not_fit_the_blocks(self, tmp_path, which, key, value):
+        src, path = tmp_path / "src.bin", tmp_path / "bad.bin"
+        src.write_bytes(CONTAINERS[which])
+        meta, blocks = load_container(src)
+        save_container(path, {**meta, key: value}, blocks)
+        with pytest.raises(CheckpointError):
+            LOADERS[which](path)
+
+    @pytest.mark.parametrize("which", CONTAINERS)
+    def test_missing_key_or_block(self, tmp_path, which):
+        src, path = tmp_path / "src.bin", tmp_path / "bad.bin"
+        src.write_bytes(CONTAINERS[which])
+        meta, blocks = load_container(src)
+        for bad_meta, bad_blocks in (
+            ({k: v for k, v in meta.items() if k != "kind"}, blocks),
+            ({k: v for k, v in meta.items() if k not in ("config", "inertia")}, blocks),
+            (meta, dict(list(blocks.items())[:-1])),
+        ):
+            save_container(path, bad_meta, bad_blocks)
+            with pytest.raises(CheckpointError):
+                LOADERS[which](path)
+
+    @given(
+        st.sampled_from(sorted(CONTAINERS)).flatmap(lambda which: st.tuples(
+            st.just(which),
+            st.one_of(st.integers(0, meta_end(CONTAINERS[which]) + 128),
+                      st.integers(0, len(CONTAINERS[which]) - 1)),
+            st.integers(1, 255),
+        )),
+    )
+    @example(change("ae", b'"input_size"', 3, "X"))
+    @example(change("ae", b'"latent_size": 3', 15, "9"))
+    @example(change("ae", b"enc0.w", 3, "1"))
+    @example(change("kmeans", b'"k": 3', 6, "4"))
+    @example(change("kmeans", b'"inertia"', 2, "X"))
+    @example(change("kmeans", b"centroids", 0, "C"))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_single_byte_change_loads_or_raises_checkpoint_error(self, tmp_path, case):
+        which, pos, mask = case
+        data = bytearray(CONTAINERS[which])
+        data[pos % len(data)] ^= mask
+        path = tmp_path / "model.bin"
+        path.write_bytes(bytes(data))
+        try:
+            LOADERS[which](path)
+        except CheckpointError:
+            pass
