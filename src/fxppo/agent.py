@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import is_count, is_number, load_checked, save_container
+from .checkpoint import is_count, is_number, load_checked, save_container, write_artifact
 from .env import ACTION_VALUES, TradingEnv
 from .nn import (
     Adam,
@@ -82,6 +82,8 @@ class PPOConfig:
                      "total_timesteps", "checkpoint_every"):
             if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive integer")
+        if self.total_timesteps < self.rollout_length:
+            raise ValueError("total_timesteps must be at least rollout_length, one rollout")
         # NaN passes, and fails training as a numeric failure
         for name in ("learning_rate", "max_grad_norm"):
             if not is_number(getattr(self, name)) or getattr(self, name) <= 0:
@@ -489,8 +491,9 @@ def train(
     """Full training loop: rollouts alternating with updates.
 
     Runs while another whole rollout still fits into total_timesteps.
-    Returns (net, log_rows) where each log row mirrors LOG_HEADER.
-    The log is ``<log_path>.partial`` until the loop ends; final.bin comes last.
+    Returns (net, log_rows) where each log row mirrors LOG_HEADER. After
+    each update the whole log is rewritten as ``<log_path>.partial``,
+    which is renamed to ``log_path`` when the loop ends; final.bin comes last.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != np.asarray(windows).shape[0]:
@@ -506,43 +509,30 @@ def train(
     log_rows = []
     steps_done = 0
     n_updates = 0
-    log_file = open(f"{log_path}.partial", "w", encoding="utf-8") if log_path else None
-    try:
-        if log_file:
-            log_file.write(LOG_HEADER + "\n")
-        while steps_done + config.rollout_length <= config.total_timesteps:
-            buffer = RolloutBuffer(
-                config.rollout_length, net.input_size, net.hidden_size
+    while steps_done + config.rollout_length <= config.total_timesteps:
+        buffer = RolloutBuffer(config.rollout_length, net.input_size, net.hidden_size)
+        bootstrap = collect_rollout(net, env, labels, buffer, rng, state)
+        advantages, returns_target = compute_gae(
+            buffer.rewards, buffer.values, buffer.dones, bootstrap,
+            config.discount, config.gae_lambda,
+        )
+        norm_adv = normalize_advantages(advantages)
+        stats = update(net, optimizer, buffer, norm_adv, returns_target, config, rng)
+        steps_done += config.rollout_length
+        n_updates += 1
+        log_rows.append(
+            f"{steps_done},{np.mean(buffer.rewards):.10g},"
+            f"{stats.policy_loss:.10g},{stats.value_loss:.10g},"
+            f"{stats.aux_loss:.10g},{stats.entropy:.10g},"
+            f"{stats.clip_fraction:.10g}"
+        )
+        if log_path:
+            write_artifact(f"{log_path}.partial", "\n".join([LOG_HEADER, *log_rows, ""]))
+        if checkpoint_dir and n_updates % config.checkpoint_every == 0:
+            save_policy(
+                f"{checkpoint_dir}/checkpoint_{steps_done}.bin",
+                net, optimizer, config, seed, steps_done,
             )
-            bootstrap = collect_rollout(net, env, labels, buffer, rng, state)
-            advantages, returns_target = compute_gae(
-                buffer.rewards, buffer.values, buffer.dones, bootstrap,
-                config.discount, config.gae_lambda,
-            )
-            norm_adv = normalize_advantages(advantages)
-            stats = update(
-                net, optimizer, buffer, norm_adv, returns_target, config, rng
-            )
-            steps_done += config.rollout_length
-            n_updates += 1
-            row = (
-                f"{steps_done},{np.mean(buffer.rewards):.10g},"
-                f"{stats.policy_loss:.10g},{stats.value_loss:.10g},"
-                f"{stats.aux_loss:.10g},{stats.entropy:.10g},"
-                f"{stats.clip_fraction:.10g}"
-            )
-            log_rows.append(row)
-            if log_file:
-                log_file.write(row + "\n")
-                log_file.flush()
-            if checkpoint_dir and n_updates % config.checkpoint_every == 0:
-                save_policy(
-                    f"{checkpoint_dir}/checkpoint_{steps_done}.bin",
-                    net, optimizer, config, seed, steps_done,
-                )
-    finally:
-        if log_file:
-            log_file.close()
     if log_path:
         os.replace(f"{log_path}.partial", log_path)
     if checkpoint_dir:

@@ -92,7 +92,10 @@ def load_container(path):
         ndim = uint("<B", "block header")
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "block header"))
         values = take(8 * math.prod(dims), f"block {name!r}")
-        blocks[name] = np.frombuffer(values, dtype="<f8").astype(np.float64).reshape(dims)
+        try:
+            blocks[name] = np.frombuffer(values, dtype="<f8").astype(np.float64).reshape(dims)
+        except ValueError as exc:  # more dims than numpy allows, or too large a shape
+            raise CheckpointError(f"{path}: block {name!r} has unusable dims") from exc
     if pos != len(data):
         raise CheckpointError(f"{path}: {len(data) - pos} trailing bytes after the last block")
     return meta, blocks

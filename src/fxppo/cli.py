@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .agent import load_policy
+from .agent import N_CLUSTERS, load_policy
 from .agent import train as train_agent
 from .backtest import (
     BacktestError,
@@ -27,7 +27,7 @@ from .backtest import (
     emit_report,
     run_backtest,
 )
-from .checkpoint import CheckpointError, file_sha256, write_artifact
+from .checkpoint import file_sha256, write_artifact
 from .config import (
     ConfigError,
     load_config,
@@ -35,6 +35,8 @@ from .config import (
     write_effective_config,
 )
 from .data import (
+    N_FEATURES,
+    WINDOW_LEN,
     DataError,
     build_windows,
     compute_features,
@@ -42,7 +44,7 @@ from .data import (
     parse_candles,
     window_end_indices,
 )
-from .env import EnvError, position_rewards, step_returns
+from .env import ACTION_VALUES, EnvError, position_rewards, step_returns
 from .labeler import (
     AutoencoderConfig,
     DivergedLoss,
@@ -50,12 +52,10 @@ from .labeler import (
     kmeans_assign,
     kmeans_fit,
     label_dataset,
-    read_labels_csv,
     save_autoencoder,
     save_kmeans,
     silhouette_score,
     train_autoencoder,
-    write_labels_csv,
 )
 from .nn import NonFiniteValue
 
@@ -65,6 +65,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 SPLITS = ("train", "test")
+LABELS_HEADER = "window_end_index,label"
+REWARDS_HEADER = "step,reward"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +81,37 @@ def _read_text(path):
             return fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"input file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_table(path, header, *parsers):
+    """The columns of the CSV file at ``path``, one list per parser. The
+    first line must be ``header`` and every other line one field per
+    parser, which parses it; anything else raises ConfigError naming the
+    file and the line."""
+    first, *lines = _read_text(path).strip().split("\n")
+    if first != header:
+        raise ConfigError(f"{path} line 1: expected the header {header!r}")
+    columns = [[] for _ in parsers]
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split(",")
+        if len(fields) != len(parsers):
+            raise ConfigError(f"{path} line {lineno}: expected {len(parsers)} fields")
+        try:
+            for column, parse, field in zip(columns, parsers, fields):
+                column.append(parse(field))
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: {exc}") from exc
+    return columns
+
+
+def _write_table(path, header, rows):
+    """Writes rows of Python ints and floats as a CSV file under
+    ``header``, each value by repr so floats read back exactly; returns
+    its sha256."""
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    return write_artifact(path, f"{header}\n{text}")
 
 
 def _load_array(path, what):
@@ -90,12 +123,22 @@ def _load_array(path, what):
         raise ConfigError(f"{what} at {path} is not a readable array: {exc}") from exc
 
 
+def _load_windows(config, split):
+    """A split's windows.npy, checked to hold one row of WINDOW_LEN *
+    N_FEATURES values per window."""
+    path = config.run_dir("preprocess", split, "windows.npy")
+    windows = _load_array(path, f"{split} windows")
+    width = WINDOW_LEN * N_FEATURES
+    if windows.ndim != 2 or windows.shape[1] != width:
+        raise ConfigError(f"{path} holds an array of shape {windows.shape}, not (n, {width})")
+    return windows
+
+
 def _load_split(config, split):
     """(windows, returns, z) of a split, with z from `step_returns`; arrays
     that do not align name the split's returns.npy."""
-    split_dir = config.run_dir("preprocess", split)
-    windows = _load_array(os.path.join(split_dir, "windows.npy"), f"{split} windows")
-    path = os.path.join(split_dir, "returns.npy")
+    windows = _load_windows(config, split)
+    path = config.run_dir("preprocess", split, "returns.npy")
     returns = _load_array(path, f"{split} returns")
     try:
         return windows, returns, step_returns(returns, windows)
@@ -129,12 +172,8 @@ def cmd_preprocess(config, args):
 
 
 def cmd_label(config, args):
-    train_windows = _load_array(
-        config.run_dir("preprocess", "train", "windows.npy"), "training windows"
-    )
-    test_windows = _load_array(
-        config.run_dir("preprocess", "test", "windows.npy"), "test windows"
-    )
+    train_windows = _load_windows(config, "train")
+    test_windows = _load_windows(config, "test")
     out_dir = config.run_dir("label")
 
     ae, history = train_autoencoder(train_windows, config.labeler, config.axt_seed)
@@ -148,14 +187,13 @@ def cmd_label(config, args):
     )
     save_autoencoder(os.path.join(out_dir, "ae.bin"), ae)
     save_kmeans(os.path.join(out_dir, "kmeans.bin"), km)
-    for split, windows, labels in (
-        ("train", train_windows, kmeans_assign(km, codes)),
-        ("test", test_windows, label_dataset(ae, km, test_windows)),
+    for split, labels in (
+        ("train", kmeans_assign(km, codes)),
+        ("test", label_dataset(ae, km, test_windows)),
     ):
-        write_labels_csv(
-            os.path.join(out_dir, f"labels_{split}.csv"),
-            window_end_indices(windows.shape[0]),
-            labels,
+        _write_table(
+            os.path.join(out_dir, f"labels_{split}.csv"), LABELS_HEADER,
+            zip(window_end_indices(len(labels)).tolist(), labels.tolist()),
         )
     write_effective_config(config, "label")
     print(
@@ -165,17 +203,23 @@ def cmd_label(config, args):
     return EXIT_OK
 
 
-def _load_labels_for(config, split, n_windows):
-    path = config.run_dir("label", f"labels_{split}.csv")
+def _load_labels(config, n_windows):
+    """The training windows' cluster labels, each checked to label the
+    window its line says, in order, with a class of the auxiliary head."""
+    path = config.run_dir("label", "labels_train.csv")
     if not os.path.exists(path):
         raise ConfigError(f"labels missing at {path}; run the label stage first")
-    _, labels = read_labels_csv(path)
-    if labels.shape[0] != n_windows:
-        raise ConfigError(
-            f"label file {path} covers {labels.shape[0]} windows, "
-            f"expected {n_windows}"
-        )
-    return labels
+    ends, labels = _read_table(path, LABELS_HEADER, int, int)
+    if len(labels) != n_windows:
+        raise ConfigError(f"label file {path} covers {len(labels)} windows, expected {n_windows}")
+    expected = window_end_indices(n_windows).tolist()
+    for lineno, (end, want, label) in enumerate(zip(ends, expected, labels), start=2):
+        if end != want or not 0 <= label < N_CLUSTERS:
+            raise ConfigError(
+                f"{path} line {lineno}: expected window_end_index {want} "
+                f"and a label in [0, {N_CLUSTERS}), got {end},{label}"
+            )
+    return np.array(labels, dtype=np.int64)
 
 
 def _run_seeds(stage, fn, config, seeds, parallel, *args):
@@ -216,7 +260,7 @@ def _run_seeds(stage, fn, config, seeds, parallel, *args):
 
 def _train_one_seed(config, seed, force):
     windows, returns, _ = _load_split(config, "train")
-    labels = _load_labels_for(config, "train", windows.shape[0])
+    labels = _load_labels(config, windows.shape[0])
     out_dir = config.run_dir("train", seed)
     final = os.path.join(out_dir, "final.bin")
     if os.path.exists(final) and not force:
@@ -239,32 +283,25 @@ def cmd_train(config, args):
     return EXIT_OK
 
 
-def _write_rewards(path, rewards):
-    """Writes the reward stream; returns its sha256."""
-    rows = "".join(f"{i},{float(r)!r}\n" for i, r in enumerate(rewards))
-    return write_artifact(path, "step,reward\n" + rows)
-
-
-def _read_rewards(path):
-    rows = _read_text(path).strip().split("\n")
-    try:
-        return np.array([float(r.split(",")[1]) for r in rows[1:]], dtype=np.float64)
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed reward row: {exc}") from exc
-
-
 def _backtest_one_seed(config, seed):
     checkpoint = config.run_dir("train", seed, "final.bin")
     if not os.path.exists(checkpoint):
         raise MissingCheckpoint(seed)
     windows, returns, _ = _load_split(config, "test")
     net, _ = load_policy(checkpoint)
+    if net.input_size != windows.shape[1]:
+        raise ConfigError(
+            f"{checkpoint}: the policy takes windows of {net.input_size} values, "
+            f"the test split's have {windows.shape[1]}"
+        )
     report = run_backtest(
         net, windows, returns, config.env, seed=seed,
         checkpoint_hash=file_sha256(checkpoint),
     )
     seed_dir = config.run_dir("backtest", seed)
-    rewards_sha256 = _write_rewards(os.path.join(seed_dir, "rewards.csv"), report.rewards)
+    rewards_sha256 = _write_table(
+        os.path.join(seed_dir, "rewards.csv"), REWARDS_HEADER, enumerate(report.rewards.tolist())
+    )
     meta = {"seed": seed, "checkpoint_hash": report.checkpoint_hash,
             "data_range": list(report.data_range), "steps": len(report.rewards),
             "rewards_sha256": rewards_sha256}
@@ -286,29 +323,16 @@ def cmd_backtest(config, args):
     return EXIT_OK
 
 
-def _read_actions(path):
-    text = _read_text(path).strip().split("\n")
-    if not text or text[0] != "action":
-        raise DataError(f"{path}: expected a single 'action' header column")
-    actions = []
-    for i, row in enumerate(text[1:], start=2):
-        try:
-            a = int(row)
-        except ValueError as exc:
-            raise DataError(f"{path} line {i}: not an integer action") from exc
-        if a not in (-1, 0, 1):
-            raise DataError(f"{path} line {i}: action must be -1, 0, or 1")
-        actions.append(a)
-    return actions
-
-
 def cmd_simulate(config, args):
     """Pays out an action file from --start with `position_rewards`, the
     backtest's arithmetic, for cross-checking reward streams."""
     if args.start < 0:
         raise DataError(f"--start must be >= 0, got {args.start}")
     _, _, z = _load_split(config, args.split)
-    actions = _read_actions(args.actions)
+    (actions,) = _read_table(args.actions, "action", int)
+    for lineno, action in enumerate(actions, start=2):
+        if action not in ACTION_VALUES:
+            raise ConfigError(f"{args.actions} line {lineno}: action must be -1, 0 or 1")
     end = args.start + len(actions)
     if end > len(z):
         raise DataError(
@@ -317,18 +341,18 @@ def cmd_simulate(config, args):
         )
     rewards = position_rewards(actions, z[args.start : end], config.env.spread_cost)
     out = args.out or config.run_dir("simulate", "rewards.csv")
-    _write_rewards(out, rewards)
+    _write_table(out, REWARDS_HEADER, enumerate(rewards.tolist()))
     print(f"simulate: wrote {len(rewards)} rewards to {out}")
     return EXIT_OK
 
 
 def cmd_tune(config, args):
     spec = config.tune
-    windows = _load_array(config.run_dir("preprocess", "train", "windows.npy"), "training windows")
+    windows = _load_windows(config, "train")
     out_dir = config.run_dir("tune")
     rng = np.random.default_rng(spec.seed)
 
-    rows = ["trial,batch_size,learning_rate,latent_size,k,objective"]
+    rows = []
     best = None
     minimize = spec.objective == "ae_reconstruction_mse"
     for trial in range(spec.trials):
@@ -355,7 +379,7 @@ def cmd_tune(config, args):
             km = kmeans_fit(codes, k=k, seed=config.axt_seed)
             save_kmeans(os.path.join(out_dir, f"trial_{trial}_kmeans.bin"), km)
             objective = silhouette_score(codes, label_dataset(ae, km, sample))
-        rows.append(f"{trial},{batch},{lr!r},{latent},{k},{objective!r}")
+        rows.append((trial, batch, lr, latent, k, objective))
         better = (
             best is None
             or (minimize and objective < best["objective"])
@@ -367,7 +391,8 @@ def cmd_tune(config, args):
                 "latent_size": latent, "k": k, "objective": objective,
             }
 
-    write_artifact(os.path.join(out_dir, "trials.csv"), "\n".join(rows) + "\n")
+    header = "trial,batch_size,learning_rate,latent_size,k,objective"
+    _write_table(os.path.join(out_dir, "trials.csv"), header, rows)
     text = json.dumps(best, indent=2, sort_keys=True) + "\n"
     write_artifact(os.path.join(out_dir, "best.json"), text)
     write_effective_config(config, "tune")
@@ -394,7 +419,10 @@ def _emit_summary(config, baseline):
             steps, rewards_sha256 = meta["steps"], meta["rewards_sha256"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"{meta_path} is not a backtest meta file: {exc!r}") from exc
-        rewards = _read_rewards(rewards_path)
+        step_column, rewards = _read_table(rewards_path, REWARDS_HEADER, int, float)
+        for i, step in enumerate(step_column):
+            if step != i:
+                raise ConfigError(f"{rewards_path} line {i + 2}: step {step}, expected {i}")
         if len(rewards) != steps:
             raise ConfigError(f"{rewards_path} has {len(rewards)} steps, {meta_path} records {steps}")
         if file_sha256(rewards_path) != rewards_sha256:
@@ -462,8 +490,7 @@ def _guarded(fn, *args):
     except (NonFiniteValue, DivergedLoss) as exc:
         print(f"fxppo: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DataError, CheckpointError, LabelerError,
-            BacktestError, OSError) as exc:
+    except (ConfigError, DataError, LabelerError, BacktestError, OSError) as exc:
         print(f"fxppo: {exc}", file=sys.stderr)
         return EXIT_DATA
 

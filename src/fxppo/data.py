@@ -167,24 +167,24 @@ def compute_returns(series):
     return (c_now - c_prev) / c_prev
 
 
-def build_windows(features, window_len=WINDOW_LEN):
+def build_windows(features):
     """Sliding windows over the feature rows, flattened step-major.
 
-    Window k covers feature steps [k, k + window_len) with the oldest step
-    first; output shape is (n - window_len + 1, window_len * 5).
+    Window k covers feature steps [k, k + WINDOW_LEN) with the oldest step
+    first; output shape is (n - WINDOW_LEN + 1, WINDOW_LEN * 5).
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
-    if n < window_len:
-        raise TooFewFeatures(f"need at least {window_len} feature rows, got {n}")
-    n_windows = n - window_len + 1
-    out = np.empty((n_windows, window_len * features.shape[1]), dtype=np.float64)
+    if n < WINDOW_LEN:
+        raise TooFewFeatures(f"need at least {WINDOW_LEN} feature rows, got {n}")
+    n_windows = n - WINDOW_LEN + 1
+    out = np.empty((n_windows, WINDOW_LEN * features.shape[1]), dtype=np.float64)
     for k in range(n_windows):
-        out[k] = features[k : k + window_len].reshape(-1)
+        out[k] = features[k : k + WINDOW_LEN].reshape(-1)
     return out
 
 
-def window_end_indices(n_windows, window_len=WINDOW_LEN):
+def window_end_indices(n_windows):
     """Feature-stream index of the newest step covered by each window."""
-    return np.arange(n_windows) + window_len - 1
+    return np.arange(n_windows) + WINDOW_LEN - 1
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .checkpoint import is_count, is_number, load_checked, save_container, write_artifact
+from .checkpoint import is_count, is_number, load_checked, save_container
 from .nn import (
     Adam,
     DenseLayer,
@@ -416,27 +416,3 @@ def load_kmeans(path):
     return KMeansModel(
         blocks["centroids"], meta["inertia"], meta["n_iter"], meta["seed"]
     )
-
-
-def write_labels_csv(path, end_indices, labels):
-    lines = ["window_end_index,label"]
-    for idx, lab in zip(end_indices, labels):
-        lines.append(f"{int(idx)},{int(lab)}")
-    write_artifact(path, "\n".join(lines) + "\n")
-
-
-def read_labels_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh if ln.strip()]
-    if not rows or rows[0] != "window_end_index,label":
-        raise LabelerError(f"{path}: missing label header")
-    idx = np.empty(len(rows) - 1, dtype=np.int64)
-    labels = np.empty(len(rows) - 1, dtype=np.int64)
-    for i, row in enumerate(rows[1:]):
-        try:
-            a, b = row.split(",")
-            idx[i] = int(a)
-            labels[i] = int(b)
-        except ValueError as exc:
-            raise LabelerError(f"{path}: malformed label row {row!r}") from exc
-    return idx, labels

@@ -30,7 +30,7 @@ from fxppo.agent import (
     update,
 )
 from fxppo.backtest import BacktestReport, parse_summary, ppi, run_backtest, sharpe_ratio
-from fxppo.cli import _read_rewards
+from fxppo.cli import LABELS_HEADER, REWARDS_HEADER, _read_table
 from fxppo.cli import main as cli_main
 from fxppo.config import load_config
 from fxppo.data import (
@@ -46,7 +46,6 @@ from fxppo.labeler import (
     kmeans_assign,
     kmeans_fit,
     label_dataset,
-    read_labels_csv,
     train_autoencoder,
 )
 from fxppo.nn import (
@@ -496,10 +495,10 @@ class TestCriterion06LabelDeterminism:
             for name, blob in first.items():
                 assert (label_dir / name).read_bytes() == blob
 
-            _, labels = read_labels_csv(label_dir / "labels_train.csv")
-            assert labels.shape[0] == 5000
-            assert labels.min() >= 0 and labels.max() <= 11
-            assert np.unique(labels).size == 12  # every cluster non-empty
+            _, labels = _read_table(label_dir / "labels_train.csv", LABELS_HEADER, int, int)
+            assert len(labels) == 5000
+            assert min(labels) >= 0 and max(labels) <= 11
+            assert len(set(labels)) == 12  # every cluster non-empty
 
 
 class TestCriterion07Conservation:
@@ -687,7 +686,9 @@ class TestCriterion10MultiSeedProtocol:
             config = load_config(str(cfg_path))
             summary = parse_summary(config.run_dir("backtest", "summary.txt"))
             per_seed = [
-                BacktestReport(_read_rewards(config.run_dir("backtest", s, "rewards.csv")), s)
+                BacktestReport(_read_table(
+                    config.run_dir("backtest", s, "rewards.csv"), REWARDS_HEADER, int, float
+                )[1], s)
                 for s in config.seeds
             ]
             assert [r.seed for r in per_seed] == [30, 50, 70, 99]

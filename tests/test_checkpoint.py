@@ -129,7 +129,6 @@ def test_write_artifact_makes_directories_and_keeps_bytes(tmp_path):
 
 # (module, function, call): the only places in the package that write files
 WRITERS = [
-    ("agent.py", "train", "open"),
     ("checkpoint.py", "write_artifact", "np.save"),
     ("checkpoint.py", "write_artifact", "open"),
     ("checkpoint.py", "write_artifact", "os.makedirs"),

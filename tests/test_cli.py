@@ -18,8 +18,17 @@ from hypothesis import strategies as st
 
 import fxppo
 from fxppo import cli
+from fxppo.agent import PolicyNetwork, save_policy
 from fxppo.backtest import BacktestReport, MissingCheckpoint, parse_summary
-from fxppo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from fxppo.cli import (
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    LABELS_HEADER,
+    REWARDS_HEADER,
+    main,
+)
 from fxppo.config import (
     STAGES,
     ConfigError,
@@ -115,7 +124,7 @@ OTHER_VALUES = {
     "ppo.clip_epsilon": 0.1, "ppo.discount": 0.9, "ppo.gae_lambda": 0.9,
     "ppo.aux_loss_weight": 0, "ppo.value_loss_weight": 1, "ppo.entropy_coefficient": 0,
     "ppo.epochs_per_update": 1, "ppo.minibatch_size": 8, "ppo.rollout_length": 16,
-    "ppo.total_timesteps": 32, "ppo.learning_rate": 0.01, "ppo.max_grad_norm": 1,
+    "ppo.total_timesteps": 1200, "ppo.learning_rate": 0.01, "ppo.max_grad_norm": 1,
     "ppo.checkpoint_every": 2,
     "tune.trials": 2, "tune.objective": "kmeans_silhouette", "tune.seed": 1,
     "tune.ae_epochs": 1, "tune.batch_size": [8, 9], "tune.learning_rate": [0.001, 0.01],
@@ -428,8 +437,9 @@ class TestBacktestCli:
                       if line.startswith("seed: ")]
         assert seed_lines == ["seed: 30", "seed: 50"]
         totals = [
-            BacktestReport(cli._read_rewards(config.run_dir("backtest", s, "rewards.csv")), s)
-            .total_return for s in (30, 50)
+            BacktestReport(cli._read_table(
+                config.run_dir("backtest", s, "rewards.csv"), REWARDS_HEADER, int, float
+            )[1], s).total_return for s in (30, 50)
         ]
         mean = sum(t * 100.0 for t in totals) / 2
         assert abs(mean - parse_summary(summary_path)["mean_total_return_pct"]) <= 1e-12
@@ -452,6 +462,17 @@ class TestBacktestCli:
         capsys.readouterr()
         assert run_cli(["backtest", "--config", config_path, "--seed", "30"]) == EXIT_DATA
         assert f"{final}: not a policy checkpoint" in capsys.readouterr().err
+
+    def test_policy_for_other_windows(self, prepared, capsys):
+        _, config_path, _ = prepared
+        final = Path(load_config(config_path).run_dir("train", 30), "final.bin")
+        net = PolicyNetwork(input_size=6, hidden_size=4, trunk=(3, 3, 3))
+        save_policy(str(final), net, None, None, 30, 0)
+        capsys.readouterr()
+        assert run_cli(["backtest", "--config", config_path, "--seed", "30"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{final}: the policy takes windows of 6 values" in err
+        assert "Traceback" not in err
 
     def test_truncated_checkpoint(self, prepared):
         _, config_path, _ = prepared
@@ -610,6 +631,20 @@ class TestBacktestCli:
         assert run_cli(["report", "--config", config_path]) == EXIT_OK
         assert "mean_total_return_pct" in capsys.readouterr().out
 
+    def test_report_checks_the_step_column(self, prepared, capsys):
+        _, config_path, _ = prepared
+        run_cli(["train", "--config", config_path])
+        run_cli(["backtest", "--config", config_path])
+        seed_dir = Path(load_config(config_path).run_dir("backtest", 30))
+        rewards = seed_dir / "rewards.csv"
+        rewards.write_text(rewards.read_text().replace("\n0,", "\n1,", 1))
+        meta = json.loads((seed_dir / "meta.json").read_text())
+        meta["rewards_sha256"] = hashlib.sha256(rewards.read_bytes()).hexdigest()
+        (seed_dir / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run_cli(["report", "--config", config_path]) == EXIT_DATA
+        assert f"{rewards} line 2: step 1, expected 0" in capsys.readouterr().err
+
 
 class TestWindowGeometry:
     @pytest.mark.parametrize(
@@ -647,6 +682,7 @@ class TestUnusableValues:
             ("ppo.checkpoint_every=0", "train", "ppo: checkpoint_every"),
             ("ppo.epochs_per_update=0", "train", "ppo: epochs_per_update"),
             ("ppo.learning_rate=-1", "train", "ppo: learning_rate"),
+            ("ppo.total_timesteps=32", "train", "ppo: total_timesteps"),
             ("kmeans.k=0", "label", "kmeans: k must"),
             ("kmeans.k=13", "train", "kmeans: k must"),
             ("kmeans.max_iters=0", "label", "kmeans: max_iters"),
@@ -677,6 +713,25 @@ def five_rows_short(npy_bytes):
     out = io.BytesIO()
     np.save(out, np.load(io.BytesIO(npy_bytes))[:-5])
     return out.getvalue()
+
+
+def flattened(npy_bytes):
+    """The same array saved again as one 1-D row of values."""
+    out = io.BytesIO()
+    np.save(out, np.load(io.BytesIO(npy_bytes)).ravel())
+    return out.getvalue()
+
+
+def label_rows(fn):
+    """A damage that rewrites each (window_end_index, label) row of a
+    label file to fn(window_end_index, label)."""
+
+    def damage(csv_bytes):
+        header, *rows = csv_bytes.decode().strip().split("\n")
+        pairs = (fn(*map(int, row.split(","))) for row in rows)
+        return (header + "\n" + "".join(f"{a},{b}\n" for a, b in pairs)).encode()
+
+    return damage
 
 
 class TestMalformedInputs:
@@ -715,6 +770,15 @@ class TestMalformedInputs:
         "misaligned simulate returns": (
             "preprocess/test/returns.npy", five_rows_short, "simulate --actions {actions}"
         ),
+        "1-D training windows for label": ("preprocess/train/windows.npy", flattened, "label"),
+        "1-D training windows for tune": ("preprocess/train/windows.npy", flattened, "tune"),
+        "label beyond the auxiliary head": (
+            "label/labels_train.csv", label_rows(lambda end, label: (end, 12)), "train --seed 30"
+        ),
+        "shifted label index": (
+            "label/labels_train.csv", label_rows(lambda end, label: (end + 1, label)),
+            "train --seed 30",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -733,6 +797,49 @@ class TestMalformedInputs:
         argv = command.format(path=path, actions=actions).split()
         assert run_cli(argv[:1] + ["--config", config_path] + argv[1:]) == EXIT_DATA
         assert str(path) in capsys.readouterr().err
+
+
+class TestTables:
+    def test_label_csv_round_trip(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        ends, labels = [15, 16, 17], [3, 0, 11]
+        cli._write_table(path, LABELS_HEADER, zip(ends, labels))
+        assert path.read_text() == "window_end_index,label\n15,3\n16,0\n17,11\n"
+        assert cli._read_table(path, LABELS_HEADER, int, int) == [ends, labels]
+
+    def test_floats_read_back_exactly(self, tmp_path):
+        path = tmp_path / "rewards.csv"
+        rewards = [0.1, 1 / 3, -0.0, 5e-324, -1.7976931348623157e308]
+        cli._write_table(path, REWARDS_HEADER, enumerate(rewards))
+        steps, back = cli._read_table(path, REWARDS_HEADER, int, float)
+        assert steps == [0, 1, 2, 3, 4]
+        assert list(map(repr, back)) == list(map(repr, rewards))
+        cli._write_table(path, REWARDS_HEADER, [])
+        assert cli._read_table(path, REWARDS_HEADER, int, float) == [[], []]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("step,value\n0,0.5\n", 1),
+            ("step,reward\n0,0.5\n1\n", 3),
+            ("step,reward\n0,0.5,7\n", 2),
+            ("step,reward\n0,0.5\n1,x\n", 3),
+            ("step,reward\n0,0.5\n\n2,0.5\n", 3),
+        ],
+    )
+    def test_malformed_table_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "rewards.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            cli._read_table(path, REWARDS_HEADER, int, float)
+        assert str(info.value).startswith(f"{path} line {line}: ")
+
+    def test_binary_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "rewards.csv"
+        path.write_bytes(b"step,reward\n0,\xff\n")
+        with pytest.raises(ConfigError, match="is not UTF-8 text"):
+            cli._read_table(path, REWARDS_HEADER, int, float)
 
 
 class TestSimulate:
