@@ -7,12 +7,14 @@ fixed-length rollouts in the trading simulator with several epochs of
 minibatch updates on the collected data.
 
 Exact-replay discipline: every forward pass on the policy path uses the
-row-at-a-time dense kernels and the stepwise LSTM, and the rollout
-records the LSTM state entering each step. Rollouts call `act` one row
-at a time, the backtest passes a whole episode in one call, and updates
-replay 32-row slices from their stored state; because rows are computed
-independently, all three give the same logits bit for bit, which makes
-the probability ratio exactly 1 on the first pass after a rollout.
+row-independent dense kernel and the stepwise LSTM, whose products are
+one vector-matrix call per row however many rows a call holds, and the
+rollout records the LSTM state entering each step. Rollouts call `act`
+one row at a time, the backtest passes a whole episode in one call, and
+updates replay 32-row slices from their stored state; because each row's
+bits do not depend on its neighbours, all three give the same logits bit
+for bit, which makes the probability ratio exactly 1 on the first pass
+after a rollout.
 """
 
 import os
@@ -128,8 +130,8 @@ class PolicyNetwork:
         """Shared trunk plus heads over a (T, 80) slice.
 
         Returns (policy_logits, aux_logits or None, values, hT, cT).
-        Row-at-a-time kernels throughout, so results are independent of
-        how the sequence is sliced.
+        Row-independent kernels throughout (``rows=True``), so results
+        are independent of how the sequence is sliced.
         """
         hs, hT, cT = self.lstm.forward(obs, h0, c0, resets)
         y = self.fc1.forward(hs, rows=True)

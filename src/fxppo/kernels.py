@@ -4,13 +4,15 @@ Plain numpy float64. The dense kernels compute only the affine map
 ``x @ w + b`` and its gradients; :class:`fxppo.nn.DenseLayer` applies the
 activation.
 
-Row independence is a property of the forward kernels only. The
-``*_rows_*`` forward and the LSTM forward process sequences row by row
-with vector-matrix products, so a length-1 call and a length-T call give
-bitwise-identical values for the same row: rollouts step one observation
-at a time, the backtest passes a whole episode and updates replay 32-row
-slices, and all three must agree. ``dense_gemm_forward`` does one matmul
-for non-recurrent nets.
+Row independence is a property of the forward kernels only.
+``dense_rows_forward`` and the input half of the LSTM forward are stacked
+(T, 1, in) @ (in, out) products, which NumPy runs as one vector-matrix
+BLAS call per row, the same call a one-row ``np.dot`` makes; the LSTM's
+recurrence then steps through the rows. So a length-1 call and a length-T
+call give bitwise-identical values for the same row: rollouts step one
+observation at a time, the backtest passes a whole episode and updates
+replay 32-row slices, and all three must agree. ``dense_gemm_forward``
+does one matmul for non-recurrent nets.
 
 The backward kernels are gemms. Weight gradients are sums of gemms over
 fixed ``GRAD_BLOCK_ROWS``-row blocks (:func:`block_sum_tn`), so their bits
@@ -37,13 +39,17 @@ def block_sum_tn(a, d):
     return out
 
 
+def rows_matmul(x, w):
+    """(T, in) @ (in, out) as T vector-matrix products: the stacked matmul
+    makes one gemv per row, the BLAS call ``np.dot(x[t], w)`` makes, so
+    every row has the bits it would have alone. A (T, in) gemm would not:
+    its blocking and kernel depend on T."""
+    return np.matmul(x[:, None, :], w)[:, 0, :]
+
+
 def dense_rows_forward(x, w, b):
-    # x: (T, in), w: (in, out), b: (out,) -> (T, out); row-wise matvec
-    T = x.shape[0]
-    pre = np.empty((T, w.shape[1]), dtype=np.float64)
-    for t in range(T):
-        pre[t, :] = np.dot(x[t], w) + b
-    return pre
+    # x: (T, in), w: (in, out), b: (out,) -> (T, out)
+    return rows_matmul(x, w) + b
 
 
 # No caller since the backward passes became gemms; it goes with the next
@@ -85,6 +91,11 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
     Returns (hs, tanhc, gates, hprev, cprev, hT, cT): the hidden states, the
     tanh of each cell state, the gate activations, and in hprev/cprev the
     state *before* each step, so any sub-segment can be replayed later.
+
+    Every row's input product ``x[t] @ wx`` is made before the loop
+    (:func:`rows_matmul`); each step adds ``h @ wh`` and ``b`` to it and
+    writes its gates straight into ``gates[t]``, in the operation order of
+    one ``np.dot`` per product and one expression per gate.
     """
     T = x.shape[0]
     H = h0.shape[0]
@@ -93,6 +104,7 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
     gates = np.empty((T, 4 * H), dtype=np.float64)
     hprev = np.empty((T, H), dtype=np.float64)
     cprev = np.empty((T, H), dtype=np.float64)
+    xw = rows_matmul(x, wx)
     h = h0.copy()
     c = c0.copy()
     for t in range(T):
@@ -101,21 +113,21 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
             c = np.zeros(H, dtype=np.float64)
         hprev[t, :] = h
         cprev[t, :] = c
-        z = np.dot(x[t], wx) + np.dot(h, wh) + b
-        i = 1.0 / (1.0 + np.exp(-z[:H]))
-        f = 1.0 / (1.0 + np.exp(-z[H : 2 * H]))
-        g = np.tanh(z[2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[3 * H :]))
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[t, :H] = i
-        gates[t, H : 2 * H] = f
-        gates[t, 2 * H : 3 * H] = g
-        gates[t, 3 * H :] = o
-        tanhc[t, :] = tc
-        hs[t, :] = h
-    return hs, tanhc, gates, hprev, cprev, h, c
+        # z = x[t] @ wx + h @ wh + b, summed in that order
+        z = xw[t]
+        z += np.dot(h, wh)
+        z += b
+        # one sigmoid over all four gates, then tanh overwrites the candidate
+        gate = gates[t]
+        np.negative(z, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.divide(1.0, gate, out=gate)
+        np.tanh(z[2 * H : 3 * H], out=gate[2 * H : 3 * H])
+        c = gate[H : 2 * H] * c + gate[:H] * gate[2 * H : 3 * H]
+        np.tanh(c, out=tanhc[t])
+        h = np.multiply(gate[3 * H :], tanhc[t], out=hs[t])
+    return hs, tanhc, gates, hprev, cprev, h.copy(), c
 
 
 def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):

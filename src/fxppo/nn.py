@@ -36,9 +36,10 @@ class DenseLayer:
     :data:`ACTIVATIONS`.
 
     ``forward`` takes a (T, in) or (in,) array. ``rows=True`` selects the
-    row-at-a-time forward kernel, whose outputs do not depend on how rows
-    are batched together; the recurrent policy path needs that for exact
-    rollout/replay agreement. The batched gemm forward is the default.
+    row-independent forward kernel, one vector-matrix product per row,
+    whose outputs do not depend on how rows are batched together; the
+    recurrent policy path needs that for exact rollout/replay agreement.
+    The batched gemm forward is the default.
     ``backward`` is the gemm kernel either way.
     """
 

@@ -8,7 +8,6 @@ module fixture triggers up front.
 
 import json
 import math
-import os
 import time
 from contextlib import contextmanager
 from pathlib import Path

@@ -734,8 +734,14 @@ def label_rows(fn):
     return damage
 
 
+def stages_before(command):
+    """The stages that write what `command` reads, in run order; report
+    reads backtest's files."""
+    upstream = "backtest" if command == "report" else STAGES[command][0]
+    return stages_before(upstream) + [upstream] if upstream else []
+
+
 class TestMalformedInputs:
-    STAGES = ["preprocess", "label", "train", "backtest"]
     # file under the run directory, how it is damaged, the command that
     # reads it ({path} is the damaged file, {actions} a valid action file)
     CASES = {
@@ -785,8 +791,7 @@ class TestMalformedInputs:
     def test_exit_2_names_the_file(self, workspace, capsys, case):
         tmp_path, config_path, _ = workspace
         rel, damage, command = self.CASES[case]
-        stage = command.split()[0]
-        for earlier in self.STAGES[: self.STAGES.index(stage) if stage in self.STAGES else None]:
+        for earlier in stages_before(command.split()[0]):
             assert run_cli([earlier, "--config", config_path]) == EXIT_OK, earlier
         stage, _, rest = rel.partition("/")
         path = Path(load_config(config_path).run_dir(stage, rest)) if rest else tmp_path / rel

@@ -112,6 +112,88 @@ def test_dense_rows_batch_invariance():
     assert np.array_equal(full, single)
 
 
+def dense_rows_forward_rowwise(x, w, b):
+    """One ``np.dot`` per row: the oracle for `kernels.dense_rows_forward`."""
+    pre = np.empty((x.shape[0], w.shape[1]))
+    for t in range(x.shape[0]):
+        pre[t, :] = np.dot(x[t], w) + b
+    return pre
+
+
+def lstm_seq_forward_rowwise(x, resets, h0, c0, wx, wh, b):
+    """The LSTM forward with every product inside the step loop: the oracle
+    for the hoisted input product and in-place step of
+    `kernels.lstm_seq_forward`."""
+    T = x.shape[0]
+    H = h0.shape[0]
+    hs, tanhc, hprev, cprev = (np.empty((T, H)) for _ in range(4))
+    gates = np.empty((T, 4 * H))
+    h = h0.copy()
+    c = c0.copy()
+    for t in range(T):
+        if resets[t] != 0:
+            h = np.zeros(H)
+            c = np.zeros(H)
+        hprev[t, :] = h
+        cprev[t, :] = c
+        z = np.dot(x[t], wx) + np.dot(h, wh) + b
+        i = 1.0 / (1.0 + np.exp(-z[:H]))
+        f = 1.0 / (1.0 + np.exp(-z[H : 2 * H]))
+        g = np.tanh(z[2 * H : 3 * H])
+        o = 1.0 / (1.0 + np.exp(-z[3 * H :]))
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        gates[t] = np.concatenate([i, f, g, o])
+        tanhc[t, :] = tc
+        hs[t, :] = h
+    return hs, tanhc, gates, hprev, cprev, h, c
+
+
+# the policy's shapes: LSTM input and hidden size, then every dense layer
+N_IN, N_HIDDEN = 80, 128
+POLICY_DENSE = [(128, 32), (32, 64), (64, 64), (64, 3), (64, 12), (64, 1)]
+
+
+def column_strided(rng, T, n):
+    """A (T, n) view of every other column of a wider array."""
+    return rng.normal(size=(T, 2 * n))[:, ::2]
+
+
+@pytest.mark.parametrize("T", [1, 7, 32, 600])
+def test_dense_rows_forward_matches_rowwise_oracle(T):
+    rng = np.random.default_rng(T)
+    for n_in, n_out in POLICY_DENSE:
+        w = nn.init_uniform(rng, (n_in, n_out), n_in)
+        b = rng.normal(0, 0.1, n_out)
+        for x in (rng.normal(size=(T, n_in)), column_strided(rng, T, n_in)):
+            got = kernels.dense_rows_forward(x, w, b)
+            assert np.array_equal(got, dense_rows_forward_rowwise(x, w, b))
+
+
+@pytest.mark.parametrize("resets", ["row 0", "none", "random"])
+@pytest.mark.parametrize("T", [1, 7, 32, 600])
+def test_lstm_forward_matches_rowwise_oracle(T, resets):
+    rng = np.random.default_rng(T)
+    wx = nn.init_uniform(rng, (N_IN, 4 * N_HIDDEN), N_IN)
+    wh = nn.init_uniform(rng, (N_HIDDEN, 4 * N_HIDDEN), N_HIDDEN)
+    b = rng.normal(0, 0.1, 4 * N_HIDDEN)
+    r = np.zeros(T, dtype=np.uint8)
+    if resets == "row 0":
+        r[0] = 1
+    elif resets == "random":
+        r[:] = rng.random(T) < 0.1
+    h0, c0 = rng.normal(size=N_HIDDEN), rng.normal(size=N_HIDDEN)
+    for x in (rng.normal(size=(T, N_IN)), column_strided(rng, T, N_IN)):
+        got = kernels.lstm_seq_forward(x, r, h0, c0, wx, wh, b)
+        want = lstm_seq_forward_rowwise(x, r, h0, c0, wx, wh, b)
+        for name, g, w in zip(("hs", "tanhc", "gates", "hprev", "cprev", "hT", "cT"), got, want):
+            assert np.array_equal(g, w), name
+        hs, hT, cT = got[0], got[5], got[6]
+        assert not np.shares_memory(hT, hs) and not np.shares_memory(cT, hs)
+        assert not np.shares_memory(hT, h0) and not np.shares_memory(cT, c0)
+
+
 def plain_gemm_tn(x, d):
     # the single gemm the dense backward made before block sums
     return np.dot(np.ascontiguousarray(x.T), d)
