@@ -29,12 +29,13 @@ from .nn import (
     DenseLayer,
     LSTMLayer,
     NonFiniteValue,
+    arena,
+    clear_caches,
     clip_grad_norm,
     collect_grads,
-    collect_params,
     log_softmax,
     softmax,
-    zero_grads,
+    split_flat,
 )
 
 
@@ -96,7 +97,9 @@ class PolicyNetwork:
     """LSTM(80->128) -> dense 32/64/64 (ReLU) -> policy/aux/value heads.
 
     The default sizes are the production architecture; tests shrink
-    them to keep finite-difference sweeps cheap.
+    them to keep finite-difference sweeps cheap. ``params`` and ``grads``
+    are the flat arrays that every layer's parameters and gradients are
+    views into (:func:`fxppo.nn.arena`), in `param_blocks` order.
     """
 
     def __init__(self, input_size=80, hidden_size=128, trunk=(32, 64, 64), rng=None):
@@ -110,6 +113,7 @@ class PolicyNetwork:
         self.policy_head = DenseLayer(trunk[2], N_ACTIONS, "identity", rng)
         self.aux_head = DenseLayer(trunk[2], N_CLUSTERS, "identity", rng)
         self.value_head = DenseLayer(trunk[2], 1, "identity", rng)
+        self.params, self.grads = arena(self.layers)
 
     @property
     def layers(self):
@@ -159,6 +163,7 @@ class PolicyNetwork:
         Returns (actions, log_probs, values, hT, cT), one entry per row
         in the first three. `reset` nonzero discards the incoming
         recurrent state before the first row, marking an episode start.
+        No backward pass follows, so no layer keeps the run's rows.
         """
         obs = np.asarray(observations, dtype=np.float64)
         resets = np.zeros(obs.shape[0], dtype=np.uint8)
@@ -166,6 +171,7 @@ class PolicyNetwork:
         logits, _, values, hT, cT = self.forward_sequence(
             obs, h, c, resets, want_aux=False
         )
+        clear_caches(self.layers)
         probs = softmax(logits)
         if not np.all(np.isfinite(probs)):
             raise NonFiniteValue("policy probabilities are not finite")
@@ -388,7 +394,7 @@ def minibatch_pass(
             d_aux = config.aux_loss_weight * (aux_p - aux_onehot) / n
         else:
             d_aux = None
-        zero_grads(net.layers)
+        net.grads.fill(0.0)
         net.backward_sequence(d_logits, d_aux, d_values)
 
     return total, policy_loss_val, v_loss_val, aux_loss_val, entropy_val, clip_fraction
@@ -427,7 +433,7 @@ def update(net, optimizer, buffer, advantages, returns_target, config, rng):
                 config,
             )
             clip_grad_norm(grads, config.max_grad_norm)
-            optimizer.step(grads)
+            optimizer.step([net.grads])
             sums += (p_l, v_l, a_l, ent)
             clip_hits += clip_frac
             n_batches += 1
@@ -503,7 +509,7 @@ def train(
     windows = np.asarray(windows, dtype=np.float64)
     rng = np.random.default_rng(seed)
     net = PolicyNetwork(input_size=windows.shape[1], rng=rng)
-    optimizer = Adam(collect_params(net.layers), config.learning_rate)
+    optimizer = Adam([net.params], config.learning_rate)
     env = TradingEnv(windows, returns, env_config)
 
     h, c = net.initial_state()
@@ -545,9 +551,10 @@ def train(
 def save_policy(path, net, optimizer, config, seed, steps_done):
     blocks = dict(net.param_blocks())
     if optimizer is not None:
-        m, v = optimizer.state_arrays()
-        names = list(net.param_blocks())
-        for name, marr, varr in zip(names, m, v):
+        # flat moments over `net.params`, stored as one block per parameter
+        (m,), (v,) = optimizer.state_arrays()
+        like = list(blocks.values())
+        for name, marr, varr in zip(list(blocks), split_flat(m, like), split_flat(v, like)):
             blocks[f"adam.m.{name}"] = marr
             blocks[f"adam.v.{name}"] = varr
         adam_step = optimizer.step_count

@@ -136,38 +136,53 @@ def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_
     dh_out is the per-step upstream gradient on hs; dh_final/dc_final seed
     the carried state at the sequence end. Gradient flow stops at reset
     steps (the pre-reset state never influenced anything after the reset).
-    The recurrence runs row by row and stores each step's gate gradient;
-    dx and the parameter gradients are then gemms over all steps.
+
+    Every factor that does not depend on the carried gradient is made for
+    all T rows before the loop: ``1 - tanh(c)**2``, the gate derivative
+    factors ``[i, f, 1 - g**2, o]`` (written straight into the rows of the
+    gate gradient) and ``[1 - i, 1 - f, 1, 1 - o]``, and ``[g, cprev, i]``,
+    which turn ``dc`` into the input, forget and candidate gradients. The
+    recurrence then runs row by row, about ten numpy calls around its one
+    gemv, and keeps the association of one expression per gate, e.g.
+    ``(di * i) * (1 - i)``: the exact ``* 1`` and the commuted products
+    leave every bit as it was. dx and the parameter gradients are then
+    gemms over all steps.
     """
     T = x.shape[0]
     H = tanhc.shape[1]
     whT = np.ascontiguousarray(wh.T)
+    i, f, g = gates[:, :H], gates[:, H : 2 * H], gates[:, 2 * H : 3 * H]
+    o = gates[:, 3 * H :]
+    dtanhc = 1.0 - tanhc * tanhc
+    # dZ starts as the first factors [i, f, 1 - g**2, o]; row t is
+    # multiplied by its step's gradients in the loop
+    dZ = gates.copy()
+    dZ[:, 2 * H : 3 * H] = 1.0 - g * g
+    second = 1.0 - gates
+    second[:, 2 * H : 3 * H] = 1.0
+    by_dc = np.stack([g, cprev, i], axis=1)
+    # one step's [di, df, dg, do]: dc * [g, cprev, i], then dh * tanh(c)
+    step = np.empty(4 * H, dtype=np.float64)
+    step_by_dc = step[: 3 * H].reshape(3, H)
+    step_o = step[3 * H :]
     dh_carry = dh_final.copy()
     dc_carry = dc_final.copy()
-    dZ = np.empty((T, 4 * H), dtype=np.float64)
     for t in range(T - 1, -1, -1):
-        i = gates[t, :H]
-        f = gates[t, H : 2 * H]
-        g = gates[t, 2 * H : 3 * H]
-        o = gates[t, 3 * H :]
-        tc = tanhc[t]
         dh = dh_out[t] + dh_carry
-        dc = dc_carry + dh * o * (1.0 - tc * tc)
-        do = dh * tc
-        di = dc * g
-        df = dc * cprev[t]
-        dg = dc * i
+        dc = np.multiply(dh, o[t])
+        dc *= dtanhc[t]
+        dc += dc_carry
+        np.multiply(dc, by_dc[t], out=step_by_dc)
+        np.multiply(dh, tanhc[t], out=step_o)
         dz = dZ[t]
-        dz[:H] = di * i * (1.0 - i)
-        dz[H : 2 * H] = df * f * (1.0 - f)
-        dz[2 * H : 3 * H] = dg * (1.0 - g * g)
-        dz[3 * H :] = do * o * (1.0 - o)
+        dz *= step
+        dz *= second[t]
         if resets[t] != 0:
             dh_carry = np.zeros(H, dtype=np.float64)
             dc_carry = np.zeros(H, dtype=np.float64)
         else:
             dh_carry = np.dot(dz, whT)
-            dc_carry = dc * f
+            dc_carry = dc * f[t]
     dx = np.dot(dZ, np.ascontiguousarray(wx.T))
     dwx = block_sum_tn(x, dZ)
     dwh = block_sum_tn(hprev, dZ)

@@ -13,15 +13,7 @@ import numpy as np
 
 from . import kernels
 from .checkpoint import is_count, is_number, load_checked, save_container
-from .nn import (
-    Adam,
-    DenseLayer,
-    ShapeMismatch,
-    collect_grads,
-    collect_params,
-    mse_loss,
-    zero_grads,
-)
+from .nn import Adam, DenseLayer, ShapeMismatch, arena, clear_caches, mse_loss
 
 
 class LabelerError(Exception):
@@ -81,7 +73,14 @@ class Autoencoder:
     """Symmetric dense autoencoder; decoder mirrors the encoder.
 
     Hidden layers use ReLU; the latent projection and the reconstruction
-    output are linear so codes and outputs are unbounded.
+    output are linear so codes and outputs are unbounded. ``params`` and
+    ``grads`` are the flat arrays that every layer's parameters and
+    gradients are views into (:func:`fxppo.nn.arena`), in `param_blocks`
+    order.
+
+    ``forward`` is the training pass: each layer keeps its input for
+    ``backward``. ``encode`` and ``reconstruction_mse`` are inference and
+    leave no layer holding their batch.
     """
 
     def __init__(self, config, rng=None, input_size=80):
@@ -92,26 +91,29 @@ class Autoencoder:
             for i, (n_in, n_out) in enumerate(pairs):
                 act = "identity" if i == len(pairs) - 1 else "relu"
                 layers.append(DenseLayer(n_in, n_out, act, rng))
+        self.params, self.grads = arena(self.layers)
 
     @property
     def layers(self):
         return self.encoder + self.decoder
 
-    def encode(self, windows):
+    def _run(self, layers, windows):
         x = np.atleast_2d(np.asarray(windows, dtype=np.float64))
         if x.shape[1] != self.input_size:
             raise ShapeMismatch(
                 f"expected windows of size {self.input_size}, got {x.shape[1]}"
             )
-        for layer in self.encoder:
+        for layer in layers:
             x = layer.forward(x)
         return x
 
+    def encode(self, windows):
+        codes = self._run(self.encoder, windows)
+        clear_caches(self.encoder)
+        return codes
+
     def forward(self, windows):
-        z = self.encode(windows)
-        for layer in self.decoder:
-            z = layer.forward(z)
-        return z
+        return self._run(self.layers, windows)
 
     def backward(self, dout):
         d = dout
@@ -121,6 +123,7 @@ class Autoencoder:
 
     def reconstruction_mse(self, windows):
         recon = self.forward(windows)
+        clear_caches(self.layers)
         loss, _ = mse_loss(recon, np.atleast_2d(windows))
         return loss
 
@@ -161,16 +164,14 @@ def train_autoencoder(windows, config=None, seed=0):
 
     rng = np.random.default_rng(seed)
     model = Autoencoder(config, rng, windows.shape[1])
-    params = collect_params(model.layers)
-    grads = collect_grads(model.layers)
-    opt = Adam(params, config.learning_rate)
+    opt = Adam([model.params], config.learning_rate)
 
     perm = rng.permutation(n)
     val_x = windows[perm[:n_val]]
     train_idx = perm[n_val:]
 
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_params = model.params.copy()
     stale = 0
     history = []
 
@@ -183,9 +184,9 @@ def train_autoencoder(windows, config=None, seed=0):
             loss, drecon = mse_loss(recon, batch)
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-            zero_grads(model.layers)
+            model.grads.fill(0.0)
             model.backward(drecon)
-            opt.step(grads)
+            opt.step([model.grads])
             epoch_loss += loss * batch.shape[0]
         train_mse = epoch_loss / train_idx.shape[0]
         val_mse = model.reconstruction_mse(val_x)
@@ -194,16 +195,14 @@ def train_autoencoder(windows, config=None, seed=0):
         history.append((train_mse, val_mse))
         if val_mse < best_val:
             best_val = val_mse
-            for dst, src in zip(best_params, params):
-                dst[:] = src
+            best_params[:] = model.params
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
 
-    for dst, src in zip(params, best_params):
-        dst[:] = src
+    model.params[:] = best_params
     return model, history
 
 

@@ -6,6 +6,12 @@ accumulate parameter gradients on backward, in the usual
 from-scratch-numpy style. Shapes are tiny here, so clarity wins over
 cleverness; the kernels live in :mod:`fxppo.kernels`.
 
+A network keeps all of its parameters in one flat array and all of its
+gradients in another (:func:`arena`); each layer's weight, bias and
+gradient attributes are views into them. Adam then updates a whole
+network with one pass of its ufuncs, and zeroing the gradients is one
+fill. A layer built on its own owns its arrays.
+
 Weight matrices are stored input-major, ``w[i, j]`` mapping input ``i`` to
 output ``j``; a dense layer computes ``act(x @ w + b)``.
 """
@@ -31,7 +37,18 @@ def init_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-class DenseLayer:
+class _Layer:
+    """A layer names its parameter attributes in ``PARAMS`` and their
+    gradient accumulators in ``GRADS``, in matching order."""
+
+    def params(self):
+        return [getattr(self, name) for name in self.PARAMS]
+
+    def grads(self):
+        return [getattr(self, name) for name in self.GRADS]
+
+
+class DenseLayer(_Layer):
     """Fully connected layer, ``y = act(x @ w + b)`` with ``act`` one of
     :data:`ACTIVATIONS`.
 
@@ -42,6 +59,9 @@ class DenseLayer:
     The batched gemm forward is the default.
     ``backward`` is the gemm kernel either way.
     """
+
+    PARAMS = ("w", "b")
+    GRADS = ("dw", "db")
 
     def __init__(self, in_size, out_size, activation="identity", rng=None):
         if activation not in ACTIVATIONS:
@@ -84,20 +104,17 @@ class DenseLayer:
         self.db += db
         return dx
 
-    def params(self):
-        return [self.w, self.b]
 
-    def grads(self):
-        return [self.dw, self.db]
-
-
-class LSTMLayer:
+class LSTMLayer(_Layer):
     """Single LSTM layer with sigmoid gates and tanh candidate/output.
 
     Fused gate weights: ``wx`` (in, 4H), ``wh`` (H, 4H), ``b`` (4H,), gate
     order input/forget/candidate/output. With all-zero parameters the
     hidden state stays at zero.
     """
+
+    PARAMS = ("wx", "wh", "b")
+    GRADS = ("dwx", "dwh", "db")
 
     def __init__(self, input_size, hidden_size, rng=None):
         self.input_size = input_size
@@ -161,12 +178,6 @@ class LSTMLayer:
         self.db += db
         return dx, dh0, dc0
 
-    def params(self):
-        return [self.wx, self.wh, self.b]
-
-    def grads(self):
-        return [self.dwx, self.dwh, self.db]
-
 
 def softmax(logits):
     """Row-wise softmax; strictly positive, rows sum to 1."""
@@ -209,6 +220,11 @@ def clip_grad_norm(grads, max_norm):
 
 class Adam:
     """Adam with bias correction; state mirrors the parameter list.
+
+    A network's optimizer gets the one flat array of its :func:`arena`,
+    so ``m`` and ``v`` are flat too, laid out like the parameters. Every
+    operation is elementwise, so stepping the flat array gives each
+    parameter the bits that stepping its layer's array alone would.
 
     ``step`` updates in place through two scratch arrays per parameter, in
     the operation order of ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``
@@ -257,12 +273,6 @@ class Adam:
         return self.m, self.v
 
 
-def zero_grads(layers):
-    for layer in layers:
-        for g in layer.grads():
-            g[:] = 0.0
-
-
 def collect_params(layers):
     out = []
     for layer in layers:
@@ -275,3 +285,39 @@ def collect_grads(layers):
     for layer in layers:
         out.extend(layer.grads())
     return out
+
+
+def split_flat(flat, like):
+    """Views of the flat array ``flat`` shaped like the arrays ``like``,
+    which lie in it end to end in order."""
+    views = []
+    offset = 0
+    for a in like:
+        views.append(flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    return views
+
+
+def arena(layers):
+    """Moves the parameters of ``layers`` into one flat float64 array and
+    their gradients into another, in `collect_params` order, and rebinds
+    every layer's parameter and gradient attributes to views into them.
+    Returns (params, grads); the values are copied, the gradients zeroed.
+    """
+    like = collect_params(layers)
+    params = np.concatenate([p.ravel() for p in like])
+    grads = np.zeros_like(params)
+    views = zip(split_flat(params, like), split_flat(grads, like))
+    for layer in layers:
+        for p_name, g_name in zip(layer.PARAMS, layer.GRADS):
+            p, g = next(views)
+            setattr(layer, p_name, p)
+            setattr(layer, g_name, g)
+    return params, grads
+
+
+def clear_caches(layers):
+    """Forgets each layer's last forward pass, so that an inference pass
+    leaves no batch-sized array reachable from its model."""
+    for layer in layers:
+        layer._cache = None

@@ -7,6 +7,7 @@ output capture.
 
 import builtins
 
+import numpy as np
 import pytest
 
 from fxppo import checkpoint
@@ -20,6 +21,28 @@ def left_to_right_sum(values):
     for v in values:
         total += float(v)
     return total
+
+
+def reachable_arrays(root):
+    """Every ndarray reachable from ``root`` through instance attributes,
+    containers and array bases."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return found
 
 
 class _CutFile:

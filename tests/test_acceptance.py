@@ -55,7 +55,6 @@ from fxppo.nn import (
     collect_params,
     log_softmax,
     mse_loss,
-    zero_grads,
 )
 
 
@@ -275,7 +274,6 @@ class TestCriterion03GradientFidelity:
         def loss():
             return float(np.sum(layer.forward(x) * u))
 
-        zero_grads([layer])
         y = layer.forward(x)
         dx = layer.backward(u)
         worst = max(
@@ -303,7 +301,6 @@ class TestCriterion03GradientFidelity:
             hs, hT, cT = layer.forward(x, h0, c0, resets)
             return float(np.sum(hs * u) + np.sum(hT * v) + np.sum(cT * w))
 
-        zero_grads([layer])
         layer.forward(x, h0, c0, resets)
         dx, dh0, dc0 = layer.backward(u, v, w)
         worst = 0.0
@@ -353,7 +350,6 @@ class TestCriterion03GradientFidelity:
         def loss():
             return minibatch_pass(net, *batch, config, backward=False)[0]
 
-        zero_grads(net.layers)
         minibatch_pass(net, *batch, config, backward=True)
         worst = 0.0
         for p, g in zip(collect_params(net.layers), collect_grads(net.layers)):
@@ -625,7 +621,7 @@ class TestCriterion09AblationSeparation:
             net = PolicyNetwork(80, 128, (32, 64, 64), np.random.default_rng(2))
             aux_w = net.aux_head.w.copy()
             aux_b = net.aux_head.b.copy()
-            optimizer = Adam(collect_params(net.layers), config.learning_rate)
+            optimizer = Adam([net.params], config.learning_rate)
             env = TradingEnv(windows, returns, env_cfg)
             h, c = net.initial_state()
             state = [h, c, True]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reachable_arrays
 from fxppo.agent import (
     EmptyBuffer,
     LabelOutOfRange,
@@ -156,9 +157,18 @@ class TestPolicyNetwork:
         assert np.array_equal(run[2], values)
         assert np.array_equal(run[3], h) and np.array_equal(run[4], c)
 
+    def test_act_keeps_no_rows(self):
+        # the backtest's one call per episode and the rollout's one-row
+        # calls leave no layer holding their rows
+        net = tiny_net(8)
+        obs = np.random.default_rng(3).normal(size=(257, 6))
+        net.act(obs, *net.initial_state(), 1, mode="greedy")
+        held = [a.shape for a in reachable_arrays(net) if a.shape[:1] == (257,)]
+        assert held == []
+
     def test_save_load_round_trip(self, tmp_path):
         net = tiny_net(7)
-        opt = Adam(collect_params(net.layers), 1e-3)
+        opt = Adam([net.params], 1e-3)
         path = tmp_path / "policy.bin"
         cfg = PPOConfig(rollout_length=48, total_timesteps=48)
         save_policy(path, net, opt, cfg, seed=30, steps_done=48)
@@ -173,7 +183,7 @@ def policy_container(trunk=(4, 4, 4)):
     net = tiny_net(7, trunk=trunk)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d, "policy.bin")
-        save_policy(path, net, Adam(collect_params(net.layers), 1e-3), PPOConfig(),
+        save_policy(path, net, Adam([net.params], 1e-3), PPOConfig(),
                     seed=30, steps_done=0)
         return path.read_bytes()
 
@@ -419,11 +429,47 @@ class TestUpdate:
         )
         return net, buffer, normalize_advantages(adv), ret, config, rng
 
+    def test_flat_adam_matches_per_array_reference(self, tmp_path):
+        """`update` steps the net's flat arena with one Adam; a per-array
+        Adam stepping every layer's own arrays on the same gradients ends
+        on the same bits, and `save_policy` writes the flat moments as that
+        optimizer's per-parameter blocks."""
+
+        class PerArrayAdam(Adam):
+            def __init__(self, layers, lr):
+                super().__init__(collect_params(layers), lr)
+                self.layers = layers
+
+            def step(self, grads):
+                super().step(collect_grads(self.layers))
+
+        net, buffer, adv, ret, config, _ = self.setup_pieces()
+        ref, *_ = self.setup_pieces()
+        opt = Adam([net.params], config.learning_rate)
+        ref_opt = PerArrayAdam(ref.layers, config.learning_rate)
+        for k in range(3):
+            update(net, opt, buffer, adv, ret, config, np.random.default_rng(k))
+            update(ref, ref_opt, buffer, adv, ret, config, np.random.default_rng(k))
+        assert opt.step_count == ref_opt.step_count == 36
+        assert all(m.any() for m in ref_opt.m)
+        path = tmp_path / "policy.bin"
+        save_policy(path, net, opt, config, seed=30, steps_done=48)
+        _, blocks = load_container(path)
+        names = list(ref.param_blocks())
+        assert list(blocks) == [
+            *names, *(f"adam.{mv}.{n}" for n in names for mv in ("m", "v"))
+        ]
+        for k, (name, want) in enumerate(ref.param_blocks().items()):
+            assert np.array_equal(net.param_blocks()[name], want)
+            assert np.array_equal(blocks[name], want)
+            assert np.array_equal(blocks[f"adam.m.{name}"], ref_opt.m[k])
+            assert np.array_equal(blocks[f"adam.v.{name}"], ref_opt.v[k])
+
     def test_update_is_deterministic(self):
         results = []
         for _ in range(2):
             net, buffer, adv, ret, config, _ = self.setup_pieces()
-            opt = Adam(collect_params(net.layers), config.learning_rate)
+            opt = Adam([net.params], config.learning_rate)
             update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
             results.append({k: v.copy() for k, v in net.param_blocks().items()})
         for name in results[0]:
@@ -434,7 +480,7 @@ class TestUpdate:
         before_w = net.aux_head.w.copy()
         before_b = net.aux_head.b.copy()
         other_before = net.policy_head.w.copy()
-        opt = Adam(collect_params(net.layers), config.learning_rate)
+        opt = Adam([net.params], config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
         assert np.array_equal(net.aux_head.w, before_w)
         assert np.array_equal(net.aux_head.b, before_b)
@@ -444,7 +490,7 @@ class TestUpdate:
     def test_aux_weight_positive_moves_aux_head(self):
         net, buffer, adv, ret, config, _ = self.setup_pieces(aux_weight=0.5)
         before = net.aux_head.w.copy()
-        opt = Adam(collect_params(net.layers), config.learning_rate)
+        opt = Adam([net.params], config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
         assert not np.array_equal(net.aux_head.w, before)
         assert stats.aux_loss > 0.0
@@ -482,7 +528,7 @@ class TestUpdate:
 
     def test_entropy_bounds(self):
         net, buffer, adv, ret, config, _ = self.setup_pieces()
-        opt = Adam(collect_params(net.layers), config.learning_rate)
+        opt = Adam([net.params], config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
         assert 0.0 <= stats.entropy <= np.log(3) + 1e-12
 

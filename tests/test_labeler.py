@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reachable_arrays
 from fxppo import kernels
 from fxppo.checkpoint import CheckpointError, load_container, save_container
 from fxppo.labeler import (
@@ -29,6 +30,7 @@ from fxppo.labeler import (
     save_kmeans,
     train_autoencoder,
 )
+from fxppo.nn import Adam, collect_grads, collect_params, mse_loss
 
 
 def lloyd_reference(points, init_centroids, max_iters=300, tol=1e-8):
@@ -87,6 +89,51 @@ def lloyd_reference(points, init_centroids, max_iters=300, tol=1e-8):
                 labels[i] = best
             break
     return np.array(cents), np.array(labels)
+
+
+def train_autoencoder_per_array(windows, config, seed):
+    """`train_autoencoder` with Adam over every layer's own arrays and the
+    best parameters kept as one copy per array: the reference for the
+    flat-arena loop."""
+    rng = np.random.default_rng(seed)
+    model = Autoencoder(config, rng, windows.shape[1])
+    params = collect_params(model.layers)
+    grads = collect_grads(model.layers)
+    opt = Adam(params, config.learning_rate)
+    n = windows.shape[0]
+    n_val = max(1, int(round(config.holdout_fraction * n)))
+    perm = rng.permutation(n)
+    val_x = windows[perm[:n_val]]
+    train_idx = perm[n_val:]
+    best_val = np.inf
+    best_params = [p.copy() for p in params]
+    stale = 0
+    history = []
+    for _ in range(config.max_epochs):
+        order = rng.permutation(train_idx.shape[0])
+        epoch_loss = 0.0
+        for start in range(0, order.shape[0], config.batch_size):
+            batch = windows[train_idx[order[start : start + config.batch_size]]]
+            loss, drecon = mse_loss(model.forward(batch), batch)
+            for g in grads:
+                g[:] = 0.0
+            model.backward(drecon)
+            opt.step(grads)
+            epoch_loss += loss * batch.shape[0]
+        val_mse = model.reconstruction_mse(val_x)
+        history.append((epoch_loss / train_idx.shape[0], val_mse))
+        if val_mse < best_val:
+            best_val = val_mse
+            for dst, src in zip(best_params, params):
+                dst[:] = src
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    for dst, src in zip(params, best_params):
+        dst[:] = src
+    return model, history
 
 
 class TestAutoencoder:
@@ -148,6 +195,36 @@ class TestAutoencoder:
         for l1, l2 in zip(m1.layers, m2.layers):
             assert np.array_equal(l1.w, l2.w)
             assert np.array_equal(l1.b, l2.b)
+
+    def test_matches_per_array_reference_bit_for_bit(self):
+        windows = np.random.default_rng(21).normal(size=(300, 80))
+        cfg = AutoencoderConfig(learning_rate=3e-3, max_epochs=40, patience=3)
+        model, hist = train_autoencoder(windows, cfg, seed=5)
+        ref, ref_hist = train_autoencoder_per_array(windows, cfg, seed=5)
+        assert hist == ref_hist
+        # the restore path ran: the best epoch is not the last
+        vals = [v for _, v in hist]
+        assert int(np.argmin(vals)) < len(vals) - 1
+        assert np.array_equal(model.params, ref.params)
+        for name, arr in ref.param_blocks().items():
+            assert np.array_equal(model.param_blocks()[name], arr)
+
+    def test_inference_keeps_no_batch(self):
+        # encode (label, label_dataset, tune) and reconstruction_mse (the
+        # holdout score, tune) leave no layer holding their rows
+        rng = np.random.default_rng(11)
+        model = Autoencoder(AutoencoderConfig(), rng)
+        windows = rng.normal(size=(257, 80))
+        model.encode(windows)
+        model.reconstruction_mse(windows)
+        held = [a.shape for a in reachable_arrays(model) if a.shape[:1] == (257,)]
+        assert held == []
+
+    def test_trained_model_holds_only_its_arena(self):
+        windows = np.random.default_rng(12).normal(size=(300, 80))
+        model, _ = train_autoencoder(windows, AutoencoderConfig(max_epochs=2), seed=3)
+        for a in reachable_arrays(model):
+            assert np.shares_memory(a, model.params) or np.shares_memory(a, model.grads)
 
     def test_early_stop_restores_best(self):
         windows = np.random.default_rng(9).normal(size=(100, 80))

@@ -7,6 +7,7 @@ import pytest
 
 from fxppo import kernels, nn
 from fxppo.agent import PolicyNetwork
+from fxppo.labeler import Autoencoder, AutoencoderConfig
 
 SEED = 1234
 
@@ -290,7 +291,6 @@ def test_lstm_gradcheck():
             return float(np.sum(hs * proj))
 
         loss()
-        nn.zero_grads([layer])
         dx, _, _ = layer.backward(proj)
         for analytic, arr in (
             (layer.dwx, layer.wx),
@@ -315,7 +315,6 @@ def test_lstm_initial_state_gradcheck():
         return float(np.sum(hs * proj))
 
     loss()
-    nn.zero_grads([layer])
     _, dh0, dc0 = layer.backward(proj)
     assert max_rel_err(dh0, finite_diff_grad(loss, h0)) <= 1e-4
     assert max_rel_err(dc0, finite_diff_grad(loss, c0)) <= 1e-4
@@ -388,6 +387,75 @@ def test_lstm_backward_matches_rowwise_oracle(T):
     # the sums over steps change order only
     for got, want in zip((dx, dwx, dwh, db), ref[:4]):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def lstm_backward_unhoisted(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
+    """`kernels.lstm_seq_backward` as it was before its carry-free factors
+    were hoisted out of the step loop, kept verbatim as the bit-for-bit
+    oracle for the hoisted form."""
+    T = x.shape[0]
+    H = tanhc.shape[1]
+    whT = np.ascontiguousarray(wh.T)
+    dh_carry = dh_final.copy()
+    dc_carry = dc_final.copy()
+    dZ = np.empty((T, 4 * H), dtype=np.float64)
+    for t in range(T - 1, -1, -1):
+        i = gates[t, :H]
+        f = gates[t, H : 2 * H]
+        g = gates[t, 2 * H : 3 * H]
+        o = gates[t, 3 * H :]
+        tc = tanhc[t]
+        dh = dh_out[t] + dh_carry
+        dc = dc_carry + dh * o * (1.0 - tc * tc)
+        do = dh * tc
+        di = dc * g
+        df = dc * cprev[t]
+        dg = dc * i
+        dz = dZ[t]
+        dz[:H] = di * i * (1.0 - i)
+        dz[H : 2 * H] = df * f * (1.0 - f)
+        dz[2 * H : 3 * H] = dg * (1.0 - g * g)
+        dz[3 * H :] = do * o * (1.0 - o)
+        if resets[t] != 0:
+            dh_carry = np.zeros(H, dtype=np.float64)
+            dc_carry = np.zeros(H, dtype=np.float64)
+        else:
+            dh_carry = np.dot(dz, whT)
+            dc_carry = dc * f
+    dx = np.dot(dZ, np.ascontiguousarray(wx.T))
+    dwx = kernels.block_sum_tn(x, dZ)
+    dwh = kernels.block_sum_tn(hprev, dZ)
+    return dx, dwx, dwh, dZ.sum(axis=0), dh_carry, dc_carry
+
+
+@pytest.mark.parametrize("resets_kind", ["none", "first", "random"])
+@pytest.mark.parametrize("T", [1, 7, 32, 600])
+def test_lstm_backward_matches_unhoisted_oracle_bit_for_bit(T, resets_kind):
+    rng = np.random.default_rng(1000 + T)
+    n_in, H = 80, 128
+    wx = nn.init_uniform(rng, (n_in, 4 * H), n_in)
+    wh = nn.init_uniform(rng, (H, 4 * H), H)
+    b = rng.normal(0, 0.3, 4 * H)
+    x = rng.normal(size=(T, n_in))
+    resets = np.zeros(T, dtype=np.uint8)
+    if resets_kind == "first":
+        resets[0] = 1
+    elif resets_kind == "random":
+        resets[rng.random(T) < 0.1] = 1
+    hs, tanhc, gates, hprev, cprev, _, _ = kernels.lstm_seq_forward(
+        x, resets, rng.normal(size=H), rng.normal(size=H), wx, wh, b
+    )
+    args = (x, resets, gates, tanhc, hprev, cprev, wx, wh,
+            rng.normal(size=(T, H)), rng.normal(size=H), rng.normal(size=H))
+    inputs = [a.copy() for a in args]
+    got = kernels.lstm_seq_backward(*args)
+    for before, after in zip(inputs, args):
+        assert np.array_equal(before, after)
+    want = lstm_backward_unhoisted(*args)
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +539,62 @@ def test_adam_in_place_matches_textbook_formula_bit_for_bit():
         assert np.array_equal(params[k], p)
         assert np.array_equal(opt.m[k], m)
         assert np.array_equal(opt.v[k], v)
+
+
+def policy_net():
+    return PolicyNetwork(rng=np.random.default_rng(3))
+
+
+def autoencoder():
+    return Autoencoder(AutoencoderConfig(), np.random.default_rng(3))
+
+
+def standalone_layers(make):
+    """The net's layers built on their own from the same seed, each owning
+    its arrays: the initial values before they move into the arena."""
+    rng = np.random.default_rng(3)
+    if make is policy_net:
+        sizes = [(128, 32, "relu"), (32, 64, "relu"), (64, 64, "relu"),
+                 (64, 3, "identity"), (64, 12, "identity"), (64, 1, "identity")]
+        return [nn.LSTMLayer(80, 128, rng)] + [nn.DenseLayer(*s, rng) for s in sizes]
+    sizes = [80, 128, 64, 32, 12]
+    pairs = list(zip(sizes, sizes[1:])) + list(zip(sizes[::-1], sizes[-2::-1]))
+    return [nn.DenseLayer(n_in, n_out, "identity" if k in (3, 7) else "relu", rng)
+            for k, (n_in, n_out) in enumerate(pairs)]
+
+
+@pytest.mark.parametrize("make", [policy_net, autoencoder])
+def test_layers_hold_views_into_their_nets_arena(make):
+    net = make()
+    params = nn.collect_params(net.layers)
+    grads = nn.collect_grads(net.layers)
+    blocks = list(net.param_blocks().values())
+    assert len(blocks) == len(params) == len(grads)
+    offset = 0
+    for block, p, g in zip(blocks, params, grads):
+        assert block is p
+        assert g.shape == p.shape
+        for view, flat in ((p, net.params), (g, net.grads)):
+            assert np.shares_memory(view, flat)
+            assert view.ctypes.data == flat.ctypes.data + 8 * offset
+        offset += p.size
+    assert net.params.shape == net.grads.shape == (offset,)
+    assert net.params.dtype == net.grads.dtype == np.float64
+    # the layers drew their initial values in the usual order
+    own = nn.collect_params(standalone_layers(make))
+    assert np.array_equal(net.params, np.concatenate([p.ravel() for p in own]))
+    assert not net.grads.any()
+
+
+@pytest.mark.parametrize("make", [policy_net, autoencoder])
+def test_load_param_blocks_writes_through_to_the_arena(make):
+    net = make()
+    rng = np.random.default_rng(4)
+    blocks = {name: rng.normal(size=a.shape) for name, a in net.param_blocks().items()}
+    flat = net.params
+    net.load_param_blocks(blocks)
+    assert net.params is flat
+    assert np.array_equal(flat, np.concatenate([b.ravel() for b in blocks.values()]))
 
 
 def test_clip_grad_norm():
