@@ -28,8 +28,9 @@ from .nn import (
     Adam,
     DenseLayer,
     LSTMLayer,
+    Net,
     NonFiniteValue,
-    arena,
+    block_shapes,
     clear_caches,
     clip_grad_norm,
     collect_grads,
@@ -93,39 +94,32 @@ class PPOConfig:
                 raise ValueError(f"{name} must be > 0")
 
 
-class PolicyNetwork:
-    """LSTM(80->128) -> dense 32/64/64 (ReLU) -> policy/aux/value heads.
+def _layer_table(input_size, hidden_size, trunk):
+    t1, t2, t3 = trunk
+    return [
+        ("lstm", LSTMLayer, (input_size, hidden_size)),
+        ("fc1", DenseLayer, (hidden_size, t1, "relu")),
+        ("fc2", DenseLayer, (t1, t2, "relu")),
+        ("fc3", DenseLayer, (t2, t3, "relu")),
+        ("policy", DenseLayer, (t3, N_ACTIONS, "identity")),
+        ("aux", DenseLayer, (t3, N_CLUSTERS, "identity")),
+        ("value", DenseLayer, (t3, 1, "identity")),
+    ]
+
+
+class PolicyNetwork(Net):
+    """LSTM(80->128) -> dense 32/64/64 (ReLU) -> policy/aux/value heads,
+    declared by `_layer_table`.
 
     The default sizes are the production architecture; tests shrink
-    them to keep finite-difference sweeps cheap. ``params`` and ``grads``
-    are the flat arrays that every layer's parameters and gradients are
-    views into (:func:`fxppo.nn.arena`), in `param_blocks` order.
+    them to keep finite-difference sweeps cheap.
     """
 
     def __init__(self, input_size=80, hidden_size=128, trunk=(32, 64, 64), rng=None):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.trunk_sizes = tuple(trunk)
-        self.lstm = LSTMLayer(input_size, hidden_size, rng)
-        self.fc1 = DenseLayer(hidden_size, trunk[0], "relu", rng)
-        self.fc2 = DenseLayer(trunk[0], trunk[1], "relu", rng)
-        self.fc3 = DenseLayer(trunk[1], trunk[2], "relu", rng)
-        self.policy_head = DenseLayer(trunk[2], N_ACTIONS, "identity", rng)
-        self.aux_head = DenseLayer(trunk[2], N_CLUSTERS, "identity", rng)
-        self.value_head = DenseLayer(trunk[2], 1, "identity", rng)
-        self.params, self.grads = arena(self.layers)
-
-    @property
-    def layers(self):
-        return [
-            self.lstm,
-            self.fc1,
-            self.fc2,
-            self.fc3,
-            self.policy_head,
-            self.aux_head,
-            self.value_head,
-        ]
+        super().__init__(_layer_table(input_size, hidden_size, self.trunk_sizes), rng)
 
     def initial_state(self):
         return self.lstm.initial_state()
@@ -141,17 +135,17 @@ class PolicyNetwork:
         y = self.fc1.forward(hs, rows=True)
         y = self.fc2.forward(y, rows=True)
         y = self.fc3.forward(y, rows=True)
-        policy_logits = self.policy_head.forward(y, rows=True)
-        aux_logits = self.aux_head.forward(y, rows=True) if want_aux else None
-        values = self.value_head.forward(y, rows=True)[:, 0]
+        policy_logits = self.policy.forward(y, rows=True)
+        aux_logits = self.aux.forward(y, rows=True) if want_aux else None
+        values = self.value.forward(y, rows=True)[:, 0]
         return policy_logits, aux_logits, values, hT, cT
 
     def backward_sequence(self, d_policy_logits, d_aux_logits, d_values):
         """Accumulates parameter gradients for the last forward_sequence."""
-        dy = self.policy_head.backward(d_policy_logits)
+        dy = self.policy.backward(d_policy_logits)
         if d_aux_logits is not None:
-            dy = dy + self.aux_head.backward(d_aux_logits)
-        dy = dy + self.value_head.backward(d_values[:, None])
+            dy = dy + self.aux.backward(d_aux_logits)
+        dy = dy + self.value.backward(d_values[:, None])
         dy = self.fc3.backward(dy)
         dy = self.fc2.backward(dy)
         dy = self.fc1.backward(dy)
@@ -185,25 +179,6 @@ class PolicyNetwork:
             raise ValueError(f"unknown act mode {mode!r}")
         log_probs = log_softmax(logits)[np.arange(obs.shape[0]), actions]
         return actions, log_probs, values, hT, cT
-
-    def param_blocks(self):
-        names = ["lstm.wx", "lstm.wh", "lstm.b"]
-        arrays = [self.lstm.wx, self.lstm.wh, self.lstm.b]
-        for tag, layer in [
-            ("fc1", self.fc1),
-            ("fc2", self.fc2),
-            ("fc3", self.fc3),
-            ("policy", self.policy_head),
-            ("aux", self.aux_head),
-            ("value", self.value_head),
-        ]:
-            names += [f"{tag}.w", f"{tag}.b"]
-            arrays += [layer.w, layer.b]
-        return dict(zip(names, arrays))
-
-    def load_param_blocks(self, blocks):
-        for name, target in self.param_blocks().items():
-            target[:] = blocks[name]
 
 
 class RolloutBuffer:
@@ -573,31 +548,13 @@ def save_policy(path, net, optimizer, config, seed, steps_done):
     save_container(path, meta, blocks)
 
 
-def _param_shapes(input_size, hidden_size, trunk):
-    """Shape of every block `PolicyNetwork.param_blocks` returns, without
-    allocating the network."""
-    shapes = {
-        "lstm.wx": (input_size, 4 * hidden_size),
-        "lstm.wh": (hidden_size, 4 * hidden_size),
-        "lstm.b": (4 * hidden_size,),
-    }
-    t1, t2, t3 = trunk
-    for tag, n_in, n_out in [
-        ("fc1", hidden_size, t1), ("fc2", t1, t2), ("fc3", t2, t3),
-        ("policy", t3, N_ACTIONS), ("aux", t3, N_CLUSTERS), ("value", t3, 1),
-    ]:
-        shapes[f"{tag}.w"] = (n_in, n_out)
-        shapes[f"{tag}.b"] = (n_out,)
-    return shapes
-
-
 def _policy_shapes(meta):
     sizes = [meta["input_size"], meta["hidden_size"], *meta["trunk"]]
     if len(sizes) != 5 or not all(is_count(n) for n in sizes):
         raise ValueError(
             "input_size, hidden_size and the three trunk sizes must be positive integers"
         )
-    return _param_shapes(sizes[0], sizes[1], sizes[2:])
+    return block_shapes(_layer_table(sizes[0], sizes[1], sizes[2:]))
 
 
 def load_policy(path):

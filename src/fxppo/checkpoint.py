@@ -16,8 +16,9 @@ Byte layout (all integers little-endian):
             8*k   values, float64 little-endian, row-major (k = prod dims)
 
 The same container stores policy networks, autoencoders (``kind`` in the
-meta says which) and fitted K-Means models. Optimizer moments ride along
-as blocks named ``adam.m.<param>`` / ``adam.v.<param>``.
+meta says which) and fitted K-Means models. A network's blocks are named
+``<tag>.<param>`` from its layer table; optimizer moments ride along
+after them, interleaved per block as ``adam.m.<block>``, ``adam.v.<block>``.
 """
 
 import hashlib

@@ -274,7 +274,14 @@ def _train_one_seed(config, seed, force):
     return f"train: seed {seed} finished {len(log_rows)} updates -> {out_dir}"
 
 
+def _check_seed(args):
+    """``--seed`` follows the rule for a config seed."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+
+
 def cmd_train(config, args):
+    _check_seed(args)
     seeds = [args.seed] if args.seed is not None else list(config.seeds)
     for line in _run_seeds(
         "train", _train_one_seed, config, seeds, args.parallel_seeds, args.force
@@ -310,6 +317,7 @@ def _backtest_one_seed(config, seed):
 
 
 def cmd_backtest(config, args):
+    _check_seed(args)
     if args.seed is not None:
         print(_backtest_one_seed(config, args.seed))
         return EXIT_OK

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .checkpoint import is_count, is_number, load_checked, save_container
-from .nn import Adam, DenseLayer, ShapeMismatch, arena, clear_caches, mse_loss
+from .nn import Adam, DenseLayer, Net, ShapeMismatch, block_shapes, clear_caches, mse_loss
 
 
 class LabelerError(Exception):
@@ -62,21 +62,25 @@ class AutoencoderConfig:
             raise ValueError("holdout_fraction must lie in (0, 1)")
 
 
-def _layer_sizes(input_size, config):
-    """In and out size of every encoder layer, then every decoder layer."""
+def _layer_table(input_size, config):
+    """Every encoder layer, ``enc0`` to the latent code, then every decoder
+    layer, ``dec0`` back to the input size; the last layer of each is linear."""
     sizes = [input_size, *config.hidden_sizes, config.latent_size]
-    rev = sizes[::-1]
-    return list(zip(sizes, sizes[1:])), list(zip(rev, rev[1:]))
+    table = []
+    for part, path in (("enc", sizes), ("dec", sizes[::-1])):
+        for i, (n_in, n_out) in enumerate(zip(path, path[1:])):
+            act = "identity" if i == len(path) - 2 else "relu"
+            table.append((f"{part}{i}", DenseLayer, (n_in, n_out, act)))
+    return table
 
 
-class Autoencoder:
-    """Symmetric dense autoencoder; decoder mirrors the encoder.
+class Autoencoder(Net):
+    """Symmetric dense autoencoder; decoder mirrors the encoder
+    (`_layer_table`).
 
     Hidden layers use ReLU; the latent projection and the reconstruction
-    output are linear so codes and outputs are unbounded. ``params`` and
-    ``grads`` are the flat arrays that every layer's parameters and
-    gradients are views into (:func:`fxppo.nn.arena`), in `param_blocks`
-    order.
+    output are linear so codes and outputs are unbounded. ``encoder`` and
+    ``decoder`` are the two halves of ``layers``.
 
     ``forward`` is the training pass: each layer keeps its input for
     ``backward``. ``encode`` and ``reconstruction_mse`` are inference and
@@ -86,16 +90,9 @@ class Autoencoder:
     def __init__(self, config, rng=None, input_size=80):
         self.config = config
         self.input_size = input_size
-        self.encoder, self.decoder = [], []
-        for layers, pairs in zip((self.encoder, self.decoder), _layer_sizes(input_size, config)):
-            for i, (n_in, n_out) in enumerate(pairs):
-                act = "identity" if i == len(pairs) - 1 else "relu"
-                layers.append(DenseLayer(n_in, n_out, act, rng))
-        self.params, self.grads = arena(self.layers)
-
-    @property
-    def layers(self):
-        return self.encoder + self.decoder
+        super().__init__(_layer_table(input_size, config), rng)
+        half = len(self.layers) // 2
+        self.encoder, self.decoder = self.layers[:half], self.layers[half:]
 
     def _run(self, layers, windows):
         x = np.atleast_2d(np.asarray(windows, dtype=np.float64))
@@ -126,20 +123,6 @@ class Autoencoder:
         clear_caches(self.layers)
         loss, _ = mse_loss(recon, np.atleast_2d(windows))
         return loss
-
-    def param_blocks(self):
-        blocks = {}
-        for i, layer in enumerate(self.encoder):
-            blocks[f"enc{i}.w"] = layer.w
-            blocks[f"enc{i}.b"] = layer.b
-        for i, layer in enumerate(self.decoder):
-            blocks[f"dec{i}.w"] = layer.w
-            blocks[f"dec{i}.b"] = layer.b
-        return blocks
-
-    def load_param_blocks(self, blocks):
-        for name, target in self.param_blocks().items():
-            target[:] = blocks[name]
 
 
 def train_autoencoder(windows, config=None, seed=0):
@@ -374,12 +357,7 @@ def save_autoencoder(path, model):
 def _autoencoder_shapes(meta):
     if not is_count(meta["input_size"]):
         raise ValueError("input_size must be a positive integer")
-    encoder, decoder = _layer_sizes(meta["input_size"], AutoencoderConfig(**meta["config"]))
-    shapes = {}
-    for tag, pairs in (("enc", encoder), ("dec", decoder)):
-        for i, (n_in, n_out) in enumerate(pairs):
-            shapes[f"{tag}{i}.w"], shapes[f"{tag}{i}.b"] = (n_in, n_out), (n_out,)
-    return shapes
+    return block_shapes(_layer_table(meta["input_size"], AutoencoderConfig(**meta["config"])))
 
 
 def load_autoencoder(path):

@@ -6,11 +6,15 @@ accumulate parameter gradients on backward, in the usual
 from-scratch-numpy style. Shapes are tiny here, so clarity wins over
 cleverness; the kernels live in :mod:`fxppo.kernels`.
 
-A network keeps all of its parameters in one flat array and all of its
-gradients in another (:func:`arena`); each layer's weight, bias and
-gradient attributes are views into them. Adam then updates a whole
-network with one pass of its ufuncs, and zeroing the gradients is one
-fill. A layer built on its own owns its arrays.
+A network is declared once, as a layer table: rows ``(tag, layer class,
+args)`` in arena order (:class:`Net`). The table builds the layers, in
+the order they draw their initial values, and names the checkpoint
+blocks ``<tag>.<param>``; :func:`block_shapes` gives the blocks' shapes
+without building anything. A network keeps all of its parameters in one
+flat array and all of its gradients in another (:func:`arena`); each
+layer's weight, bias and gradient attributes are views into them. Adam
+then updates a whole network with one pass of its ufuncs, and zeroing
+the gradients is one fill. A layer built on its own owns its arrays.
 
 Weight matrices are stored input-major, ``w[i, j]`` mapping input ``i`` to
 output ``j``; a dense layer computes ``act(x @ w + b)``.
@@ -39,7 +43,19 @@ def init_uniform(rng, shape, fan_in):
 
 class _Layer:
     """A layer names its parameter attributes in ``PARAMS`` and their
-    gradient accumulators in ``GRADS``, in matching order."""
+    gradient accumulators in ``GRADS``, in matching order; its static
+    ``shapes`` takes the constructor's arguments but ``rng`` and returns
+    ``{param: shape}`` in ``PARAMS`` order without allocating."""
+
+    def _allocate(self, rng, *sizes):
+        """Every parameter of ``shapes(*sizes)`` in order: a matrix drawn by
+        `init_uniform` with its row count as fan-in, or zeros without
+        ``rng``; a bias at zero. Then every gradient, at zero."""
+        for p, shape in zip(self.PARAMS, self.shapes(*sizes).values()):
+            drawn = rng is not None and len(shape) == 2
+            setattr(self, p, init_uniform(rng, shape, shape[0]) if drawn else np.zeros(shape))
+        for p, g in zip(self.PARAMS, self.GRADS):
+            setattr(self, g, np.zeros_like(getattr(self, p)))
 
     def params(self):
         return [getattr(self, name) for name in self.PARAMS]
@@ -69,14 +85,12 @@ class DenseLayer(_Layer):
         self.in_size = in_size
         self.out_size = out_size
         self.relu = activation == "relu"
-        if rng is not None:
-            self.w = init_uniform(rng, (in_size, out_size), in_size)
-        else:
-            self.w = np.zeros((in_size, out_size))
-        self.b = np.zeros(out_size)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self._allocate(rng, in_size, out_size)
         self._cache = None
+
+    @staticmethod
+    def shapes(in_size, out_size, activation="identity"):
+        return {"w": (in_size, out_size), "b": (out_size,)}
 
     def forward(self, x, rows=False):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -119,17 +133,13 @@ class LSTMLayer(_Layer):
     def __init__(self, input_size, hidden_size, rng=None):
         self.input_size = input_size
         self.hidden_size = hidden_size
-        if rng is not None:
-            self.wx = init_uniform(rng, (input_size, 4 * hidden_size), input_size)
-            self.wh = init_uniform(rng, (hidden_size, 4 * hidden_size), hidden_size)
-        else:
-            self.wx = np.zeros((input_size, 4 * hidden_size))
-            self.wh = np.zeros((hidden_size, 4 * hidden_size))
-        self.b = np.zeros(4 * hidden_size)
-        self.dwx = np.zeros_like(self.wx)
-        self.dwh = np.zeros_like(self.wh)
-        self.db = np.zeros_like(self.b)
+        self._allocate(rng, input_size, hidden_size)
         self._cache = None
+
+    @staticmethod
+    def shapes(input_size, hidden_size):
+        gates = 4 * hidden_size
+        return {"wx": (input_size, gates), "wh": (hidden_size, gates), "b": (gates,)}
 
     def initial_state(self):
         return np.zeros(self.hidden_size), np.zeros(self.hidden_size)
@@ -314,6 +324,37 @@ def arena(layers):
             setattr(layer, p_name, p)
             setattr(layer, g_name, g)
     return params, grads
+
+
+def block_shapes(table):
+    """``{"<tag>.<param>": shape}`` of the layer table ``table``, in arena
+    order, without building a layer."""
+    return {f"{tag}.{param}": shape for tag, cls, args in table
+            for param, shape in cls.shapes(*args).items()}
+
+
+class Net:
+    """A network built from a layer table. Each row's layer is built as
+    ``cls(*args, rng=rng)`` in table order, the order the layers draw
+    their initial values, and becomes attribute ``tag``; ``layers`` lists
+    them in that order, and ``params`` and ``grads`` are the flat arrays of
+    :func:`arena`."""
+
+    def __init__(self, table, rng=None):
+        self.tags = [tag for tag, _, _ in table]
+        self.layers = [cls(*args, rng=rng) for _, cls, args in table]
+        for tag, layer in zip(self.tags, self.layers):
+            setattr(self, tag, layer)
+        self.params, self.grads = arena(self.layers)
+
+    def param_blocks(self):
+        """``{"<tag>.<param>": view}`` in arena order."""
+        return {f"{tag}.{param}": getattr(layer, param)
+                for tag, layer in zip(self.tags, self.layers) for param in layer.PARAMS}
+
+    def load_param_blocks(self, blocks):
+        for name, target in self.param_blocks().items():
+            target[:] = blocks[name]
 
 
 def clear_caches(layers):

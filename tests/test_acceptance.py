@@ -619,8 +619,8 @@ class TestCriterion09AblationSeparation:
 
             # update-level: auxiliary parameters bitwise frozen
             net = PolicyNetwork(80, 128, (32, 64, 64), np.random.default_rng(2))
-            aux_w = net.aux_head.w.copy()
-            aux_b = net.aux_head.b.copy()
+            aux_w = net.aux.w.copy()
+            aux_b = net.aux.b.copy()
             optimizer = Adam([net.params], config.learning_rate)
             env = TradingEnv(windows, returns, env_cfg)
             h, c = net.initial_state()
@@ -637,12 +637,12 @@ class TestCriterion09AblationSeparation:
                     config, rng,
                 )
                 assert stats.aux_loss == 0.0
-            assert np.array_equal(net.aux_head.w, aux_w)
-            assert np.array_equal(net.aux_head.b, aux_b)
+            assert np.array_equal(net.aux.w, aux_w)
+            assert np.array_equal(net.aux.b, aux_b)
             assert not np.array_equal(  # sanity: the rest did move
-                net.policy_head.w, PolicyNetwork(
+                net.policy.w, PolicyNetwork(
                     80, 128, (32, 64, 64), np.random.default_rng(2)
-                ).policy_head.w,
+                ).policy.w,
             )
 
             # loop-level: the logged auxiliary column is identically zero

@@ -61,9 +61,9 @@ class TestPolicyNetwork:
         net = PolicyNetwork(rng=np.random.default_rng(0))
         assert net.lstm.input_size == 80 and net.lstm.hidden_size == 128
         assert [l.out_size for l in (net.fc1, net.fc2, net.fc3)] == [32, 64, 64]
-        assert net.policy_head.out_size == 3
-        assert net.aux_head.out_size == 12
-        assert net.value_head.out_size == 1
+        assert net.policy.out_size == 3
+        assert net.aux.out_size == 12
+        assert net.value.out_size == 1
 
     def test_heads_are_distributions(self):
         net = tiny_net(3)
@@ -97,7 +97,7 @@ class TestPolicyNetwork:
         for layer in net.layers:
             for p in layer.params():
                 p[:] = 0.0
-        net.policy_head.b[:] = np.log([0.2, 0.5, 0.3])
+        net.policy.b[:] = np.log([0.2, 0.5, 0.3])
         h, c = net.initial_state()
         actions, log_probs, _, _, _ = net.act(np.zeros((1, 6)), h, c, 1, mode="greedy")
         assert actions[0] == 1
@@ -108,7 +108,7 @@ class TestPolicyNetwork:
         for layer in net.layers:
             for p in layer.params():
                 p[:] = 0.0
-        net.policy_head.b[:] = np.log([0.2, 0.5, 0.3])
+        net.policy.b[:] = np.log([0.2, 0.5, 0.3])
         h, c = net.initial_state()
         rng = np.random.default_rng(99)
         counts = np.zeros(3)
@@ -137,7 +137,7 @@ class TestPolicyNetwork:
     @pytest.mark.parametrize("reset", [0, 1])
     def test_run_matches_one_row_calls(self, mode, reset):
         net = tiny_net(4)
-        net.policy_head.w *= 20.0  # sharpen so the greedy action moves
+        net.policy.w *= 20.0  # sharpen so the greedy action moves
         rng = np.random.default_rng(2)
         obs = rng.normal(size=(40, 6))
         h0, c0 = rng.normal(size=5), rng.normal(size=5)
@@ -477,22 +477,22 @@ class TestUpdate:
 
     def test_aux_weight_zero_freezes_aux_head(self):
         net, buffer, adv, ret, config, _ = self.setup_pieces(aux_weight=0.0)
-        before_w = net.aux_head.w.copy()
-        before_b = net.aux_head.b.copy()
-        other_before = net.policy_head.w.copy()
+        before_w = net.aux.w.copy()
+        before_b = net.aux.b.copy()
+        other_before = net.policy.w.copy()
         opt = Adam([net.params], config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
-        assert np.array_equal(net.aux_head.w, before_w)
-        assert np.array_equal(net.aux_head.b, before_b)
-        assert not np.array_equal(net.policy_head.w, other_before)
+        assert np.array_equal(net.aux.w, before_w)
+        assert np.array_equal(net.aux.b, before_b)
+        assert not np.array_equal(net.policy.w, other_before)
         assert stats.aux_loss == 0.0
 
     def test_aux_weight_positive_moves_aux_head(self):
         net, buffer, adv, ret, config, _ = self.setup_pieces(aux_weight=0.5)
-        before = net.aux_head.w.copy()
+        before = net.aux.w.copy()
         opt = Adam([net.params], config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
-        assert not np.array_equal(net.aux_head.w, before)
+        assert not np.array_equal(net.aux.w, before)
         assert stats.aux_loss > 0.0
 
     def test_total_loss_is_sum_of_components(self):

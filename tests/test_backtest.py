@@ -34,7 +34,7 @@ def make_market(n_steps=120, seed=0, obs=6):
 def biased_net(log_probs, obs=6):
     """Zero everywhere except a policy bias, so the policy is constant."""
     net = PolicyNetwork(obs, 5, (4, 4, 4))
-    net.policy_head.b[:] = log_probs
+    net.policy.b[:] = log_probs
     return net
 
 
@@ -65,7 +65,7 @@ class TestRunBacktest:
     def test_matches_stepwise_reference(self):
         windows, returns = make_market(n_steps=120, seed=4)
         net = PolicyNetwork(6, 5, (4, 4, 4), np.random.default_rng(11))
-        net.policy_head.w *= 20.0  # sharpen so the greedy action moves
+        net.policy.w *= 20.0  # sharpen so the greedy action moves
         cfg = EnvConfig(episode_length=25, spread_cost=0.0003)
         expected, actions = stepwise_backtest(net, windows, returns, cfg)
         assert len(expected) % 25 != 0  # the data cuts the last episode short

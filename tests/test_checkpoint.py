@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fxppo
+from fxppo.agent import PolicyNetwork, save_policy
 from fxppo.checkpoint import (
     CheckpointError,
     file_sha256,
@@ -13,6 +14,8 @@ from fxppo.checkpoint import (
     save_container,
     write_artifact,
 )
+from fxppo.labeler import Autoencoder, AutoencoderConfig, save_autoencoder
+from fxppo.nn import Adam, split_flat
 
 
 def test_round_trip(tmp_path):
@@ -97,6 +100,48 @@ def test_container_bytes_pinned(tmp_path):
     save_container(path, {"kind": "test", "seed": 30}, blocks)
     pinned = "e43fab942a7ead7bc33cde7655cc17296d351d95dc1938d668389c01d7ad718f"
     assert file_sha256(path) == pinned
+
+
+# a policy with input 5, hidden 3 and trunk (2, 4, 6), block by block
+POLICY_LAYOUT = [
+    ("lstm.wx", (5, 12)), ("lstm.wh", (3, 12)), ("lstm.b", (12,)),
+    ("fc1.w", (3, 2)), ("fc1.b", (2,)), ("fc2.w", (2, 4)), ("fc2.b", (4,)),
+    ("fc3.w", (4, 6)), ("fc3.b", (6,)), ("policy.w", (6, 3)), ("policy.b", (3,)),
+    ("aux.w", (6, 12)), ("aux.b", (12,)), ("value.w", (6, 1)), ("value.b", (1,)),
+]
+# the default 80-128-64-32-12 autoencoder
+AUTOENCODER_LAYOUT = [
+    ("enc0.w", (80, 128)), ("enc0.b", (128,)), ("enc1.w", (128, 64)), ("enc1.b", (64,)),
+    ("enc2.w", (64, 32)), ("enc2.b", (32,)), ("enc3.w", (32, 12)), ("enc3.b", (12,)),
+    ("dec0.w", (12, 32)), ("dec0.b", (32,)), ("dec1.w", (32, 64)), ("dec1.b", (64,)),
+    ("dec2.w", (64, 128)), ("dec2.b", (128,)), ("dec3.w", (128, 80)), ("dec3.b", (80,)),
+]
+
+
+def test_policy_checkpoint_layout_pinned(tmp_path):
+    # changing a block name, shape or order breaks every saved policy
+    net = PolicyNetwork(5, 3, (2, 4, 6), rng=np.random.default_rng(0))
+    opt = Adam([net.params], 1e-3)
+    net.grads[:] = np.random.default_rng(1).normal(size=net.grads.shape)
+    opt.step([net.grads])
+    save_policy(tmp_path / "p.bin", net, opt, None, 0, 0)
+    _, blocks = load_container(tmp_path / "p.bin")
+    adam = [(f"adam.{moment}.{name}", shape)
+            for name, shape in POLICY_LAYOUT for moment in ("m", "v")]
+    assert [(name, b.shape) for name, b in blocks.items()] == POLICY_LAYOUT + adam
+    grads = split_flat(net.grads, [blocks[name] for name, _ in POLICY_LAYOUT])
+    for (name, _), g in zip(POLICY_LAYOUT, grads):
+        assert np.array_equal(blocks[name], net.param_blocks()[name])
+        assert np.array_equal(blocks[f"adam.m.{name}"], g * (1.0 - opt.beta1))
+        assert np.array_equal(blocks[f"adam.v.{name}"], g * g * (1.0 - opt.beta2))
+
+
+def test_autoencoder_checkpoint_layout_pinned(tmp_path):
+    model = Autoencoder(AutoencoderConfig(), np.random.default_rng(0))
+    save_autoencoder(tmp_path / "ae.bin", model)
+    _, blocks = load_container(tmp_path / "ae.bin")
+    assert [(name, b.shape) for name, b in blocks.items()] == AUTOENCODER_LAYOUT
+    assert np.array_equal(np.concatenate([b.ravel() for b in blocks.values()]), model.params)
 
 
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, OSError])

@@ -216,6 +216,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"train_csv": "caf\u00e9.csv"}'.encode("latin-1"))
+        with pytest.raises(ConfigError, match="latin1.json"):
+            load_config(str(p))
+        assert run_cli(["preprocess", "--config", str(p)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(p) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override", ["seeds=[1]", "ppo.learning_rate=0.1"])
+    def test_top_level_array_with_override_names_the_file(self, tmp_path, capsys, override):
+        p = tmp_path / "array.json"
+        p.write_text('[{"train_csv": "a.csv", "test_csv": "b.csv"}]')
+        with pytest.raises(ConfigError, match="array.json"):
+            load_config(str(p), [override])
+        assert run_cli(["preprocess", "--config", str(p), "--set", override]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(p) in err and "Traceback" not in err
+
     def test_split_order_enforced(self):
         a = parse_candles("time,open,high,low,close\n2017-01-02T00:00,1,1,1,1\n")
         b = parse_candles("time,open,high,low,close\n2017-01-01T00:00,1,1,1,1\n")
@@ -697,6 +716,17 @@ class TestUnusableValues:
         assert run_cli([stage, "--config", config_path, "--set", override]) == EXIT_DATA
         err = capsys.readouterr().err
         assert names in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["train", "backtest"])
+    def test_negative_seed_flag_exits_2_before_any_work(self, prepared, capsys, stage):
+        _, config_path, _ = prepared
+        capsys.readouterr()
+        assert run_cli([stage, "--config", config_path, "--seed", "-1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        config = load_config(config_path)
+        assert not os.path.exists(config.run_dir("train", -1))
+        assert not os.path.exists(config.run_dir("backtest", -1))
 
     @given(st.sampled_from(sorted(OTHER_VALUES)),
            st.sampled_from([0, -1, 0.5, "x", True, None]))

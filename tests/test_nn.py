@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fxppo import kernels, nn
+from fxppo import agent, kernels, labeler, nn
 from fxppo.agent import PolicyNetwork
 from fxppo.labeler import Autoencoder, AutoencoderConfig
 
@@ -595,6 +597,32 @@ def test_load_param_blocks_writes_through_to_the_arena(make):
     net.load_param_blocks(blocks)
     assert net.params is flat
     assert np.array_equal(flat, np.concatenate([b.ravel() for b in blocks.values()]))
+
+
+def built_shapes(net):
+    return [(name, a.shape) for name, a in net.param_blocks().items()]
+
+
+layer_size = st.integers(1, 9)
+
+
+@given(layer_size, layer_size, st.tuples(layer_size, layer_size, layer_size))
+@settings(max_examples=50, deadline=None)
+def test_policy_block_shapes_match_a_built_net(input_size, hidden_size, trunk):
+    table = agent._layer_table(input_size, hidden_size, trunk)
+    net = PolicyNetwork(input_size, hidden_size, trunk)
+    assert list(nn.block_shapes(table).items()) == built_shapes(net)
+
+
+@given(layer_size, st.lists(layer_size, max_size=4), layer_size)
+@settings(max_examples=50, deadline=None)
+def test_autoencoder_block_shapes_match_a_built_net(input_size, hidden_sizes, latent_size):
+    config = AutoencoderConfig(hidden_sizes=hidden_sizes, latent_size=latent_size)
+    table = labeler._layer_table(input_size, config)
+    model = Autoencoder(config, input_size=input_size)
+    assert list(nn.block_shapes(table).items()) == built_shapes(model)
+    assert model.encoder + model.decoder == model.layers
+    assert model.encoder[-1].out_size == latent_size
 
 
 def test_clip_grad_norm():
