@@ -10,11 +10,12 @@ Exact-replay discipline: every forward pass on the policy path uses the
 row-independent dense kernel and the stepwise LSTM, whose products are
 one vector-matrix call per row however many rows a call holds, and the
 rollout records the LSTM state entering each step. Rollouts call `act`
-one row at a time, the backtest passes a whole episode in one call, and
-updates replay 32-row slices from their stored state; because each row's
-bits do not depend on its neighbours, all three give the same logits bit
-for bit, which makes the probability ratio exactly 1 on the first pass
-after a rollout.
+one row at a time and updates replay 32-row slices from their stored
+state; because each row's bits do not depend on its neighbours, both
+give the same logits bit for bit, which makes the probability ratio
+exactly 1 on the first pass after a rollout. The backtest steps many
+episodes together as the lanes of one call, and each lane row again has
+the bits of a one-row call.
 """
 
 import os
@@ -125,11 +126,14 @@ class PolicyNetwork(Net):
         return self.lstm.initial_state()
 
     def forward_sequence(self, obs, h0, c0, resets, want_aux=True):
-        """Shared trunk plus heads over a (T, 80) slice.
+        """Shared trunk plus heads over a (T, 80) slice from (H,) state, or
+        over N lanes from (N, H) state and (T * N, 80) time-major rows
+        (`LSTMLayer.forward`).
 
-        Returns (policy_logits, aux_logits or None, values, hT, cT).
-        Row-independent kernels throughout (``rows=True``), so results
-        are independent of how the sequence is sliced.
+        Returns (policy_logits, aux_logits or None, values, hT, cT), one
+        row per input row. Row-independent kernels throughout
+        (``rows=True``), so results are independent of how the sequence is
+        sliced or laid out in lanes.
         """
         hs, hT, cT = self.lstm.forward(obs, h0, c0, resets)
         y = self.fc1.forward(hs, rows=True)
@@ -152,16 +156,18 @@ class PolicyNetwork(Net):
         self.lstm.backward(dy)
 
     def act(self, observations, h, c, reset, rng=None, mode="sample"):
-        """Policy evaluation over a (T, 80) run from one episode.
+        """Policy evaluation over a (T, 80) run from one episode, or over N
+        episodes stepped together: (N, H) state and (T * N, 80) rows,
+        time-major, the lane count taken from the state's shape.
 
         Returns (actions, log_probs, values, hT, cT), one entry per row
-        in the first three. `reset` nonzero discards the incoming
-        recurrent state before the first row, marking an episode start.
+        in the first three. `reset` nonzero discards every lane's incoming
+        recurrent state before its first row, marking an episode start.
         No backward pass follows, so no layer keeps the run's rows.
         """
         obs = np.asarray(observations, dtype=np.float64)
         resets = np.zeros(obs.shape[0], dtype=np.uint8)
-        resets[0] = 1 if reset else 0
+        resets[: 1 if np.ndim(h) == 1 else len(h)] = 1 if reset else 0
         logits, _, values, hT, cT = self.forward_sequence(
             obs, h, c, resets, want_aux=False
         )

@@ -336,6 +336,9 @@ def cmd_simulate(config, args):
     backtest's arithmetic, for cross-checking reward streams."""
     if args.start < 0:
         raise DataError(f"--start must be >= 0, got {args.start}")
+    out = args.out or config.run_dir("simulate", "rewards.csv")
+    if os.path.isdir(out):
+        raise DataError(f"--out {out} is a directory; name the rewards file to write")
     _, _, z = _load_split(config, args.split)
     (actions,) = _read_table(args.actions, "action", int)
     for lineno, action in enumerate(actions, start=2):
@@ -348,7 +351,6 @@ def cmd_simulate(config, args):
             f"the {args.split} split has {len(z)}"
         )
     rewards = position_rewards(actions, z[args.start : end], config.env.spread_cost)
-    out = args.out or config.run_dir("simulate", "rewards.csv")
     _write_table(out, REWARDS_HEADER, enumerate(rewards.tolist()))
     print(f"simulate: wrote {len(rewards)} rewards to {out}")
     return EXIT_OK

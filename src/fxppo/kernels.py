@@ -8,11 +8,12 @@ Row independence is a property of the forward kernels only.
 ``dense_rows_forward`` and the input half of the LSTM forward are stacked
 (T, 1, in) @ (in, out) products, which NumPy runs as one vector-matrix
 BLAS call per row, the same call a one-row ``np.dot`` makes; the LSTM's
-recurrence then steps through the rows. So a length-1 call and a length-T
-call give bitwise-identical values for the same row: rollouts step one
-observation at a time, the backtest passes a whole episode and updates
-replay 32-row slices, and all three must agree. ``dense_gemm_forward``
-does one matmul for non-recurrent nets.
+recurrence then steps through the rows, one gemv per lane for the
+recurrent product. So a length-1 call, a length-T call and a call of N
+lanes give bitwise-identical values for the same row: rollouts step one
+observation at a time, updates replay 32-row slices and the backtest
+steps every episode of a split as a lane, and all three must agree.
+``dense_gemm_forward`` does one matmul for non-recurrent nets.
 
 The backward kernels are gemms. Weight gradients are sums of gemms over
 fixed ``GRAD_BLOCK_ROWS``-row blocks (:func:`block_sum_tn`), so their bits
@@ -82,52 +83,68 @@ def dense_gemm_backward(x, w, dpre):
 
 
 def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
-    """Run an LSTM over a (T, in) sequence.
+    """Run an LSTM over N lanes, independent sequences stepped together.
 
-    resets[t] != 0 zeroes the carried state before consuming step t, which
-    is how episode boundaries are replayed. Gate order in the fused weight
+    The state is (N, H), or (H,) for one lane. ``x`` holds one row per
+    (step, lane), time-major: row ``t * N + n`` is lane n's step t, so a
+    one-lane ``x`` is the plain (T, in) sequence. resets[row] != 0 zeroes
+    that lane's carried state before it consumes the row, which is how
+    episode boundaries are replayed. Gate order in the fused weight
     matrices is input, forget, candidate, output.
 
-    Returns (hs, tanhc, gates, hprev, cprev, hT, cT): the hidden states, the
-    tanh of each cell state, the gate activations, and in hprev/cprev the
-    state *before* each step, so any sub-segment can be replayed later.
+    Returns (hs, tanhc, gates, hprev, cprev, hT, cT): per row the hidden
+    state, the tanh of the cell state, the gate activations, and in
+    hprev/cprev the state *before* the step, so any sub-segment can be
+    replayed later; then the final state, shaped like ``h0``.
 
     Every row's input product ``x[t] @ wx`` is made before the loop
-    (:func:`rows_matmul`); each step adds ``h @ wh`` and ``b`` to it and
-    writes its gates straight into ``gates[t]``, in the operation order of
-    one ``np.dot`` per product and one expression per gate.
+    (:func:`rows_matmul`); each step adds the lanes' ``h @ wh``, again one
+    gemv per lane, and ``b`` to it and writes its gates straight into the
+    step's rows of ``gates``, in the operation order of one ``np.dot`` per
+    product and one expression per gate. Every other operation is
+    elementwise over the (N, .) step, so each lane row has exactly the
+    bits it has in a one-lane call. A gemm over the lanes would not.
     """
-    T = x.shape[0]
-    H = h0.shape[0]
-    hs = np.empty((T, H), dtype=np.float64)
-    tanhc = np.empty((T, H), dtype=np.float64)
-    gates = np.empty((T, 4 * H), dtype=np.float64)
-    hprev = np.empty((T, H), dtype=np.float64)
-    cprev = np.empty((T, H), dtype=np.float64)
-    xw = rows_matmul(x, wx)
-    h = h0.copy()
-    c = c0.copy()
+    H = h0.shape[-1]
+    N = 1 if h0.ndim == 1 else h0.shape[0]
+    T = x.shape[0] // N
+    hs = np.empty((T * N, H), dtype=np.float64)
+    tanhc = np.empty((T * N, H), dtype=np.float64)
+    gates = np.empty((T * N, 4 * H), dtype=np.float64)
+    hprev = np.empty((T * N, H), dtype=np.float64)
+    cprev = np.empty((T * N, H), dtype=np.float64)
+    # (T, N, 1, .) views whose [t] is step t's rows. The state is (N, 1, H),
+    # so np.matmul(h, wh) is one gemv per lane.
+    xw = rows_matmul(x, wx).reshape(T, N, 1, 4 * H)
+    hs_t, tanhc_t, hprev_t, cprev_t = (a.reshape(T, N, 1, H) for a in (hs, tanhc, hprev, cprev))
+    gates_t = gates.reshape(T, N, 1, 4 * H)
+    i, f = gates_t[..., :H], gates_t[..., H : 2 * H]
+    g, o = gates_t[..., 2 * H : 3 * H], gates_t[..., 3 * H :]
+    reset_steps = set((np.flatnonzero(resets) // N).tolist())
+    h = h0.reshape(N, 1, H).copy()
+    c = c0.reshape(N, 1, H).copy()
     for t in range(T):
-        if resets[t] != 0:
-            h = np.zeros(H, dtype=np.float64)
-            c = np.zeros(H, dtype=np.float64)
-        hprev[t, :] = h
-        cprev[t, :] = c
+        if t in reset_steps:
+            lane_reset = resets[t * N : (t + 1) * N, None, None] != 0
+            h = np.where(lane_reset, 0.0, h)
+            c = np.where(lane_reset, 0.0, c)
+        hprev_t[t] = h
+        cprev_t[t] = c
         # z = x[t] @ wx + h @ wh + b, summed in that order
         z = xw[t]
-        z += np.dot(h, wh)
+        z += np.matmul(h, wh)
         z += b
         # one sigmoid over all four gates, then tanh overwrites the candidate
-        gate = gates[t]
+        gate = gates_t[t]
         np.negative(z, out=gate)
         np.exp(gate, out=gate)
         gate += 1.0
         np.divide(1.0, gate, out=gate)
-        np.tanh(z[2 * H : 3 * H], out=gate[2 * H : 3 * H])
-        c = gate[H : 2 * H] * c + gate[:H] * gate[2 * H : 3 * H]
-        np.tanh(c, out=tanhc[t])
-        h = np.multiply(gate[3 * H :], tanhc[t], out=hs[t])
-    return hs, tanhc, gates, hprev, cprev, h.copy(), c
+        np.tanh(z[..., 2 * H : 3 * H], out=g[t])
+        c = f[t] * c + i[t] * g[t]
+        np.tanh(c, out=tanhc_t[t])
+        h = np.multiply(o[t], tanhc_t[t], out=hs_t[t])
+    return hs, tanhc, gates, hprev, cprev, h.reshape(h0.shape).copy(), c.reshape(c0.shape)
 
 
 def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):

@@ -145,33 +145,43 @@ class LSTMLayer(_Layer):
         return np.zeros(self.hidden_size), np.zeros(self.hidden_size)
 
     def forward(self, x, h0=None, c0=None, resets=None):
-        """Returns (hs, hT, cT) for a (T, in) sequence."""
+        """Returns (hs, hT, cT) for a (T, in) sequence from (H,) state, or
+        for N lanes stepped together from (N, H) state over (T * N, in)
+        rows, time-major (see `kernels.lstm_seq_forward`)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        T = x.shape[0]
         if x.shape[1] != self.input_size:
             raise ShapeMismatch(
                 f"lstm expects input size {self.input_size}, got {x.shape[1]}"
             )
         if h0 is None:
             h0, c0 = self.initial_state()
-        if h0.shape != (self.hidden_size,) or c0.shape != (self.hidden_size,):
-            raise ShapeMismatch("hidden/cell state shape mismatch")
+        h0 = np.asarray(h0, dtype=np.float64)
+        c0 = np.asarray(c0, dtype=np.float64)
+        lanes = h0.shape[0] if h0.ndim == 2 else 1
+        if (h0.ndim not in (1, 2) or h0.shape[-1] != self.hidden_size or c0.shape != h0.shape
+                or lanes == 0 or x.shape[0] % lanes):
+            raise ShapeMismatch(
+                f"state {h0.shape}/{c0.shape} does not fit hidden size {self.hidden_size} "
+                f"and {x.shape[0]} rows"
+            )
         if resets is None:
-            resets = np.zeros(T, dtype=np.uint8)
+            resets = np.zeros(x.shape[0], dtype=np.uint8)
         else:
             resets = np.ascontiguousarray(resets, dtype=np.uint8)
         hs, tanhc, gates, hprev, cprev, hT, cT = kernels.lstm_seq_forward(
-            x, resets, np.asarray(h0, dtype=np.float64), np.asarray(c0, dtype=np.float64),
-            self.wx, self.wh, self.b,
+            x, resets, h0, c0, self.wx, self.wh, self.b,
         )
-        self._cache = (x, resets, gates, tanhc, hprev, cprev)
+        self._cache = (x, resets, gates, tanhc, hprev, cprev, h0.shape)
         return hs, hT, cT
 
     def backward(self, dh_out, dh_final=None, dc_final=None):
-        """Returns (dx, dh0, dc0) given per-step gradients on the outputs."""
+        """Returns (dx, dh0, dc0) given per-step gradients on the outputs.
+        One lane only: the forward must have started from (H,) state."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x, resets, gates, tanhc, hprev, cprev = self._cache
+        x, resets, gates, tanhc, hprev, cprev, state_shape = self._cache
+        if state_shape != (self.hidden_size,):
+            raise ShapeMismatch(f"backward runs one lane; the forward's state was {state_shape}")
         dh_out = np.asarray(dh_out, dtype=np.float64)
         if dh_out.shape != (x.shape[0], self.hidden_size):
             raise ShapeMismatch("dh_out shape mismatch")

@@ -157,14 +157,32 @@ class TestPolicyNetwork:
         assert np.array_equal(run[2], values)
         assert np.array_equal(run[3], h) and np.array_equal(run[4], c)
 
+    @pytest.mark.parametrize("reset", [0, 1])
+    def test_lanes_match_one_lane_calls(self, reset):
+        # lane n of a 3-lane call is the rows obs[n::3]
+        net = tiny_net(9)
+        net.policy.w *= 20.0
+        rng = np.random.default_rng(4)
+        obs = rng.normal(size=(3 * 20, 6))
+        h0, c0 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        lanes = net.act(obs, h0, c0, reset, mode="greedy")
+        assert lanes[3].shape == lanes[4].shape == (3, 5)
+        for n in range(3):
+            alone = net.act(obs[n::3], h0[n], c0[n], reset, mode="greedy")
+            for got, want in zip(lanes[:3], alone[:3]):
+                assert np.array_equal(got[n::3], want)
+            assert np.array_equal(lanes[3][n], alone[3])
+            assert np.array_equal(lanes[4][n], alone[4])
+
     def test_act_keeps_no_rows(self):
-        # the backtest's one call per episode and the rollout's one-row
-        # calls leave no layer holding their rows
+        # the rollout's one-row calls and the backtest's calls of many
+        # episodes as lanes leave no layer holding their rows
         net = tiny_net(8)
-        obs = np.random.default_rng(3).normal(size=(257, 6))
-        net.act(obs, *net.initial_state(), 1, mode="greedy")
-        held = [a.shape for a in reachable_arrays(net) if a.shape[:1] == (257,)]
-        assert held == []
+        obs = np.random.default_rng(3).normal(size=(3 * 257, 6))
+        for rows, h in ((257, np.zeros(5)), (3 * 257, np.zeros((3, 5)))):
+            net.act(obs[:rows], h, h, 1, mode="greedy")
+            held = [a.shape for a in reachable_arrays(net) if a.shape[:1] == (rows,)]
+            assert held == []
 
     def test_save_load_round_trip(self, tmp_path):
         net = tiny_net(7)

@@ -1,5 +1,6 @@
 """Backtest replay, metrics, and report round-trips."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fxppo import backtest
 from fxppo.agent import PolicyNetwork
 from fxppo.backtest import (
     BacktestReport,
@@ -21,7 +23,7 @@ from fxppo.backtest import (
     run_backtest,
     sharpe_ratio,
 )
-from fxppo.env import ACTION_VALUES, EnvConfig, TradingEnv
+from fxppo.env import ACTION_VALUES, EnvConfig, TradingEnv, position_rewards, step_returns
 
 
 def make_market(n_steps=120, seed=0, obs=6):
@@ -61,7 +63,62 @@ def stepwise_backtest(net, windows, returns, env_config):
     return rewards, actions
 
 
+def per_episode_backtest(net, windows, returns, env_config):
+    """Reference replay: one one-lane greedy `act` call per episode, paid
+    out with `position_rewards`."""
+    z = step_returns(returns, windows)
+    length = env_config.episode_length
+    rewards = np.empty(len(z))
+    for s in range(0, len(z), length):
+        e = min(s + length, len(z))
+        actions, _, _, _, _ = net.act(windows[s:e], *net.initial_state(), 1, mode="greedy")
+        rewards[s:e] = position_rewards(
+            np.take(ACTION_VALUES, actions), z[s:e], env_config.spread_cost
+        )
+    return rewards
+
+
 class TestRunBacktest:
+    @pytest.mark.parametrize("steps, length, call_rows", [
+        (0, 25, 256),  # no step
+        (25, 25, 256),  # one episode
+        (50, 25, 256),  # two
+        (53, 25, 256),  # a ragged last episode
+        (23, 7, 256),  # lanes that do not divide the episode length
+        (53, 5, 256),  # more episodes than one pass holds, then a ragged one
+        (3, 1, 256),  # one-step episodes
+        (53, 25, 4),  # calls shorter than an episode
+        (130, 7, 3),  # passes of 3 lanes, one step a call
+    ])
+    def test_lanes_match_per_episode_calls(self, steps, length, call_rows, monkeypatch):
+        monkeypatch.setattr(backtest, "CALL_ROWS", call_rows)
+        windows, returns = make_market(n_steps=steps + 16, seed=steps)
+        net = PolicyNetwork(6, 5, (4, 4, 4), np.random.default_rng(11))
+        net.policy.w *= 20.0  # sharpen so the greedy action moves
+        cfg = EnvConfig(episode_length=length, spread_cost=0.0003)
+        report = run_backtest(net, windows, returns, cfg)
+        expected = per_episode_backtest(net, windows, returns, cfg)
+        assert report.steps == steps
+        assert np.array_equal(report.rewards, expected)
+
+    def test_peak_memory_does_not_grow_with_the_split(self):
+        # 80 inputs per window, as the policy takes: a copy of the split's
+        # windows, or of its LSTM rows, would cost hundreds of bytes a step
+        net = PolicyNetwork(80, 5, (4, 4, 4), np.random.default_rng(2))
+        cfg = EnvConfig(episode_length=25)
+
+        def peak(episodes):
+            windows, returns = make_market(n_steps=25 * episodes + 16, seed=1, obs=80)
+            run_backtest(net, windows, returns, cfg)
+            tracemalloc.start()
+            try:
+                run_backtest(net, windows, returns, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40) - peak(4) <= 64 * 25 * (40 - 4)
+
     def test_matches_stepwise_reference(self):
         windows, returns = make_market(n_steps=120, seed=4)
         net = PolicyNetwork(6, 5, (4, 4, 4), np.random.default_rng(11))

@@ -463,6 +463,24 @@ class TestBacktestCli:
         mean = sum(t * 100.0 for t in totals) / 2
         assert abs(mean - parse_summary(summary_path)["mean_total_return_pct"]) <= 1e-12
 
+    def test_backtest_bytes_independent_of_blas_threads(self, prepared):
+        # The backtest steps every episode of the test split as a lane of
+        # one LSTM pass; its products must stay one gemv per lane row, whose
+        # bits do not depend on the OpenBLAS thread count, as a gemm's do.
+        _, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path]) == EXIT_OK
+        config = load_config(config_path)
+        out = Path(config.run_dir("backtest"))
+        names = ["30/rewards.csv", "50/rewards.csv", "equity.csv", "summary.txt"]
+        src = os.path.dirname(os.path.dirname(fxppo.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "fxppo.cli", "backtest", "--config", config_path],
+                           env=env, check=True, capture_output=True, timeout=600)
+            runs.append({name: (out / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+
     def test_seed_with_baseline_is_a_usage_error(self, prepared, capsys):
         _, config_path, _ = prepared
         assert run_cli(["train", "--config", config_path, "--seed", "30"]) == EXIT_OK
@@ -934,6 +952,18 @@ class TestSimulate:
         actions_path.write_text("action\n" + "1\n" * steps)
         assert run_cli(argv) == EXIT_OK
         assert len(out_path.read_text().strip().split("\n")) == steps + 1
+
+    def test_out_naming_a_directory(self, prepared, tmp_path, capsys):
+        _, config_path, _ = prepared
+        actions_path = tmp_path / "actions.csv"
+        actions_path.write_text("action\n1\n-1\n")
+        out_dir = tmp_path / "sim"
+        out_dir.mkdir()
+        code = run_cli(["simulate", "--config", config_path, "--actions", str(actions_path),
+                        "--out", str(out_dir)])
+        assert code == EXIT_DATA
+        assert f"--out {out_dir} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.tmp")) == [] and list(out_dir.iterdir()) == []
 
     def test_bad_action_file(self, prepared, tmp_path):
         _, config_path, _ = prepared

@@ -197,6 +197,38 @@ def test_lstm_forward_matches_rowwise_oracle(T, resets):
         assert not np.shares_memory(hT, h0) and not np.shares_memory(cT, c0)
 
 
+@pytest.mark.parametrize("resets", ["step 0", "none", "random"])
+@pytest.mark.parametrize("T", [1, 7, 43])
+@pytest.mark.parametrize("N", [1, 2, 5, 14])
+def test_lstm_lanes_match_rowwise_oracle_per_lane(N, T, resets):
+    # lane n's rows are x[n::N]; run alone through the oracle, each lane
+    # must get the same bits as in the N-lane call
+    rng = np.random.default_rng(100 * N + T)
+    wx = nn.init_uniform(rng, (N_IN, 4 * N_HIDDEN), N_IN)
+    wh = nn.init_uniform(rng, (N_HIDDEN, 4 * N_HIDDEN), N_HIDDEN)
+    b = rng.normal(0, 0.1, 4 * N_HIDDEN)
+    r = np.zeros(T * N, dtype=np.uint8)
+    if resets == "step 0":
+        r[:N] = 1
+    elif resets == "random":
+        r[:] = rng.random(T * N) < 0.1
+    h0, c0 = rng.normal(size=(N, N_HIDDEN)), rng.normal(size=(N, N_HIDDEN))
+    names = ("hs", "tanhc", "gates", "hprev", "cprev", "hT", "cT")
+    for x in (rng.normal(size=(T * N, N_IN)), column_strided(rng, T * N, N_IN)):
+        got = kernels.lstm_seq_forward(x, r, h0, c0, wx, wh, b)
+        assert got[5].shape == got[6].shape == (N, N_HIDDEN)
+        for n in range(N):
+            want = lstm_seq_forward_rowwise(x[n::N], r[n::N], h0[n], c0[n], wx, wh, b)
+            lane = [a[n::N] for a in got[:5]] + [got[5][n], got[6][n]]
+            for name, g, w in zip(names, lane, want):
+                assert np.array_equal(g, w), (name, n)
+        if N == 1:
+            one_lane = kernels.lstm_seq_forward(x, r, h0[0], c0[0], wx, wh, b)
+            assert one_lane[5].shape == one_lane[6].shape == (N_HIDDEN,)
+            for name, g, w in zip(names, one_lane, got):
+                assert np.array_equal(g, w.reshape(g.shape)), name
+
+
 def plain_gemm_tn(x, d):
     # the single gemm the dense backward made before block sums
     return np.dot(np.ascontiguousarray(x.T), d)
@@ -277,6 +309,18 @@ def test_lstm_reset_equals_fresh_state():
     hs_b, _, _ = layer.forward(x[3:])
     assert np.array_equal(hs[:3], hs_a)
     assert np.array_equal(hs[3:], hs_b)
+
+
+def test_lstm_backward_is_one_lane():
+    rng = np.random.default_rng(12)
+    layer = nn.LSTMLayer(2, 3, rng=rng)
+    h0 = np.zeros((2, 3))
+    with pytest.raises(nn.ShapeMismatch):
+        layer.forward(rng.normal(size=(5, 2)), h0, h0)  # 5 rows over 2 lanes
+    hs, hT, _ = layer.forward(rng.normal(size=(6, 2)), h0, h0)
+    assert hs.shape == (6, 3) and hT.shape == (2, 3)
+    with pytest.raises(nn.ShapeMismatch):
+        layer.backward(np.ones_like(hs))
 
 
 def test_lstm_gradcheck():
