@@ -11,7 +11,8 @@ row-independent dense kernel and the stepwise LSTM, whose products are
 one vector-matrix call per row however many rows a call holds, and the
 rollout records the LSTM state entering each step. Rollouts call `act`
 one row at a time and updates replay 32-row slices from their stored
-state; because each row's bits do not depend on its neighbours, both
+state, into which no gradient flows back (the BPTT stops at a slice's
+first row); because each row's bits do not depend on its neighbours, both
 give the same logits bit for bit, which makes the probability ratio
 exactly 1 on the first pass after a rollout. The backtest steps many
 episodes together as the lanes of one call, and each lane row again has
@@ -304,17 +305,17 @@ def _segment_bounds(total, size):
 
 def minibatch_pass(
     net, obs, h0, c0, resets, actions, log_probs_old, advantages,
-    returns_target, labels, config, backward=True,
+    returns_target, labels, config,
 ):
-    """Forward (and optionally backward) one contiguous rollout slice.
+    """Forward and backward one contiguous rollout slice.
 
     The total loss is
         -clip_objective + value_w * value_mse + aux_w * aux_ce
         - entropy_coef * policy_entropy
     with the auxiliary term skipped entirely when its weight is zero so
     the aux head receives no gradient at all. Returns (total, policy,
-    value, aux, entropy, clip_fraction); when `backward` is set the
-    layer gradient accumulators hold d(total)/d(params) on return.
+    value, aux, entropy, clip_fraction), and ``net.grads`` holds
+    d(total)/d(params) on return.
     """
     n = obs.shape[0]
     eps = config.clip_epsilon
@@ -350,33 +351,25 @@ def minibatch_pass(
         raise NonFiniteValue("non-finite minibatch loss")
     clip_fraction = float(np.mean(np.abs(ratio - 1.0) > eps))
 
-    if backward:
-        clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
-        unclipped_active = ratio * advantages <= clipped * advantages
-        onehot = np.zeros((n, N_ACTIONS))
-        onehot[idx, actions] = 1.0
-        # d/dlogits of -mean(min(rA, clip(r)A)); only the unclipped
-        # branch carries gradient
-        coef = np.where(unclipped_active, ratio * advantages, 0.0) / n
-        d_logits = -coef[:, None] * (onehot - probs)
-        if config.entropy_coefficient > 0.0:
-            d_logits += (
-                config.entropy_coefficient
-                * probs
-                * (log_probs + entropy[:, None])
-                / n
-            )
-        d_values = (
-            config.value_loss_weight * 2.0 * (values - returns_target) / n
-        )
-        if use_aux:
-            aux_onehot = np.zeros((n, N_CLUSTERS))
-            aux_onehot[idx, labels] = 1.0
-            d_aux = config.aux_loss_weight * (aux_p - aux_onehot) / n
-        else:
-            d_aux = None
-        net.grads.fill(0.0)
-        net.backward_sequence(d_logits, d_aux, d_values)
+    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
+    unclipped_active = ratio * advantages <= clipped * advantages
+    onehot = np.zeros((n, N_ACTIONS))
+    onehot[idx, actions] = 1.0
+    # d/dlogits of -mean(min(rA, clip(r)A)); only the unclipped
+    # branch carries gradient
+    coef = np.where(unclipped_active, ratio * advantages, 0.0) / n
+    d_logits = -coef[:, None] * (onehot - probs)
+    if config.entropy_coefficient > 0.0:
+        d_logits += config.entropy_coefficient * probs * (log_probs + entropy[:, None]) / n
+    d_values = config.value_loss_weight * 2.0 * (values - returns_target) / n
+    if use_aux:
+        aux_onehot = np.zeros((n, N_CLUSTERS))
+        aux_onehot[idx, labels] = 1.0
+        d_aux = config.aux_loss_weight * (aux_p - aux_onehot) / n
+    else:
+        d_aux = None
+    net.grads.fill(0.0)
+    net.backward_sequence(d_logits, d_aux, d_values)
 
     return total, policy_loss_val, v_loss_val, aux_loss_val, entropy_val, clip_fraction
 
@@ -414,7 +407,7 @@ def update(net, optimizer, buffer, advantages, returns_target, config, rng):
                 config,
             )
             clip_grad_norm(grads, config.max_grad_norm)
-            optimizer.step([net.grads])
+            optimizer.step(net.grads)
             sums += (p_l, v_l, a_l, ent)
             clip_hits += clip_frac
             n_batches += 1
@@ -490,7 +483,7 @@ def train(
     windows = np.asarray(windows, dtype=np.float64)
     rng = np.random.default_rng(seed)
     net = PolicyNetwork(input_size=windows.shape[1], rng=rng)
-    optimizer = Adam([net.params], config.learning_rate)
+    optimizer = Adam(net.params, config.learning_rate)
     env = TradingEnv(windows, returns, env_config)
 
     h, c = net.initial_state()
@@ -533,9 +526,9 @@ def save_policy(path, net, optimizer, config, seed, steps_done):
     blocks = dict(net.param_blocks())
     if optimizer is not None:
         # flat moments over `net.params`, stored as one block per parameter
-        (m,), (v,) = optimizer.state_arrays()
         like = list(blocks.values())
-        for name, marr, varr in zip(list(blocks), split_flat(m, like), split_flat(v, like)):
+        moments = zip(list(blocks), split_flat(optimizer.m, like), split_flat(optimizer.v, like))
+        for name, marr, varr in moments:
             blocks[f"adam.m.{name}"] = marr
             blocks[f"adam.v.{name}"] = varr
         adam_step = optimizer.step_count

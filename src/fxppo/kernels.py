@@ -147,12 +147,15 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
     return hs, tanhc, gates, hprev, cprev, h.reshape(h0.shape).copy(), c.reshape(c0.shape)
 
 
-def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
-    """Backprop through time for `lstm_seq_forward`.
+def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
+    """Backprop through time for `lstm_seq_forward`: (dwx, dwh, db) given
+    dh_out, the per-step upstream gradient on hs.
 
-    dh_out is the per-step upstream gradient on hs; dh_final/dc_final seed
-    the carried state at the sequence end. Gradient flow stops at reset
-    steps (the pre-reset state never influenced anything after the reset).
+    The carried gradient starts at zero at the sequence end and no
+    gradient flows into the entry state or the inputs: updates replay
+    slices from a stored state that no gradient reaches. Gradient flow
+    stops at reset steps (the pre-reset state never influenced anything
+    after the reset).
 
     Every factor that does not depend on the carried gradient is made for
     all T rows before the loop: ``1 - tanh(c)**2``, the gate derivative
@@ -162,8 +165,8 @@ def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_
     recurrence then runs row by row, about ten numpy calls around its one
     gemv, and keeps the association of one expression per gate, e.g.
     ``(di * i) * (1 - i)``: the exact ``* 1`` and the commuted products
-    leave every bit as it was. dx and the parameter gradients are then
-    gemms over all steps.
+    leave every bit as it was. The parameter gradients are then gemms over
+    all steps.
     """
     T = x.shape[0]
     H = tanhc.shape[1]
@@ -182,8 +185,8 @@ def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_
     step = np.empty(4 * H, dtype=np.float64)
     step_by_dc = step[: 3 * H].reshape(3, H)
     step_o = step[3 * H :]
-    dh_carry = dh_final.copy()
-    dc_carry = dc_final.copy()
+    dh_carry = np.zeros(H, dtype=np.float64)
+    dc_carry = np.zeros(H, dtype=np.float64)
     for t in range(T - 1, -1, -1):
         dh = dh_out[t] + dh_carry
         dc = np.multiply(dh, o[t])
@@ -197,13 +200,12 @@ def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_
         if resets[t] != 0:
             dh_carry = np.zeros(H, dtype=np.float64)
             dc_carry = np.zeros(H, dtype=np.float64)
-        else:
+        elif t > 0:
             dh_carry = np.dot(dz, whT)
             dc_carry = dc * f[t]
-    dx = np.dot(dZ, np.ascontiguousarray(wx.T))
     dwx = block_sum_tn(x, dZ)
     dwh = block_sum_tn(hprev, dZ)
-    return dx, dwx, dwh, dZ.sum(axis=0), dh_carry, dc_carry
+    return dwx, dwh, dZ.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

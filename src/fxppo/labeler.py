@@ -147,7 +147,7 @@ def train_autoencoder(windows, config=None, seed=0):
 
     rng = np.random.default_rng(seed)
     model = Autoencoder(config, rng, windows.shape[1])
-    opt = Adam([model.params], config.learning_rate)
+    opt = Adam(model.params, config.learning_rate)
 
     perm = rng.permutation(n)
     val_x = windows[perm[:n_val]]
@@ -169,7 +169,7 @@ def train_autoencoder(windows, config=None, seed=0):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
             model.grads.fill(0.0)
             model.backward(drecon)
-            opt.step([model.grads])
+            opt.step(model.grads)
             epoch_loss += loss * batch.shape[0]
         train_mse = epoch_loss / train_idx.shape[0]
         val_mse = model.reconstruction_mse(val_x)

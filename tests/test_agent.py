@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reachable_arrays
+from conftest import TextbookAdam, reachable_arrays
 from fxppo.agent import (
     EmptyBuffer,
     LabelOutOfRange,
@@ -186,7 +186,7 @@ class TestPolicyNetwork:
 
     def test_save_load_round_trip(self, tmp_path):
         net = tiny_net(7)
-        opt = Adam([net.params], 1e-3)
+        opt = Adam(net.params, 1e-3)
         path = tmp_path / "policy.bin"
         cfg = PPOConfig(rollout_length=48, total_timesteps=48)
         save_policy(path, net, opt, cfg, seed=30, steps_done=48)
@@ -201,7 +201,7 @@ def policy_container(trunk=(4, 4, 4)):
     net = tiny_net(7, trunk=trunk)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d, "policy.bin")
-        save_policy(path, net, Adam([net.params], 1e-3), PPOConfig(),
+        save_policy(path, net, Adam(net.params, 1e-3), PPOConfig(),
                     seed=30, steps_done=0)
         return path.read_bytes()
 
@@ -385,8 +385,7 @@ class TestRatioIdentity:
 
 
 def composite_loss_value(net, batch, config):
-    out = minibatch_pass(net, *batch, config, backward=False)
-    return out[0]
+    return minibatch_pass(net, *batch, config)[0]
 
 
 class TestCompositeGradient:
@@ -410,7 +409,7 @@ class TestCompositeGradient:
         for p in collect_params(net.layers):
             p += nudge.normal(scale=1e-3, size=p.shape)
 
-        minibatch_pass(net, *batch, config, backward=True)
+        minibatch_pass(net, *batch, config)
         analytic = [g.copy() for g in collect_grads(net.layers)]
         params = collect_params(net.layers)
         h = 1e-5
@@ -448,12 +447,12 @@ class TestUpdate:
         return net, buffer, normalize_advantages(adv), ret, config, rng
 
     def test_flat_adam_matches_per_array_reference(self, tmp_path):
-        """`update` steps the net's flat arena with one Adam; a per-array
+        """`update` steps the net's flat arena with one Adam; the textbook
         Adam stepping every layer's own arrays on the same gradients ends
         on the same bits, and `save_policy` writes the flat moments as that
         optimizer's per-parameter blocks."""
 
-        class PerArrayAdam(Adam):
+        class PerArrayAdam(TextbookAdam):
             def __init__(self, layers, lr):
                 super().__init__(collect_params(layers), lr)
                 self.layers = layers
@@ -463,7 +462,7 @@ class TestUpdate:
 
         net, buffer, adv, ret, config, _ = self.setup_pieces()
         ref, *_ = self.setup_pieces()
-        opt = Adam([net.params], config.learning_rate)
+        opt = Adam(net.params, config.learning_rate)
         ref_opt = PerArrayAdam(ref.layers, config.learning_rate)
         for k in range(3):
             update(net, opt, buffer, adv, ret, config, np.random.default_rng(k))
@@ -487,7 +486,7 @@ class TestUpdate:
         results = []
         for _ in range(2):
             net, buffer, adv, ret, config, _ = self.setup_pieces()
-            opt = Adam([net.params], config.learning_rate)
+            opt = Adam(net.params, config.learning_rate)
             update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
             results.append({k: v.copy() for k, v in net.param_blocks().items()})
         for name in results[0]:
@@ -498,7 +497,7 @@ class TestUpdate:
         before_w = net.aux.w.copy()
         before_b = net.aux.b.copy()
         other_before = net.policy.w.copy()
-        opt = Adam([net.params], config.learning_rate)
+        opt = Adam(net.params, config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
         assert np.array_equal(net.aux.w, before_w)
         assert np.array_equal(net.aux.b, before_b)
@@ -508,7 +507,7 @@ class TestUpdate:
     def test_aux_weight_positive_moves_aux_head(self):
         net, buffer, adv, ret, config, _ = self.setup_pieces(aux_weight=0.5)
         before = net.aux.w.copy()
-        opt = Adam([net.params], config.learning_rate)
+        opt = Adam(net.params, config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
         assert not np.array_equal(net.aux.w, before)
         assert stats.aux_loss > 0.0
@@ -520,9 +519,7 @@ class TestUpdate:
             buffer.resets[:16], buffer.actions[:16], buffer.log_probs[:16],
             adv[:16], ret[:16], buffer.labels[:16],
         )
-        total, p_l, v_l, a_l, ent, _ = minibatch_pass(
-            net, *batch, config, backward=False
-        )
+        total, p_l, v_l, a_l, ent, _ = minibatch_pass(net, *batch, config)
         # recompute every piece from scratch via the standalone oracles
         logits, aux_logits, values, _, _ = net.forward_sequence(
             buffer.obs[:16], buffer.hprev[0], buffer.cprev[0], buffer.resets[:16]
@@ -546,7 +543,7 @@ class TestUpdate:
 
     def test_entropy_bounds(self):
         net, buffer, adv, ret, config, _ = self.setup_pieces()
-        opt = Adam([net.params], config.learning_rate)
+        opt = Adam(net.params, config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
         assert 0.0 <= stats.entropy <= np.log(3) + 1e-12
 

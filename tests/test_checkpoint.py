@@ -121,9 +121,9 @@ AUTOENCODER_LAYOUT = [
 def test_policy_checkpoint_layout_pinned(tmp_path):
     # changing a block name, shape or order breaks every saved policy
     net = PolicyNetwork(5, 3, (2, 4, 6), rng=np.random.default_rng(0))
-    opt = Adam([net.params], 1e-3)
+    opt = Adam(net.params, 1e-3)
     net.grads[:] = np.random.default_rng(1).normal(size=net.grads.shape)
-    opt.step([net.grads])
+    opt.step(net.grads)
     save_policy(tmp_path / "p.bin", net, opt, None, 0, 0)
     _, blocks = load_container(tmp_path / "p.bin")
     adam = [(f"adam.{moment}.{name}", shape)
@@ -132,8 +132,8 @@ def test_policy_checkpoint_layout_pinned(tmp_path):
     grads = split_flat(net.grads, [blocks[name] for name, _ in POLICY_LAYOUT])
     for (name, _), g in zip(POLICY_LAYOUT, grads):
         assert np.array_equal(blocks[name], net.param_blocks()[name])
-        assert np.array_equal(blocks[f"adam.m.{name}"], g * (1.0 - opt.beta1))
-        assert np.array_equal(blocks[f"adam.v.{name}"], g * g * (1.0 - opt.beta2))
+        assert np.array_equal(blocks[f"adam.m.{name}"], g * (1.0 - opt.BETA1))
+        assert np.array_equal(blocks[f"adam.v.{name}"], g * g * (1.0 - opt.BETA2))
 
 
 def test_autoencoder_checkpoint_layout_pinned(tmp_path):

@@ -1,5 +1,6 @@
 """Config handling and the pipeline subcommands end to end."""
 
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -65,8 +66,8 @@ def write_csv(path, n, start_hour=0, seed=0, base=1.05):
     path.write_text("\n".join(rows) + "\n")
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def write_workspace(tmp_path):
+    """Two small CSV splits and a config that runs every stage in seconds."""
     train_csv = tmp_path / "train.csv"
     test_csv = tmp_path / "test.csv"
     write_csv(train_csv, 400, start_hour=0, seed=1)
@@ -91,6 +92,11 @@ def workspace(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     return tmp_path, str(config_path), config
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return write_workspace(tmp_path)
 
 
 def stage_dirs(config):
@@ -1003,3 +1009,77 @@ class TestTune:
             trial, _, _, _, _, objective = row.split(",")
             ae = load_autoencoder(os.path.join(tune_dir, f"trial_{trial}_ae.bin"))
             assert ae.reconstruction_mse(windows) == float(objective)
+
+
+def parser_options():
+    """(command, flag) for every option `cli.build_parser` declares, with
+    command None for the top-level ones; help aside."""
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = {None: parser, **subparsers.choices}
+    return [(command, action.option_strings[-1])
+            for command, p in parsers.items() for action in p._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+MISSING, DIRECTORY = "<missing file>", "<directory>"
+# Every flag with the values it must refuse. A new flag fails
+# `TestEveryFlag` until it has an entry here.
+BAD_FLAG_VALUES = {
+    "--version": [["--version=1"]],
+    "--config": [["--config", MISSING], ["--config", DIRECTORY]],
+    "--set": [["--set", "no_equals_sign"], ["--set", "ppo.no_such_key=1"]],
+    "--seed": [["--seed", "x"], ["--seed", "-1"]],
+    "--parallel-seeds": [["--parallel-seeds=1"]],
+    "--force": [["--force=1"]],
+    "--baseline": [["--baseline", MISSING], ["--baseline", DIRECTORY]],
+    "--actions": [["--actions", MISSING], ["--actions", DIRECTORY]],
+    "--split": [["--split", "validation"]],
+    "--start": [["--start", "x"], ["--start", "-1"]],
+    "--out": [["--out", DIRECTORY]],
+}
+
+
+class TestEveryFlag:
+    """Each flag on its own: one bad value in a command that otherwise
+    succeeds exits 1 or 2, says why on stderr without a traceback and
+    leaves no temporary file behind."""
+
+    @pytest.fixture(scope="class")
+    def finished_run(self, tmp_path_factory):
+        """A workspace in which every subcommand has run and succeeded with
+        the arguments of its base command, {flag: tokens} per command."""
+        tmp_path, config_path, _ = write_workspace(tmp_path_factory.mktemp("flags"))
+        actions = tmp_path / "actions.csv"
+        actions.write_text("action\n1\n-1\n0\n")
+        (tmp_path / "a_directory").mkdir()
+        base = {None: {}}
+        for command in ("preprocess", "label", "train", "backtest", "simulate", "tune", "report"):
+            base[command] = {"--config": ["--config", config_path]}
+        base["train"]["--force"] = ["--force"]
+        base["simulate"]["--actions"] = ["--actions", str(actions)]
+        for command in base:
+            if command is not None:
+                argv = [command, *(t for tokens in base[command].values() for t in tokens)]
+                assert run_cli(argv) == EXIT_OK, argv
+        return tmp_path, base
+
+    def test_every_flag_has_bad_values(self):
+        assert {flag for _, flag in parser_options()} == set(BAD_FLAG_VALUES)
+
+    @pytest.mark.parametrize("command, flag", parser_options())
+    def test_bad_value_exits_cleanly(self, finished_run, capsys, command, flag):
+        assert flag in BAD_FLAG_VALUES, f"{flag} has no bad values to try"
+        tmp_path, base = finished_run
+        stand_ins = {MISSING: str(tmp_path / "no_such_file"),
+                     DIRECTORY: str(tmp_path / "a_directory")}
+        for bad in BAD_FLAG_VALUES[flag]:
+            argv = [] if command is None else [command]
+            argv += [t for f, tokens in base[command].items() if f != flag for t in tokens]
+            argv += [stand_ins.get(t, t) for t in bad]
+            capsys.readouterr()
+            code = run_cli(argv)
+            err = capsys.readouterr().err
+            assert code in (EXIT_USAGE, EXIT_DATA), (argv, code)
+            assert err.strip() and "Traceback" not in err, (argv, err)
+            assert list(tmp_path.rglob("*.tmp")) == [], argv

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reachable_arrays
+from conftest import TextbookAdam, reachable_arrays
 from fxppo import kernels
 from fxppo.checkpoint import CheckpointError, load_container, save_container
 from fxppo.labeler import (
@@ -30,7 +30,7 @@ from fxppo.labeler import (
     save_kmeans,
     train_autoencoder,
 )
-from fxppo.nn import Adam, collect_grads, collect_params, mse_loss
+from fxppo.nn import collect_grads, collect_params, mse_loss
 
 
 def lloyd_reference(points, init_centroids, max_iters=300, tol=1e-8):
@@ -92,14 +92,14 @@ def lloyd_reference(points, init_centroids, max_iters=300, tol=1e-8):
 
 
 def train_autoencoder_per_array(windows, config, seed):
-    """`train_autoencoder` with Adam over every layer's own arrays and the
-    best parameters kept as one copy per array: the reference for the
-    flat-arena loop."""
+    """`train_autoencoder` with the textbook Adam over every layer's own
+    arrays and the best parameters kept as one copy per array: the
+    reference for the flat-arena loop."""
     rng = np.random.default_rng(seed)
     model = Autoencoder(config, rng, windows.shape[1])
     params = collect_params(model.layers)
     grads = collect_grads(model.layers)
-    opt = Adam(params, config.learning_rate)
+    opt = TextbookAdam(params, config.learning_rate)
     n = windows.shape[0]
     n_val = max(1, int(round(config.holdout_fraction * n)))
     perm = rng.permutation(n)

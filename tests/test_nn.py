@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TextbookAdam
 from fxppo import agent, kernels, labeler, nn
 from fxppo.agent import PolicyNetwork
 from fxppo.labeler import Autoencoder, AutoencoderConfig
@@ -337,49 +338,28 @@ def test_lstm_gradcheck():
             return float(np.sum(hs * proj))
 
         loss()
-        dx, _, _ = layer.backward(proj)
+        layer.backward(proj)
         for analytic, arr in (
             (layer.dwx, layer.wx),
             (layer.dwh, layer.wh),
             (layer.db, layer.b),
-            (dx, x),
         ):
             numeric = finite_diff_grad(loss, arr)
             assert max_rel_err(analytic, numeric) <= 1e-4
 
 
-def test_lstm_initial_state_gradcheck():
-    rng = np.random.default_rng(99)
-    layer = nn.LSTMLayer(2, 2, rng=rng)
-    x = rng.normal(size=(4, 2))
-    h0 = rng.normal(size=2)
-    c0 = rng.normal(size=2)
-    proj = rng.normal(size=(4, 2))
-
-    def loss():
-        hs, _, _ = layer.forward(x, h0=h0, c0=c0)
-        return float(np.sum(hs * proj))
-
-    loss()
-    _, dh0, dc0 = layer.backward(proj)
-    assert max_rel_err(dh0, finite_diff_grad(loss, h0)) <= 1e-4
-    assert max_rel_err(dc0, finite_diff_grad(loss, c0)) <= 1e-4
-
-
-def lstm_backward_rowwise(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
+def lstm_backward_rowwise(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
     """Backprop through time with one outer product per step: the oracle
     for the gemm form in `kernels.lstm_seq_backward`."""
     T = x.shape[0]
     H = tanhc.shape[1]
     n_in = x.shape[1]
-    dwx = np.zeros_like(wx)
+    dwx = np.zeros((n_in, 4 * H))
     dwh = np.zeros_like(wh)
     db = np.zeros(4 * H)
-    dx = np.empty((T, n_in))
-    wxT = np.ascontiguousarray(wx.T)
     whT = np.ascontiguousarray(wh.T)
-    dh_carry = dh_final.copy()
-    dc_carry = dc_final.copy()
+    dh_carry = np.zeros(H)
+    dc_carry = np.zeros(H)
     dz = np.empty(4 * H)
     for t in range(T - 1, -1, -1):
         i = gates[t, :H]
@@ -400,14 +380,13 @@ def lstm_backward_rowwise(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out,
         dwx += x[t].reshape(n_in, 1) * dz.reshape(1, 4 * H)
         dwh += hprev[t].reshape(H, 1) * dz.reshape(1, 4 * H)
         db += dz
-        dx[t, :] = np.dot(dz, wxT)
         if resets[t] != 0:
             dh_carry = np.zeros(H)
             dc_carry = np.zeros(H)
         else:
             dh_carry = np.dot(dz, whT)
             dc_carry = dc * f
-    return dx, dwx, dwh, db, dh_carry, dc_carry
+    return dwx, dwh, db
 
 
 @pytest.mark.parametrize("T", [1, 7, 32, 65, 130])
@@ -423,27 +402,23 @@ def test_lstm_backward_matches_rowwise_oracle(T):
         x, resets, rng.normal(size=H), rng.normal(size=H), wx, wh, rng.normal(0, 0.3, 4 * H)
     )
     hs, tanhc, gates, hprev, cprev = forward[:5]
-    args = (x, resets, gates, tanhc, hprev, cprev, wx, wh,
-            rng.normal(size=(T, H)), rng.normal(size=H), rng.normal(size=H))
-    dx, dwx, dwh, db, dh0, dc0 = kernels.lstm_seq_backward(*args)
-    ref = lstm_backward_rowwise(*args)
-    # the recurrence keeps its operation order
-    assert np.array_equal(dh0, ref[4])
-    assert np.array_equal(dc0, ref[5])
+    args = (x, resets, gates, tanhc, hprev, cprev, wh, rng.normal(size=(T, H)))
     # the sums over steps change order only
-    for got, want in zip((dx, dwx, dwh, db), ref[:4]):
+    for got, want in zip(kernels.lstm_seq_backward(*args), lstm_backward_rowwise(*args)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def lstm_backward_unhoisted(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_out, dh_final, dc_final):
+def lstm_backward_unhoisted(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
     """`kernels.lstm_seq_backward` as it was before its carry-free factors
-    were hoisted out of the step loop, kept verbatim as the bit-for-bit
-    oracle for the hoisted form."""
+    were hoisted out of the step loop, cut to the parameter gradients: the
+    bit-for-bit oracle for the hoisted form. Every carried gradient
+    reaches the parameters through ``dZ``, so the recurrence's operation
+    order is pinned through them."""
     T = x.shape[0]
     H = tanhc.shape[1]
     whT = np.ascontiguousarray(wh.T)
-    dh_carry = dh_final.copy()
-    dc_carry = dc_final.copy()
+    dh_carry = np.zeros(H, dtype=np.float64)
+    dc_carry = np.zeros(H, dtype=np.float64)
     dZ = np.empty((T, 4 * H), dtype=np.float64)
     for t in range(T - 1, -1, -1):
         i = gates[t, :H]
@@ -468,10 +443,9 @@ def lstm_backward_unhoisted(x, resets, gates, tanhc, hprev, cprev, wx, wh, dh_ou
         else:
             dh_carry = np.dot(dz, whT)
             dc_carry = dc * f
-    dx = np.dot(dZ, np.ascontiguousarray(wx.T))
     dwx = kernels.block_sum_tn(x, dZ)
     dwh = kernels.block_sum_tn(hprev, dZ)
-    return dx, dwx, dwh, dZ.sum(axis=0), dh_carry, dc_carry
+    return dwx, dwh, dZ.sum(axis=0)
 
 
 @pytest.mark.parametrize("resets_kind", ["none", "first", "random"])
@@ -491,14 +465,13 @@ def test_lstm_backward_matches_unhoisted_oracle_bit_for_bit(T, resets_kind):
     hs, tanhc, gates, hprev, cprev, _, _ = kernels.lstm_seq_forward(
         x, resets, rng.normal(size=H), rng.normal(size=H), wx, wh, b
     )
-    args = (x, resets, gates, tanhc, hprev, cprev, wx, wh,
-            rng.normal(size=(T, H)), rng.normal(size=H), rng.normal(size=H))
+    args = (x, resets, gates, tanhc, hprev, cprev, wh, rng.normal(size=(T, H)))
     inputs = [a.copy() for a in args]
     got = kernels.lstm_seq_backward(*args)
     for before, after in zip(inputs, args):
         assert np.array_equal(before, after)
     want = lstm_backward_unhoisted(*args)
-    assert len(got) == len(want) == 6
+    assert len(got) == len(want) == 3
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
@@ -540,8 +513,8 @@ def test_mse_loss_and_gradcheck():
 
 def test_adam_zero_gradient_no_move():
     p = np.array([1.0, -2.0])
-    opt = nn.Adam([p], lr=0.1)
-    opt.step([np.zeros(2)])
+    opt = nn.Adam(p, lr=0.1)
+    opt.step(np.zeros(2))
     assert np.array_equal(p, [1.0, -2.0])
     assert opt.step_count == 1
 
@@ -549,8 +522,8 @@ def test_adam_zero_gradient_no_move():
 def test_adam_first_step_size():
     # bias-corrected first step moves by ~lr against the gradient sign
     p = np.array([1.0])
-    opt = nn.Adam([p], lr=0.05)
-    opt.step([np.array([1.0])])
+    opt = nn.Adam(p, lr=0.05)
+    opt.step(np.array([1.0]))
     assert p[0] == pytest.approx(1.0 - 0.05, abs=1e-8)
 
 
@@ -558,33 +531,34 @@ def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(77)
         p = rng.normal(size=8)
-        opt = nn.Adam([p], lr=0.01)
+        opt = nn.Adam(p, lr=0.01)
         for _ in range(25):
-            opt.step([rng.normal(size=8)])
+            opt.step(rng.normal(size=8))
         return p
 
     assert np.array_equal(run(), run())
 
 
 def test_adam_in_place_matches_textbook_formula_bit_for_bit():
-    lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
+    """One flat Adam over a net's arena ends on the bits of the textbook
+    formula applied to each parameter array, with gradient scales that
+    differ by array."""
+    lr = 3e-4
     rng = np.random.default_rng(60)
-    params = nn.collect_params(PolicyNetwork(rng=rng).layers)
-    ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
-    opt = nn.Adam(params, lr, b1, b2, eps)
-    for t in range(1, 61):
+    net = PolicyNetwork(rng=rng)
+    params = nn.collect_params(net.layers)
+    ref = TextbookAdam([p.copy() for p in params], lr)
+    opt = nn.Adam(net.params, lr)
+    for _ in range(60):
         grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape) for p in params]
-        opt.step(grads)
-        for k, ((p, m, v), g) in enumerate(zip(ref, grads)):
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-            ref[k] = (p, m, v)
-    assert len(params) == 15
-    for k, (p, m, v) in enumerate(ref):
-        assert np.array_equal(params[k], p)
-        assert np.array_equal(opt.m[k], m)
-        assert np.array_equal(opt.v[k], v)
+        opt.step(np.concatenate([g.ravel() for g in grads]))
+        ref.step(grads)
+    assert len(params) == 15 and opt.step_count == 60
+    moments = zip(nn.split_flat(opt.m, params), nn.split_flat(opt.v, params))
+    for p, (m, v), want_p, want_m, want_v in zip(params, moments, ref.params, ref.m, ref.v):
+        assert np.array_equal(p, want_p)
+        assert np.array_equal(m, want_m)
+        assert np.array_equal(v, want_v)
 
 
 def policy_net():
