@@ -13,7 +13,8 @@ import math
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -222,6 +223,13 @@ def _load_labels(config, n_windows):
     return np.array(labels, dtype=np.int64)
 
 
+def _cpus():
+    """The number of CPUs this process may run on: its CPU affinity, else
+    the machine's count (a cgroup CPU quota is not read)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+
+
 def _run_seeds(stage, fn, config, seeds, parallel, *args):
     """Yields the line fn(config, seed, *args) returns for every seed, in
     seed order.
@@ -237,10 +245,8 @@ def _run_seeds(stage, fn, config, seeds, parallel, *args):
             yield fn(config, seed, *args)
         return
     failed = []
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     with ProcessPoolExecutor(
-        min(len(seeds), cpus),
+        min(len(seeds), _cpus()),
         mp_context=multiprocessing.get_context("spawn"),
     ) as pool:
         futures = [pool.submit(_guarded, fn, config, seed, *args) for seed in seeds]
@@ -290,11 +296,10 @@ def cmd_train(config, args):
     return EXIT_OK
 
 
-def _backtest_one_seed(config, seed):
+def _backtest_one_seed(config, seed, windows, returns):
     checkpoint = config.run_dir("train", seed, "final.bin")
     if not os.path.exists(checkpoint):
         raise MissingCheckpoint(seed)
-    windows, returns, _ = _load_split(config, "test")
     net, _ = load_policy(checkpoint)
     if net.input_size != windows.shape[1]:
         raise ConfigError(
@@ -317,14 +322,36 @@ def _backtest_one_seed(config, seed):
 
 
 def cmd_backtest(config, args):
+    """Backtests ``--seed``, or every config seed on threads (at most one
+    per CPU this process may run on), against the test split loaded once.
+
+    A seed has its own network and arrays, so its files have the bytes of
+    a run on its own. Results are taken in seed order: the first failed
+    seed re-raises once the running seeds finish, and later seeds that
+    have not started are skipped.
+    """
     _check_seed(args)
+    windows, returns, _ = _load_split(config, "test")
     if args.seed is not None:
-        print(_backtest_one_seed(config, args.seed))
+        print(_backtest_one_seed(config, args.seed, windows, returns))
         return EXIT_OK
-    for _ in _run_seeds(
-        "backtest", _backtest_one_seed, config, list(config.seeds), args.parallel_seeds
-    ):
-        pass
+    stop = threading.Event()
+
+    def one_seed(seed):
+        if not stop.is_set():
+            try:
+                _backtest_one_seed(config, seed, windows, returns)
+            except BaseException:
+                stop.set()
+                raise
+
+    with ThreadPoolExecutor(min(len(config.seeds), _cpus())) as pool:
+        futures = [pool.submit(one_seed, seed) for seed in config.seeds]
+        try:
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()
     write_effective_config(config, "backtest")
     equity_path, summary_path = _emit_summary(config, args.baseline)
     print(f"backtest: wrote {equity_path} and {summary_path}")
@@ -472,12 +499,12 @@ def build_parser():
 
     add("preprocess", cmd_preprocess)
     add("label", cmd_label)
-    per_seed = {
-        "--seed": {"type": int, "default": None},
-        "--parallel-seeds": {"action": "store_true"},
-    }
-    add("train", cmd_train, **per_seed, **{"--force": {"action": "store_true"}})
-    add("backtest", cmd_backtest, **per_seed, **{"--baseline": {"default": None}})
+    seed = {"--seed": {"type": int, "default": None}}
+    add(
+        "train", cmd_train, **seed,
+        **{"--parallel-seeds": {"action": "store_true"}, "--force": {"action": "store_true"}},
+    )
+    add("backtest", cmd_backtest, **seed, **{"--baseline": {"default": None}})
     add(
         "simulate", cmd_simulate,
         **{
@@ -490,6 +517,21 @@ def build_parser():
     add("tune", cmd_tune)
     add("report", cmd_report, **{"--baseline": {"default": None}})
     return parser
+
+
+def _check_input_files(args):
+    """Every input-file flag given names a file; a missing file or a
+    directory exits 2 naming its flag, before the command does any work."""
+    for flag in ("--config", "--actions", "--baseline"):
+        path = getattr(args, flag[2:], None)
+        if path is not None and not os.path.isfile(path):
+            what = "is a directory" if os.path.isdir(path) else "does not exist"
+            raise ConfigError(f"{flag} {path} {what}; name an existing file")
+
+
+def _run(args):
+    _check_input_files(args)
+    return args.func(load_config(args.config, args.set), args)
 
 
 def _guarded(fn, *args):
@@ -518,7 +560,7 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    return _guarded(lambda: args.func(load_config(args.config, args.set), args))
+    return _guarded(_run, args)
 
 
 if __name__ == "__main__":

@@ -74,12 +74,12 @@ def dense_gemm_forward(x, w, b):
     return np.dot(x, w) + b
 
 
-def dense_gemm_backward(x, w, dpre):
-    """(dx, dw, db) of the affine map given the gradient on its output."""
-    dx = np.dot(dpre, np.ascontiguousarray(w.T))
+def dense_gemm_backward(x, dpre):
+    """(dw, db) of the affine map given the gradient on its output; the
+    caller that needs the input gradient makes it (`DenseLayer.backward`)."""
     dw = block_sum_tn(x, dpre)
     db = np.sum(dpre, axis=0)
-    return dx, dw, db
+    return dw, db
 
 
 def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):

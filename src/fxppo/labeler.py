@@ -113,10 +113,12 @@ class Autoencoder(Net):
         return self._run(self.layers, windows)
 
     def backward(self, dout):
+        """Accumulates every parameter gradient. enc0 makes only its own:
+        nothing reads the gradient on the windows."""
         d = dout
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             d = layer.backward(d)
-        return d
+        self.layers[0].accumulate(d)
 
     def reconstruction_mse(self, windows):
         recon = self.forward(windows)

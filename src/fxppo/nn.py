@@ -73,7 +73,10 @@ class DenseLayer(_Layer):
     whose outputs do not depend on how rows are batched together; the
     recurrent policy path needs that for exact rollout/replay agreement.
     The batched gemm forward is the default.
-    ``backward`` is the gemm kernel either way.
+    The backward pass is the gemm kernel either way. ``backward`` returns
+    the gradient on the input; ``accumulate`` makes only the parameter
+    gradients, for the first layer of a network, whose input gradient
+    nothing reads.
     """
 
     PARAMS = ("w", "b")
@@ -105,7 +108,9 @@ class DenseLayer(_Layer):
         self._cache = (x, pre)
         return np.maximum(pre, 0.0) if self.relu else pre
 
-    def backward(self, dy):
+    def accumulate(self, dy):
+        """Adds the parameter gradients for the output gradient ``dy`` to
+        dw and db; returns the gradient on the pre-activation."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, pre = self._cache
@@ -113,10 +118,14 @@ class DenseLayer(_Layer):
         if dy.shape != pre.shape:
             raise ShapeMismatch(f"gradient shape {dy.shape} != output {pre.shape}")
         dpre = dy * (pre > 0.0) if self.relu else dy
-        dx, dw, db = kernels.dense_gemm_backward(x, self.w, dpre)
+        dw, db = kernels.dense_gemm_backward(x, dpre)
         self.dw += dw
         self.db += db
-        return dx
+        return dpre
+
+    def backward(self, dy):
+        """`accumulate`, then the gradient on the input."""
+        return np.dot(self.accumulate(dy), np.ascontiguousarray(self.w.T))
 
 
 class LSTMLayer(_Layer):

@@ -6,6 +6,7 @@ output capture.
 """
 
 import builtins
+import threading
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ def cut_writes(monkeypatch):
         monkeypatch.setattr(checkpoint, "open", cut_open, raising=False)
 
     return install
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fails a test that leaves a thread running, such as a pool worker
+    that its command did not join."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert not left, f"threads left running: {left}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -448,9 +450,11 @@ class TestTrain:
 
 
 class TestBacktestCli:
-    def test_missing_checkpoint(self, prepared):
+    def test_missing_checkpoint(self, prepared, capsys):
         _, config_path, _ = prepared
+        capsys.readouterr()
         assert run_cli(["backtest", "--config", config_path]) == EXIT_DATA
+        assert "no checkpoint found for seed 30" in capsys.readouterr().err
 
     def test_full_flow_and_aggregate(self, prepared):
         _, config_path, _ = prepared
@@ -473,11 +477,13 @@ class TestBacktestCli:
         # The backtest steps every episode of the test split as a lane of
         # one LSTM pass; its products must stay one gemv per lane row, whose
         # bits do not depend on the OpenBLAS thread count, as a gemm's do.
+        # The two seeds run on two threads, which share the BLAS library.
         _, config_path, _ = prepared
         assert run_cli(["train", "--config", config_path]) == EXIT_OK
         config = load_config(config_path)
         out = Path(config.run_dir("backtest"))
-        names = ["30/rewards.csv", "50/rewards.csv", "equity.csv", "summary.txt"]
+        names = ["30/rewards.csv", "30/meta.json", "50/rewards.csv", "50/meta.json",
+                 "equity.csv", "summary.txt"]
         src = os.path.dirname(os.path.dirname(fxppo.__file__))
         runs = []
         for threads in ("1", "2"):
@@ -526,6 +532,92 @@ class TestBacktestCli:
         code = run_cli(["backtest", "--config", config_path, "--seed", "30"])
         assert code == EXIT_DATA
 
+    def test_threaded_backtest_matches_one_seed_runs(self, prepared, monkeypatch):
+        # four threads on however many cores, switching often: each seed's
+        # files still have the bytes of a run of its own
+        _, config_path, _ = prepared
+        seeds = [30, 50, 70, 99]
+        argv = ["--config", config_path, "--set", f"seeds={seeds}"]
+        assert run_cli(["train"] + argv) == EXIT_OK
+        config = load_config(config_path, [f"seeds={seeds}"])
+        seed_dirs = [Path(config.run_dir("backtest", s)) for s in seeds]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run_cli(["backtest"] + argv) == EXIT_OK
+        finally:
+            sys.setswitchinterval(interval)
+        threaded = {p: p.read_bytes() for d in seed_dirs for p in sorted(d.iterdir())}
+        assert len(threaded) == 8  # rewards.csv and meta.json per seed
+        for seed in seeds:
+            assert run_cli(["backtest"] + argv + ["--seed", str(seed)]) == EXIT_OK
+        assert {p: p.read_bytes() for p in threaded} == threaded
+
+    def test_backtest_threads_sized_by_cpus(self, prepared, monkeypatch):
+        _, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path]) == EXIT_OK
+        sizes = []
+
+        class Recording(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        # the CPUs this process may run on count, not the machine's
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for cpus in (8, 1):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert run_cli(["backtest", "--config", config_path]) == EXIT_OK
+        assert sizes == [2, 1]
+
+    def test_first_failed_seed_in_seed_order_decides(self, monkeypatch, capsys):
+        # Seed 30 fails while seed 50 runs: its numeric failure is
+        # reported, not seed 50's later one, and seed 70 never starts.
+        started, seed_30_failing = [], threading.Event()
+
+        def one_seed(config, seed, windows, returns):
+            started.append(seed)
+            if seed == 30:
+                time.sleep(0.1)
+                seed_30_failing.set()
+                raise cli.NonFiniteValue("seed 30 diverged")
+            if seed == 50:
+                seed_30_failing.wait(5)
+                time.sleep(0.2)
+                raise MissingCheckpoint(seed)
+            return f"backtest: seed {seed} done"
+
+        monkeypatch.setattr(cli, "_load_split", lambda config, split: (None, None, None))
+        monkeypatch.setattr(cli, "_backtest_one_seed", one_seed)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = RunConfig("a.csv", "b.csv", seeds=(30, 50, 70))
+        args = cli.build_parser().parse_args(["backtest", "--config", "unused.json"])
+        assert cli._guarded(cli.cmd_backtest, config, args) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "seed 30 diverged" in err and "seed 50" not in err
+        assert sorted(started) == [30, 50]
+
+    def test_missing_baseline_exits_before_any_seed(self, prepared, capsys):
+        tmp_path, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path]) == EXIT_OK
+        assert run_cli(["backtest", "--config", config_path]) == EXIT_OK
+        out = Path(load_config(config_path).run_dir("backtest"))
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+
+        def snapshot():
+            return [(p, p.stat().st_mtime_ns, p.read_bytes()) for p in files]
+
+        before = snapshot()
+        for baseline in (tmp_path / "absent.txt", tmp_path):
+            capsys.readouterr()
+            argv = ["backtest", "--config", config_path, "--baseline", str(baseline)]
+            assert run_cli(argv) == EXIT_DATA
+            assert f"--baseline {baseline}" in capsys.readouterr().err
+        assert snapshot() == before
+
     def test_parallel_seeds_keep_overrides(self, workspace, monkeypatch):
         _, config_path, _ = workspace
         # the workers find fxppo on this process's sys.path, not the environment's
@@ -533,7 +625,7 @@ class TestBacktestCli:
         override = ["--set", "ppo.learning_rate=0.002"]
         for stage in ("preprocess", "label", "train", "backtest"):
             argv = [stage, "--config", config_path] + override
-            if stage in ("train", "backtest"):
+            if stage == "train":
                 argv.append("--parallel-seeds")
             assert run_cli(argv) == EXIT_OK, stage
         config = load_config(config_path, ["ppo.learning_rate=0.002"])
@@ -545,12 +637,23 @@ class TestBacktestCli:
 
     def test_parallel_seeds_name_the_failed_seed(self, prepared, capfd):
         _, config_path, _ = prepared
-        assert run_cli(["train", "--config", config_path, "--seed", "30"]) == EXIT_OK
-        code = run_cli(["backtest", "--config", config_path, "--parallel-seeds"])
-        assert code == EXIT_DATA
+        assert run_cli(["train", "--config", config_path, "--seed", "50"]) == EXIT_OK
+        capfd.readouterr()
+        # seed 50 has finished, and without --force its worker refuses it
+        assert run_cli(["train", "--config", config_path, "--parallel-seeds"]) == EXIT_DATA
         err = capfd.readouterr().err
-        assert "no checkpoint found for seed 50" in err
-        assert "backtest failed for seeds [50]" in err
+        assert "50/final.bin already exists" in err
+        assert "train failed for seeds [50]" in err
+        config = load_config(config_path)
+        os.remove(config.run_dir("train", 50, "final.bin"))
+        # seed 30 runs to the end while seed 50 fails: its files are whole
+        assert run_cli(["backtest", "--config", config_path]) == EXIT_DATA
+        assert "no checkpoint found for seed 50" in capfd.readouterr().err
+        seed_dir = Path(config.run_dir("backtest", 30))
+        meta = json.loads((seed_dir / "meta.json").read_text())
+        rewards = seed_dir / "rewards.csv"
+        assert hashlib.sha256(rewards.read_bytes()).hexdigest() == meta["rewards_sha256"]
+        assert not os.path.exists(config.run_dir("backtest", 50))
 
     SEED_OUTPUTS = (
         ("train", 30, "final.bin"), ("train", 30, "train_log.csv"),
@@ -568,7 +671,7 @@ class TestBacktestCli:
             argv = ["--config", config_path, "--set", f"out_root={root}"]
             flag = ["--parallel-seeds"] if mode == "parallel" else []
             for stage in ("preprocess", "label", "train", "backtest"):
-                argv_stage = [stage] + argv + (flag if stage in ("train", "backtest") else [])
+                argv_stage = [stage] + argv + (flag if stage == "train" else [])
                 assert run_cli(argv_stage) == EXIT_OK, (mode, stage)
             stdout = capsys.readouterr().out.replace(root, "<root>")
             config = load_config(config_path, [f"out_root={root}"])
@@ -1023,6 +1126,8 @@ def parser_options():
 
 
 MISSING, DIRECTORY = "<missing file>", "<directory>"
+# Options that take a path; a bad one names its flag on stderr.
+PATH_FLAGS = {"--config", "--baseline", "--actions", "--out"}
 # Every flag with the values it must refuse. A new flag fails
 # `TestEveryFlag` until it has an entry here.
 BAD_FLAG_VALUES = {
@@ -1082,4 +1187,5 @@ class TestEveryFlag:
             err = capsys.readouterr().err
             assert code in (EXIT_USAGE, EXIT_DATA), (argv, code)
             assert err.strip() and "Traceback" not in err, (argv, err)
+            assert flag in err or flag not in PATH_FLAGS, (argv, err)
             assert list(tmp_path.rglob("*.tmp")) == [], argv

@@ -209,6 +209,27 @@ class TestAutoencoder:
         for name, arr in ref.param_blocks().items():
             assert np.array_equal(model.param_blocks()[name], arr)
 
+    def test_backward_skips_the_input_gradient(self):
+        # enc0 adds its parameter gradients and makes no gradient on the
+        # windows; every gradient has the bits of the full chain
+        rng = np.random.default_rng(13)
+        model = Autoencoder(AutoencoderConfig(), rng)
+        batch = rng.normal(size=(32, 80))
+        _, drecon = mse_loss(model.forward(batch), batch)
+        d = drecon
+        for layer in reversed(model.layers):
+            d = layer.backward(d)
+        assert d.shape == batch.shape
+        chained = model.grads.copy()
+        model.grads.fill(0.0)
+
+        def refuse(dy):
+            raise AssertionError("enc0 made an input gradient")
+
+        model.layers[0].backward = refuse
+        assert model.backward(drecon) is None
+        assert np.array_equal(model.grads, chained)
+
     def test_inference_keeps_no_batch(self):
         # encode (label, label_dataset, tune) and reconstruction_mse (the
         # holdout score, tune) leave no layer holding their rows
