@@ -318,7 +318,7 @@ def _backtest_one_seed(config, seed, windows, returns):
             "data_range": list(report.data_range), "steps": len(report.rewards),
             "rewards_sha256": rewards_sha256}
     write_artifact(os.path.join(seed_dir, "meta.json"), json.dumps(meta) + "\n")
-    return f"backtest: seed {seed} done"
+    return report
 
 
 def cmd_backtest(config, args):
@@ -328,19 +328,21 @@ def cmd_backtest(config, args):
     A seed has its own network and arrays, so its files have the bytes of
     a run on its own. Results are taken in seed order: the first failed
     seed re-raises once the running seeds finish, and later seeds that
-    have not started are skipped.
+    have not started are skipped. The summary is made from the reports
+    the seeds return; `fxppo report` makes the same bytes from their files.
     """
     _check_seed(args)
     windows, returns, _ = _load_split(config, "test")
     if args.seed is not None:
-        print(_backtest_one_seed(config, args.seed, windows, returns))
+        _backtest_one_seed(config, args.seed, windows, returns)
+        print(f"backtest: seed {args.seed} done")
         return EXIT_OK
     stop = threading.Event()
 
     def one_seed(seed):
         if not stop.is_set():
             try:
-                _backtest_one_seed(config, seed, windows, returns)
+                return _backtest_one_seed(config, seed, windows, returns)
             except BaseException:
                 stop.set()
                 raise
@@ -348,12 +350,12 @@ def cmd_backtest(config, args):
     with ThreadPoolExecutor(min(len(config.seeds), _cpus())) as pool:
         futures = [pool.submit(one_seed, seed) for seed in config.seeds]
         try:
-            for future in futures:
-                future.result()
+            # a seed is skipped only after one fails, so no report is missing
+            reports = [future.result() for future in futures]
         finally:
             stop.set()
     write_effective_config(config, "backtest")
-    equity_path, summary_path = _emit_summary(config, args.baseline)
+    equity_path, summary_path = _emit_summary(config, reports, args.baseline)
     print(f"backtest: wrote {equity_path} and {summary_path}")
     return EXIT_OK
 
@@ -440,9 +442,9 @@ def cmd_tune(config, args):
     return EXIT_OK
 
 
-def _emit_summary(config, baseline):
-    """Writes equity.csv and summary.txt from every seed's stored stream
-    and prints the summary; returns both paths."""
+def _stored_reports(config):
+    """Every config seed's BacktestReport, read back from its rewards.csv
+    and checked against its meta.json."""
     reports = []
     for seed in config.seeds:
         seed_dir = config.run_dir("backtest", seed)
@@ -465,6 +467,12 @@ def _emit_summary(config, baseline):
         if file_sha256(rewards_path) != rewards_sha256:
             raise ConfigError(f"{rewards_path} does not match the sha256 in {meta_path}")
         reports.append(BacktestReport(rewards, seed, data_range, checkpoint_hash))
+    return reports
+
+
+def _emit_summary(config, reports, baseline):
+    """Writes equity.csv and summary.txt from the seeds' reports, in seed
+    order, and prints the summary; returns both paths."""
     paths = emit_report(
         SeedAggregate(reports), config.run_dir("backtest"),
         baseline_summary=baseline,
@@ -474,7 +482,7 @@ def _emit_summary(config, baseline):
 
 
 def cmd_report(config, args):
-    _emit_summary(config, args.baseline)
+    _emit_summary(config, _stored_reports(config), args.baseline)
     return EXIT_OK
 
 

@@ -9,10 +9,12 @@ All stages are pure functions of their inputs; parsing rejects malformed
 rows instead of repairing them.
 """
 
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 WINDOW_LEN = 16
 N_FEATURES = 5
@@ -27,6 +29,29 @@ _TS_FORMATS = (
     "%Y.%m.%d %H:%M",
     "%Y-%m-%d",
 )
+
+# The field patterns of CPython's `_strptime.TimeRE`, so that a layout's
+# regex accepts what `datetime.strptime` accepts: single-digit fields, a
+# space-padded day, and any decimal digits, which `int` reads.
+_TS_FIELDS = {
+    "Y": r"(\d\d\d\d)",
+    "m": r"(1[0-2]|0[1-9]|[1-9])",
+    "d": r"(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])",
+    "H": r"(2[0-3]|[0-1]\d|\d)",
+    "M": r"([0-5]\d|\d)",
+    "S": r"(6[0-1]|[0-5]\d|\d)",
+}
+
+
+def _layout_regex(fmt):
+    """The regex `strptime` compiles for ``fmt``: runs of whitespace match
+    any run of whitespace, then each field its pattern above, case ignored.
+    Its groups are the fields in the order `datetime` takes them."""
+    pattern = re.sub(r"\s+", r"\\s+", fmt.replace(".", r"\."))
+    return re.compile(re.sub("%(.)", lambda m: _TS_FIELDS[m[1]], pattern), re.IGNORECASE)
+
+
+_TS_LAYOUTS = tuple(_layout_regex(fmt) for fmt in _TS_FORMATS)
 
 
 class DataError(ValueError):
@@ -70,13 +95,18 @@ class CandleSeries:
         return len(self.timestamps)
 
 
-def _parse_timestamp(text):
+def _parse_timestamp(text, layouts=_TS_LAYOUTS):
+    """(datetime, layout) of the first of ``layouts`` that the whole of
+    ``text``, stripped, matches with a valid date and time; the datetime
+    `strptime` gives for that layout. Raises ValueError when none does."""
     text = text.strip()
-    for fmt in _TS_FORMATS:
-        try:
-            return datetime.strptime(text, fmt)
-        except ValueError:
-            continue
+    for layout in layouts:
+        found = layout.match(text)
+        if found is not None and found.end() == len(text):
+            try:
+                return datetime(*map(int, found.groups())), layout
+            except ValueError:
+                continue
     raise ValueError(f"unparseable timestamp {text!r}")
 
 
@@ -85,6 +115,10 @@ def parse_candles(raw_text):
 
     Columns are time, open, high, low, close; any further columns (a
     volume, say) are ignored.
+
+    Timestamps may take any of the `_TS_FORMATS` layouts, row by row. No
+    string fits two layouts, so trying first the layout of the row before
+    changes no result, only the cost of a row.
 
     Raises MalformedRow / NonMonotonicTimestamp with 1-based line numbers;
     OHLC ordering and positivity are enforced per row.
@@ -98,18 +132,21 @@ def parse_candles(raw_text):
     timestamps = []
     opens, highs, lows, closes = [], [], [], []
     last_ts = None
+    layouts = _TS_LAYOUTS
     for lineno, line in rows[1:]:
         cells = line.split(",")
         if len(cells) < 5:
             raise MalformedRow(lineno, f"expected at least 5 columns, got {len(cells)}")
         try:
-            ts = _parse_timestamp(cells[0])
+            ts, layout = _parse_timestamp(cells[0], layouts)
             o = float(cells[1])
             h = float(cells[2])
             lo = float(cells[3])
             c = float(cells[4])
         except ValueError as exc:
             raise MalformedRow(lineno, str(exc)) from exc
+        if layout is not layouts[0]:
+            layouts = (layout, *_TS_LAYOUTS)
         if not (o > 0 and h > 0 and lo > 0 and c > 0):
             raise MalformedRow(lineno, "prices must be strictly positive")
         if not (lo <= o <= h and lo <= c <= h):
@@ -177,11 +214,9 @@ def build_windows(features):
     n = features.shape[0]
     if n < WINDOW_LEN:
         raise TooFewFeatures(f"need at least {WINDOW_LEN} feature rows, got {n}")
-    n_windows = n - WINDOW_LEN + 1
-    out = np.empty((n_windows, WINDOW_LEN * features.shape[1]), dtype=np.float64)
-    for k in range(n_windows):
-        out[k] = features[k : k + WINDOW_LEN].reshape(-1)
-    return out
+    # window k is the WINDOW_LEN * width consecutive values from row k on
+    width = features.shape[1]
+    return sliding_window_view(features.ravel(), WINDOW_LEN * width)[::width].copy()
 
 
 def window_end_indices(n_windows):

@@ -777,6 +777,24 @@ class TestBacktestCli:
         assert run_cli(["report", "--config", config_path]) == EXIT_OK
         assert "mean_total_return_pct" in capsys.readouterr().out
 
+    def test_report_rewrites_the_backtest_summary(self, prepared):
+        # backtest writes the summary from its reports in memory, report
+        # from the files the seeds wrote: the bytes are the same
+        tmp_path, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path]) == EXIT_OK
+        out = Path(load_config(config_path).run_dir("backtest"))
+        baseline = tmp_path / "baseline.txt"
+        baseline.write_text("mean_total_return_pct: 1.5\nmean_sharpe: -0.25\n")
+        for extra in ([], ["--baseline", str(baseline)]):
+            argv = ["--config", config_path] + extra
+            assert run_cli(["backtest"] + argv) == EXIT_OK
+            written = {name: (out / name).read_bytes() for name in ("equity.csv", "summary.txt")}
+            assert (b"[ppi]" in written["summary.txt"]) == bool(extra)
+            for name in written:
+                (out / name).unlink()
+            assert run_cli(["report"] + argv) == EXIT_OK
+            assert {name: (out / name).read_bytes() for name in written} == written
+
     def test_report_checks_the_step_column(self, prepared, capsys):
         _, config_path, _ = prepared
         run_cli(["train", "--config", config_path])

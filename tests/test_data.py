@@ -1,11 +1,15 @@
 """CSV parsing, feature extraction, and windowing."""
 
+from datetime import datetime
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fxppo.data import (
+    _TS_FORMATS,
+    _TS_LAYOUTS,
     N_FEATURES,
     WINDOW_LEN,
     EmptyInput,
@@ -19,6 +23,7 @@ from fxppo.data import (
     parse_candles,
     window_end_indices,
 )
+from fxppo.data import _parse_timestamp as parse_timestamp
 
 
 def make_csv(rows):
@@ -101,6 +106,117 @@ class TestParsing:
         )
         series = parse_candles(text)
         assert len(series) == 1
+
+
+def strptime_timestamp(text):
+    """The reference parser: `strptime` with each of the layouts in turn."""
+    text = text.strip()
+    for fmt in _TS_FORMATS:
+        try:
+            return datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+    raise ValueError(f"unparseable timestamp {text!r}")
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Decimal digits of other scripts: Arabic-Indic, Devanagari, fullwidth.
+DIGIT_ZEROS = ("\u0660", "\u0966", "\uff10")
+
+
+def mostly(usual, rare):
+    """A draw from ``usual``, or from ``rare`` as one choice in ten."""
+    return st.sampled_from([usual] * 9 + [rare]).flatmap(lambda s: s)
+
+
+@st.composite
+def timestamp_field(draw, usual, rare, width=2):
+    """One field, ``width`` digits or unpadded or space-padded, sometimes
+    in the decimal digits of another script."""
+    value = draw(mostly(usual, rare))
+    text = draw(mostly(st.just(f"{value:0{width}d}"), st.sampled_from([str(value), f"{value:2d}"])))
+    zero = draw(mostly(st.just("0"), st.sampled_from(DIGIT_ZEROS)))
+    return "".join(chr(ord(zero) + int(c)) if c.isdigit() else c for c in text)
+
+
+@st.composite
+def timestamp_texts(draw):
+    """Strings near the accepted layouts: out-of-range and single-digit
+    fields, 29 February of any year, runs of whitespace, a lower-case t,
+    other digits, other separators and trailing text."""
+    whitespace = st.sampled_from(["  ", "\t", " \t ", "\n"])
+    year = draw(timestamp_field(st.sampled_from([2016, 2017, 1900, 2000]),
+                                st.integers(0, 20000), width=4))
+    sep = draw(mostly(st.sampled_from(["-", "."]), st.sampled_from(["/", "", ":"])))
+    text = (year + sep + draw(timestamp_field(st.integers(1, 12), st.sampled_from([0, 13, 20])))
+            + draw(mostly(st.just(sep), st.sampled_from(["-", "."])))
+            + draw(timestamp_field(st.sampled_from([1, 5, 9, 28, 29, 30, 31]),
+                                   st.sampled_from([0, 32, 40]))))
+    if draw(st.booleans()):
+        text += draw(mostly(st.sampled_from(["T", " "]), st.sampled_from(["t", "x", ""]) | whitespace))
+        text += draw(timestamp_field(st.integers(0, 23), st.sampled_from([24, 25, 30])))
+        text += ":" + draw(timestamp_field(st.integers(0, 59), st.sampled_from([60, 61, 99])))
+        if draw(st.booleans()):
+            text += ":" + draw(timestamp_field(st.integers(0, 59), st.sampled_from([60, 61, 62])))
+    text += draw(mostly(st.just(""), st.sampled_from(["Z", " x", ":00", ".5", "0"]) | whitespace))
+    return draw(mostly(st.just(""), whitespace)) + text
+
+
+ACCEPTED = ["2017-1-2 3:4", "2017-01- 2T05:06:07", "2017.01.02\t \t05:06", "2017-01-02t05:06",
+            "\u0662\u0660\u0661\u0667-01-02 0\u0665:0\u0663", "2016-02-29"]
+REJECTED = ["2017-13-01 00:00", "2017-01-02 24:00", "2017-01-02 00:60", "2017-01-02 00:00:60",
+            "2017-01-02 00:00:61", "2017-02-29", "2017-01-02 00:00Z", "2017/01/02"]
+
+
+def with_examples(texts):
+    """Hypothesis's @example for each of ``texts``."""
+    def decorate(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return decorate
+
+
+class TestTimestamps:
+    @given(timestamp_texts())
+    @with_examples(ACCEPTED + REJECTED)
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_strptime(self, text):
+        expect = outcome(strptime_timestamp, text)
+        if text in ACCEPTED + REJECTED:
+            assert isinstance(expect, datetime) == (text in ACCEPTED)
+        # a string fits one layout at most, so the order tried cannot matter
+        for k in range(len(_TS_LAYOUTS)):
+            layouts = _TS_LAYOUTS[k:] + _TS_LAYOUTS[:k]
+            got = outcome(lambda t: parse_timestamp(t, layouts)[0], text)
+            assert got == expect
+
+    def test_layout_may_change_between_rows(self):
+        stamps = [
+            "2017-01-02 00:00", "2017-01-02 01:00", "2017.01.02 02:00:30",
+            "2017-01-02T03:00", "2017-01-02T04:00:01", "2017-01-02 05:00:00",
+            "2017.01.02 06:00", "2017-01-03", "2017-01-03 01:00",
+        ]
+        series = parse_candles(make_csv([f"{s},1.0,1.0,1.0,1.0" for s in stamps]))
+        assert series.timestamps == [strptime_timestamp(s) for s in stamps]
+
+    @pytest.mark.parametrize("bad", ["2017-01-02 25:00", "2017-01-02 03:00 UTC", "2017.1.2.3"])
+    def test_unparseable_row_after_a_layout_is_found(self, bad):
+        rows = [f"2017-01-02 0{i}:00,1.0,1.0,1.0,1.0" for i in range(3)]
+        rows.append(f"{bad},1.0,1.0,1.0,1.0")
+        with pytest.raises(MalformedRow) as exc:
+            parse_candles(make_csv(rows))
+        assert exc.value.line == 5
+        assert str(exc.value) == f"line 5: unparseable timestamp {bad!r}"
+        with pytest.raises(ValueError) as oracle:
+            strptime_timestamp(bad)
+        assert exc.value.reason == str(oracle.value)
 
 
 class TestFeatures:
