@@ -8,12 +8,14 @@ Exit codes: 0 success, 1 usage, 2 data problem, 3 numeric failure.
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import multiprocessing
 import os
 import sys
-import threading
+import traceback
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
@@ -230,43 +232,59 @@ def _cpus():
     return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
 
-def _run_seeds(stage, fn, config, seeds, parallel, *args):
-    """Yields the line fn(config, seed, *args) returns for every seed, in
-    seed order.
+def _seeds(config, args):
+    """The seeds a command runs: ``--seed``, which follows the rule for a
+    config seed, else the config's."""
+    if args.seed is None:
+        return list(config.seeds)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    return [args.seed]
 
-    Seeds run in this process, or with ``parallel`` in spawned worker
-    processes, at most one per CPU this process may run on. A worker hands
-    back a failure as its exit code (see ``_guarded``), because not every
-    exception survives pickling; a seed whose worker died or raised
-    anything else fails too.
+
+def _spawn_pool(workers):
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+
+def _run_seeds(stage, fn, config, seeds, pool, done, *shared):
+    """Runs fn(config, seed, *shared) for every seed and passes what it
+    returns to ``done``, in seed order. Returns EXIT_OK, or the exit code
+    of the first failed seed in seed order once every seed has run.
+
+    ``shared`` is what every seed gets besides its seed: the inputs all
+    seeds read, loaded and checked once by the caller, and any flags.
+    Seeds run one after another here, or on ``pool`` (`_spawn_pool`,
+    ThreadPoolExecutor) with at most one worker per CPU this process may
+    run on. Every seed runs whatever the others do. `_guarded` reports a
+    failure as it happens and hands back its exit code, as not every
+    exception survives pickling; any other exception, or a worker that
+    died, counts as a data problem.
     """
-    if not parallel or len(seeds) < 2:
-        for seed in seeds:
-            yield fn(config, seed, *args)
-        return
-    failed = []
-    with ProcessPoolExecutor(
-        min(len(seeds), _cpus()),
-        mp_context=multiprocessing.get_context("spawn"),
-    ) as pool:
-        futures = [pool.submit(_guarded, fn, config, seed, *args) for seed in seeds]
-        for seed, future in zip(seeds, futures):
+    parallel = pool is not None and len(seeds) > 1
+    failed = {}
+    with pool(min(len(seeds), _cpus())) if parallel else contextlib.nullcontext() as workers:
+        if workers:
+            calls = [workers.submit(_guarded, fn, config, s, *shared).result for s in seeds]
+        else:
+            calls = [functools.partial(_guarded, fn, config, s, *shared) for s in seeds]
+        for seed, call in zip(seeds, calls):
             try:
-                result = future.result()
+                result = call()
             except Exception as exc:  # BrokenProcessPool included
                 print(f"fxppo: seed {seed}: {exc!r}", file=sys.stderr)
+                traceback.print_exception(exc, file=sys.stderr)
                 result = EXIT_DATA
             if isinstance(result, int):
-                failed.append(seed)
+                failed[seed] = result
             else:
-                yield result
+                done(result)
     if failed:
-        raise ConfigError(f"{stage} failed for seeds {failed}")
+        print(f"fxppo: {stage} failed for seeds {list(failed)}", file=sys.stderr)
+        return next(iter(failed.values()))
+    return EXIT_OK
 
 
-def _train_one_seed(config, seed, force):
-    windows, returns, _ = _load_split(config, "train")
-    labels = _load_labels(config, windows.shape[0])
+def _train_one_seed(config, seed, windows, returns, labels, force):
     out_dir = config.run_dir("train", seed)
     final = os.path.join(out_dir, "final.bin")
     if os.path.exists(final) and not force:
@@ -280,20 +298,13 @@ def _train_one_seed(config, seed, force):
     return f"train: seed {seed} finished {len(log_rows)} updates -> {out_dir}"
 
 
-def _check_seed(args):
-    """``--seed`` follows the rule for a config seed."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-
-
 def cmd_train(config, args):
-    _check_seed(args)
-    seeds = [args.seed] if args.seed is not None else list(config.seeds)
-    for line in _run_seeds(
-        "train", _train_one_seed, config, seeds, args.parallel_seeds, args.force
-    ):
-        print(line)
-    return EXIT_OK
+    seeds = _seeds(config, args)
+    windows, returns, _ = _load_split(config, "train")
+    labels = _load_labels(config, windows.shape[0])
+    pool = _spawn_pool if args.parallel_seeds else None
+    shared = (windows, returns, labels, args.force)
+    return _run_seeds("train", _train_one_seed, config, seeds, pool, print, *shared)
 
 
 def _backtest_one_seed(config, seed, windows, returns):
@@ -322,41 +333,23 @@ def _backtest_one_seed(config, seed, windows, returns):
 
 
 def cmd_backtest(config, args):
-    """Backtests ``--seed``, or every config seed on threads (at most one
-    per CPU this process may run on), against the test split loaded once.
-
-    A seed has its own network and arrays, so its files have the bytes of
-    a run on its own. Results are taken in seed order: the first failed
-    seed re-raises once the running seeds finish, and later seeds that
-    have not started are skipped. The summary is made from the reports
-    the seeds return; `fxppo report` makes the same bytes from their files.
-    """
-    _check_seed(args)
+    """Backtests ``--seed``, or every config seed on threads. A seed has
+    its own network and arrays, so its files have the bytes of a run on
+    its own. The summary is made from the reports the seeds return;
+    `fxppo report` makes the same bytes from their files."""
+    seeds = _seeds(config, args)
     windows, returns, _ = _load_split(config, "test")
-    if args.seed is not None:
-        _backtest_one_seed(config, args.seed, windows, returns)
-        print(f"backtest: seed {args.seed} done")
-        return EXIT_OK
-    stop = threading.Event()
-
-    def one_seed(seed):
-        if not stop.is_set():
-            try:
-                return _backtest_one_seed(config, seed, windows, returns)
-            except BaseException:
-                stop.set()
-                raise
-
-    with ThreadPoolExecutor(min(len(config.seeds), _cpus())) as pool:
-        futures = [pool.submit(one_seed, seed) for seed in config.seeds]
-        try:
-            # a seed is skipped only after one fails, so no report is missing
-            reports = [future.result() for future in futures]
-        finally:
-            stop.set()
+    reports = []
+    code = _run_seeds("backtest", _backtest_one_seed, config, seeds, ThreadPoolExecutor,
+                      reports.append, windows, returns)
+    if code:
+        return code
     write_effective_config(config, "backtest")
-    equity_path, summary_path = _emit_summary(config, reports, args.baseline)
-    print(f"backtest: wrote {equity_path} and {summary_path}")
+    if args.seed is None:
+        equity_path, summary_path = _emit_summary(config, reports, args.baseline)
+        print(f"backtest: wrote {equity_path} and {summary_path}")
+    else:
+        print(f"backtest: seed {args.seed} done")
     return EXIT_OK
 
 

@@ -62,7 +62,7 @@ class TuneSpec:
     batch_size: tuple = (16, 64)
     learning_rate: tuple = (1e-5, 1e-2)
     latent_size: tuple = (4, 16)
-    k: tuple = (4, 16)
+    k: tuple = (4, N_CLUSTERS)
 
     def __post_init__(self):
         for name in ("trials", "ae_epochs"):
@@ -79,6 +79,8 @@ class TuneSpec:
             if name != "learning_rate" and not (is_count(lo) and is_count(hi)):
                 raise ValueError(f"{name} range must hold integers")
             setattr(self, name, (lo, hi))
+        if self.k[1] > N_CLUSTERS:
+            raise ValueError(f"k range must end at {N_CLUSTERS} at most, the auxiliary head's size")
 
 
 @dataclass

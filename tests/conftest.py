@@ -6,6 +6,7 @@ output capture.
 """
 
 import builtins
+import multiprocessing
 import threading
 
 import numpy as np
@@ -105,12 +106,13 @@ def cut_writes(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    """Fails a test that leaves a thread running, such as a pool worker
-    that its command did not join."""
-    before = set(threading.enumerate())
+    """Fails a test that leaves a thread or a child process running, such
+    as a pool worker that its command did not join."""
+    threads, children = set(threading.enumerate()), set(multiprocessing.active_children())
     yield
-    left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
-    assert not left, f"threads left running: {left}"
+    left = [t.name for t in threading.enumerate() if t not in threads and t.is_alive()]
+    left += [p.name for p in multiprocessing.active_children() if p not in children]
+    assert not left, f"threads or child processes left running: {left}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

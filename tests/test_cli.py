@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -256,7 +255,7 @@ class TestConfig:
                   "simulate": "30e0c0693dd1"}
         assert {s: RunConfig("a", "b").stage_key(s) for s in STAGES} == {
             **shared, "train": "c6bc5e562e42", "backtest": "d6fc02eb1bec",
-            "tune": "9ec4ec8b67d5"}
+            "tune": "c1d87658dd9d"}
         c = RunConfig("a", "b", ppo={"learning_rate": 0.001}, tune={"k": [2, 8]})
         assert {s: c.stage_key(s) for s in STAGES} == {
             **shared, "train": "c51871b1a325", "backtest": "efc5c761b0ee",
@@ -502,6 +501,14 @@ class TestBacktestCli:
         assert "--baseline" in capsys.readouterr().err
         assert not os.path.exists(load_config(config_path).run_dir("backtest", 30))
 
+    def test_seed_run_writes_effective_config(self, prepared):
+        _, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path, "--seed", "30"]) == EXIT_OK
+        assert run_cli(["backtest", "--config", config_path, "--seed", "30"]) == EXIT_OK
+        config = load_config(config_path)
+        written = Path(config.run_dir("backtest", "effective_config.json")).read_text()
+        assert json.loads(written) == config.stage_config("backtest")
+
     def test_autoencoder_as_checkpoint(self, prepared, capsys):
         _, config_path, _ = prepared
         run_cli(["train", "--config", config_path, "--seed", "30"])
@@ -573,32 +580,33 @@ class TestBacktestCli:
             assert run_cli(["backtest", "--config", config_path]) == EXIT_OK
         assert sizes == [2, 1]
 
-    def test_first_failed_seed_in_seed_order_decides(self, monkeypatch, capsys):
-        # Seed 30 fails while seed 50 runs: its numeric failure is
-        # reported, not seed 50's later one, and seed 70 never starts.
-        started, seed_30_failing = [], threading.Event()
+    def test_first_failed_seed_in_seed_order_decides(self, tmp_path, monkeypatch, capsys):
+        # Seed 50 fails first and seed 30 later, with a numeric failure:
+        # seed 30 decides the exit code, seed 70 still runs and the stage
+        # writes nothing of its own.
+        started, seed_50_failing = [], threading.Event()
 
         def one_seed(config, seed, windows, returns):
             started.append(seed)
             if seed == 30:
-                time.sleep(0.1)
-                seed_30_failing.set()
+                seed_50_failing.wait(5)
                 raise cli.NonFiniteValue("seed 30 diverged")
             if seed == 50:
-                seed_30_failing.wait(5)
-                time.sleep(0.2)
+                seed_50_failing.set()
                 raise MissingCheckpoint(seed)
             return f"backtest: seed {seed} done"
 
         monkeypatch.setattr(cli, "_load_split", lambda config, split: (None, None, None))
         monkeypatch.setattr(cli, "_backtest_one_seed", one_seed)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        config = RunConfig("a.csv", "b.csv", seeds=(30, 50, 70))
+        config = RunConfig("a.csv", "b.csv", seeds=(30, 50, 70), out_root=str(tmp_path))
         args = cli.build_parser().parse_args(["backtest", "--config", "unused.json"])
         assert cli._guarded(cli.cmd_backtest, config, args) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "seed 30 diverged" in err and "seed 50" not in err
-        assert sorted(started) == [30, 50]
+        assert "seed 30 diverged" in err and "no checkpoint found for seed 50" in err
+        assert "backtest failed for seeds [30, 50]" in err
+        assert sorted(started) == [30, 50, 70]
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_baseline_exits_before_any_seed(self, prepared, capsys):
         tmp_path, config_path, _ = prepared
@@ -636,24 +644,21 @@ class TestBacktestCli:
         assert os.path.exists(os.path.join(config.run_dir("backtest"), "summary.txt"))
 
     def test_parallel_seeds_name_the_failed_seed(self, prepared, capfd):
+        # seed 50 has no checkpoint: seed 30 runs to the end on its thread
+        # and its files are whole, but the stage writes no summary
         _, config_path, _ = prepared
-        assert run_cli(["train", "--config", config_path, "--seed", "50"]) == EXIT_OK
+        assert run_cli(["train", "--config", config_path, "--seed", "30"]) == EXIT_OK
         capfd.readouterr()
-        # seed 50 has finished, and without --force its worker refuses it
-        assert run_cli(["train", "--config", config_path, "--parallel-seeds"]) == EXIT_DATA
-        err = capfd.readouterr().err
-        assert "50/final.bin already exists" in err
-        assert "train failed for seeds [50]" in err
-        config = load_config(config_path)
-        os.remove(config.run_dir("train", 50, "final.bin"))
-        # seed 30 runs to the end while seed 50 fails: its files are whole
         assert run_cli(["backtest", "--config", config_path]) == EXIT_DATA
-        assert "no checkpoint found for seed 50" in capfd.readouterr().err
+        err = capfd.readouterr().err
+        assert err.count("no checkpoint found for seed 50") == 1
+        assert "backtest failed for seeds [50]" in err
+        config = load_config(config_path)
         seed_dir = Path(config.run_dir("backtest", 30))
         meta = json.loads((seed_dir / "meta.json").read_text())
         rewards = seed_dir / "rewards.csv"
         assert hashlib.sha256(rewards.read_bytes()).hexdigest() == meta["rewards_sha256"]
-        assert not os.path.exists(config.run_dir("backtest", 50))
+        assert os.listdir(config.run_dir("backtest")) == ["30"]
 
     SEED_OUTPUTS = (
         ("train", 30, "final.bin"), ("train", 30, "train_log.csv"),
@@ -718,7 +723,13 @@ class TestBacktestCli:
             raise MissingCheckpoint(seed)
         return f"seed {seed}"
 
-    def test_pool_size_capped_by_cpus(self, monkeypatch):
+    def run_seeds(self, config, seeds):
+        """(exit code, lines) of `_run_seeds` on the spawn pool."""
+        lines = []
+        code = cli._run_seeds("stage", self.one_seed, config, seeds, cli._spawn_pool, lines.append)
+        return code, lines
+
+    def test_pool_size_capped_by_cpus(self, monkeypatch, capsys):
         pools = self.stand_in_pool(monkeypatch)
         config = RunConfig("a.csv", "b.csv")
         # the CPUs this process may run on count, not the machine's
@@ -726,15 +737,15 @@ class TestBacktestCli:
         for cpus, seeds in ((8, [30, 50]), (2, [30, 50, 99]), (1, [30, 50]), (8, [30])):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                                 raising=False)
-            lines = list(cli._run_seeds("stage", self.one_seed, config, seeds, True))
-            assert lines == [f"seed {s}" for s in seeds]
+            assert self.run_seeds(config, seeds) == (EXIT_OK, [f"seed {s}" for s in seeds])
         assert pools == [(2, "spawn"), (2, "spawn"), (1, "spawn")]
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        list(cli._run_seeds("stage", self.one_seed, config, [30, 50, 99, 1], True))
+        self.run_seeds(config, [30, 50, 99, 1])
         assert pools[-1] == (3, "spawn")
-        with pytest.raises(ConfigError, match=r"stage failed for seeds \[70\]"):
-            list(cli._run_seeds("stage", self.one_seed, config, [30, 70, 99], True))
+        capsys.readouterr()
+        assert self.run_seeds(config, [30, 70, 99]) == (EXIT_DATA, ["seed 30", "seed 99"])
+        assert "stage failed for seeds [70]" in capsys.readouterr().err
 
     def test_pool_failures_name_the_seed(self, monkeypatch, capsys):
         # a killed worker breaks the pool and fails every pending seed; an
@@ -742,21 +753,25 @@ class TestBacktestCli:
         broken = BrokenProcessPool("a process terminated abruptly")
         self.stand_in_pool(monkeypatch, {50: broken, 99: RuntimeError("boom")})
         config = RunConfig("a.csv", "b.csv")
-        lines = []
-        with pytest.raises(ConfigError, match=r"stage failed for seeds \[50, 99\]"):
-            for line in cli._run_seeds("stage", self.one_seed, config, [30, 50, 99], True):
-                lines.append(line)
-        assert lines == ["seed 30"]
+        assert self.run_seeds(config, [30, 50, 99]) == (EXIT_DATA, ["seed 30"])
         err = capsys.readouterr().err
         assert "seed 50: BrokenProcessPool" in err
         assert "seed 99: RuntimeError('boom')" in err
+        assert "stage failed for seeds [50, 99]" in err
 
     def test_pool_failure_exits_with_data_code(self, prepared, monkeypatch, capsys):
+        # a killed worker counts as a data problem; the other seed fails
+        # on its NaN learning rate, and the first in seed order decides
         _, config_path, _ = prepared
-        self.stand_in_pool(monkeypatch, {50: BrokenProcessPool("killed")})
-        code = run_cli(["train", "--config", config_path, "--parallel-seeds"])
-        assert code == EXIT_DATA
-        assert "train failed for seeds [50]" in capsys.readouterr().err
+        argv = ["train", "--config", config_path, "--parallel-seeds",
+                "--set", "ppo.learning_rate=NaN"]
+        for killed, code in ((30, EXIT_DATA), (50, EXIT_NUMERIC)):
+            self.stand_in_pool(monkeypatch, {killed: BrokenProcessPool("killed")})
+            capsys.readouterr()
+            assert run_cli(argv) == code, killed
+            err = capsys.readouterr().err
+            assert f"seed {killed}: BrokenProcessPool('killed')" in err
+            assert "numeric failure" in err and "train failed for seeds [30, 50]" in err
 
     def test_report_before_backtest_names_rewards(self, prepared, capsys):
         _, config_path, _ = prepared
@@ -810,6 +825,83 @@ class TestBacktestCli:
         assert f"{rewards} line 2: step 1, expected 0" in capsys.readouterr().err
 
 
+class TestSeedRunners:
+    """One rule for the seeds of train, train --parallel-seeds and backtest:
+    the inputs all seeds read are checked once before any seed starts,
+    every seed runs, and the first failed seed in seed order gives the
+    exit code."""
+
+    @pytest.mark.parametrize("command", ["train", "train --parallel-seeds", "backtest"])
+    def test_numeric_failure_exits_3_on_every_runner(self, prepared, capfd, command):
+        _, config_path, _ = prepared
+        argv = command.split() + ["--config", config_path]
+        if command == "backtest":
+            net = PolicyNetwork()
+            net.params[:] = np.nan
+            for seed in (30, 50):
+                final = Path(load_config(config_path).run_dir("train", seed, "final.bin"))
+                final.parent.mkdir(parents=True)
+                save_policy(str(final), net, None, None, seed, 0)
+        else:
+            argv += ["--set", "ppo.learning_rate=NaN"]
+        capfd.readouterr()
+        assert run_cli(argv) == EXIT_NUMERIC
+        err = capfd.readouterr().err
+        assert err.count("numeric failure") == 2
+        assert f"{argv[0]} failed for seeds [30, 50]" in err
+
+    @pytest.mark.parametrize("pool", [None, cli.ThreadPoolExecutor], ids=["in-process", "threads"])
+    def test_unexpected_error_fails_its_seed_alone(self, capsys, pool):
+        def one_seed(config, seed):
+            if seed == 50:
+                raise RuntimeError("boom")
+            return f"seed {seed}"
+
+        lines = []
+        config = RunConfig("a.csv", "b.csv")
+        code = cli._run_seeds("stage", one_seed, config, [30, 50, 70], pool, lines.append)
+        assert (code, lines) == (EXIT_DATA, ["seed 30", "seed 70"])
+        err = capsys.readouterr().err
+        assert "seed 50: RuntimeError('boom')" in err and "Traceback" in err
+        assert "stage failed for seeds [50]" in err
+
+    def test_malformed_labels_fail_the_pool_once(self, prepared, capfd, monkeypatch):
+        _, config_path, _ = prepared
+        config = load_config(config_path)
+        path = Path(config.run_dir("label", "labels_train.csv"))
+        path.write_text(path.read_text() + "not,a,row\n")
+        pools = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        capfd.readouterr()
+        assert run_cli(["train", "--config", config_path, "--parallel-seeds"]) == EXIT_DATA
+        assert capfd.readouterr().err.count(str(path)) == 1
+        assert pools == []
+        assert not os.path.exists(config.run_dir("train"))
+
+    @pytest.mark.parametrize("flags", [[], ["--parallel-seeds"]], ids=["in-process", "pool"])
+    def test_finished_seed_fails_alone(self, prepared, capfd, flags):
+        _, config_path, _ = prepared
+        assert run_cli(["train", "--config", config_path, "--seed", "50"]) == EXIT_OK
+        config = load_config(config_path)
+        final_50 = Path(config.run_dir("train", 50, "final.bin"))
+        finished = final_50.read_bytes()
+        capfd.readouterr()
+        # without --force seed 50 is refused, and seed 30 trains all the same
+        assert run_cli(["train", "--config", config_path] + flags) == EXIT_DATA
+        out, err = capfd.readouterr()
+        assert err.count("50/final.bin already exists") == 1
+        assert "train failed for seeds [50]" in err
+        assert out.startswith("train: seed 30 finished 2 updates")
+        assert os.path.exists(config.run_dir("train", 30, "final.bin"))
+        assert final_50.read_bytes() == finished
+
+
 class TestWindowGeometry:
     @pytest.mark.parametrize(
         "override, stage",
@@ -853,6 +945,7 @@ class TestUnusableValues:
             ("labeler.batch_size=0", "label", "labeler: batch_size"),
             ("labeler.holdout_fraction=2", "label", "labeler: holdout_fraction"),
             ("seeds=[1.5]", "train", "seeds"),
+            ("tune.k=[4,13]", "tune", "tune: k range must end at 12"),
         ],
     )
     def test_exit_2_names_the_value(self, prepared, capsys, override, stage, names):
