@@ -38,17 +38,19 @@ class CheckpointError(IOError):
 
 
 def save_container(path, meta, blocks):
-    """Write named float64 arrays plus a JSON meta dict to ``path``."""
+    """Write named float64 arrays plus a JSON meta dict to ``path``. The
+    file's header, then each block's header and values, are written in
+    order; a block's values are written from its own buffer, not copied."""
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    parts = [MAGIC, struct.pack("<II", VERSION, len(meta_bytes)), meta_bytes,
-             struct.pack("<I", len(blocks))]
+    parts = [MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes
+             + struct.pack("<I", len(blocks))]
     for name, arr in blocks.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         name_bytes = name.encode("utf-8")
-        parts += [struct.pack("<H", len(name_bytes)), name_bytes,
-                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
-                  arr.astype("<f8").tobytes()]
-    write_artifact(path, b"".join(parts))
+        parts += [struct.pack("<H", len(name_bytes)) + name_bytes
+                  + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                  arr.reshape(-1).view(np.uint8)]
+    write_artifact(path, parts)
 
 
 def load_container(path):
@@ -140,15 +142,19 @@ def file_sha256(path):
 
 
 def write_artifact(path, data):
-    """Writes ``data`` (str as UTF-8, bytes, or a numpy array in ``np.save``
-    format) to a temporary file next to ``path`` and renames it into place,
-    creating the directory, so ``path`` is whole or absent; returns its sha256."""
+    """Writes ``data`` (str as UTF-8, bytes, a list of bytes-like parts
+    written in order, or a numpy array in ``np.save`` format) to a
+    temporary file next to ``path`` and renames it into place, creating
+    the directory, so ``path`` is whole or absent; returns its sha256."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             if isinstance(data, np.ndarray):
                 np.save(fh, data)
+            elif isinstance(data, list):
+                for part in data:
+                    fh.write(part)
             else:
                 fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)

@@ -49,8 +49,10 @@ def rows_matmul(x, w):
 
 
 def dense_rows_forward(x, w, b):
-    # x: (T, in), w: (in, out), b: (out,) -> (T, out)
-    return rows_matmul(x, w) + b
+    # x: (T, in), w: (in, out), b: (out,) -> (T, out); b is added in place
+    out = rows_matmul(x, w)
+    out += b
+    return out
 
 
 # No caller since the backward passes became gemms; it goes with the next
@@ -71,7 +73,9 @@ def dense_rows_backward(x, w, dpre):
 
 
 def dense_gemm_forward(x, w, b):
-    return np.dot(x, w) + b
+    out = np.dot(x, w)
+    out += b
+    return out
 
 
 def dense_gemm_backward(x, dpre):
@@ -213,13 +217,28 @@ def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
 # into |p|^2 - 2 p.c + |c|^2, so exact ties break toward the lowest index.
 # ---------------------------------------------------------------------------
 
+# Points per block of `kmeans_assign`: its (rows, k, d) temporaries stay
+# a fixed size however many points there are.
+ASSIGN_BLOCK_ROWS = 256
+
 
 def kmeans_assign(points, centroids):
-    diff = points[:, None, :] - centroids[None, :, :]
-    dists = np.sum(diff * diff, axis=2)
-    labels = np.argmin(dists, axis=1).astype(np.int64)
-    inertia = float(np.sum(dists[np.arange(points.shape[0]), labels]))
-    return labels, inertia
+    """(labels, inertia): each point's nearest centroid, and the sum of
+    the nearest squared distances. Each block of ``ASSIGN_BLOCK_ROWS``
+    points gets its own distance table; a row's distances are the same
+    reduction whatever block holds it, and the inertia is one ``np.sum``
+    over all rows, so neither depends on the block size."""
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    nearest = np.empty(n, dtype=np.float64)
+    for start in range(0, n, ASSIGN_BLOCK_ROWS):
+        block = slice(start, start + ASSIGN_BLOCK_ROWS)
+        diff = points[block, None, :] - centroids[None, :, :]
+        diff *= diff
+        dists = np.sum(diff, axis=2)
+        np.argmin(dists, axis=1, out=labels[block])
+        nearest[block] = dists[np.arange(dists.shape[0]), labels[block]]
+    return labels, float(np.sum(nearest))
 
 
 def kmeans_update(points, labels, k):

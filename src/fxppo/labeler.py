@@ -82,9 +82,12 @@ class Autoencoder(Net):
     output are linear so codes and outputs are unbounded. ``encoder`` and
     ``decoder`` are the two halves of ``layers``.
 
-    ``forward`` is the training pass: each layer keeps its input for
-    ``backward``. ``encode`` and ``reconstruction_mse`` are inference and
-    leave no layer holding their batch.
+    ``forward`` is the training pass: each layer keeps its input and
+    output for ``backward``. ``encode`` and ``reconstruction_mse`` are
+    inference: each layer's cache is dropped as soon as the layer has run,
+    so at most one layer's input and output are alive at a time, each
+    layer is still one gemm over the whole batch, and no layer holds the
+    batch afterwards.
     """
 
     def __init__(self, config, rng=None, input_size=80):
@@ -94,7 +97,7 @@ class Autoencoder(Net):
         half = len(self.layers) // 2
         self.encoder, self.decoder = self.layers[:half], self.layers[half:]
 
-    def _run(self, layers, windows):
+    def _run(self, layers, windows, keep):
         x = np.atleast_2d(np.asarray(windows, dtype=np.float64))
         if x.shape[1] != self.input_size:
             raise ShapeMismatch(
@@ -102,15 +105,15 @@ class Autoencoder(Net):
             )
         for layer in layers:
             x = layer.forward(x)
+            if not keep:
+                clear_caches((layer,))
         return x
 
     def encode(self, windows):
-        codes = self._run(self.encoder, windows)
-        clear_caches(self.encoder)
-        return codes
+        return self._run(self.encoder, windows, keep=False)
 
     def forward(self, windows):
-        return self._run(self.layers, windows)
+        return self._run(self.layers, windows, keep=True)
 
     def backward(self, dout):
         """Accumulates every parameter gradient. enc0 makes only its own:
@@ -121,10 +124,13 @@ class Autoencoder(Net):
         self.layers[0].accumulate(d)
 
     def reconstruction_mse(self, windows):
-        recon = self.forward(windows)
-        clear_caches(self.layers)
-        loss, _ = mse_loss(recon, np.atleast_2d(windows))
-        return loss
+        """`mse_loss` of the reconstruction, squared in place, without the
+        gradient."""
+        windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+        diff = self._run(self.layers, windows, keep=False)
+        diff -= windows
+        diff *= diff
+        return float(np.mean(diff))
 
 
 def train_autoencoder(windows, config=None, seed=0):
@@ -326,8 +332,6 @@ def silhouette_score(points, labels):
     n = points.shape[0]
     if n < 2 or len(np.unique(labels)) < 2:
         raise DegenerateData("silhouette needs >= 2 points in >= 2 clusters")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
     uniq = np.unique(labels)
     scores = np.zeros(n)
     for i in range(n):
@@ -336,13 +340,17 @@ def silhouette_score(points, labels):
         if own_count == 0:
             scores[i] = 0.0
             continue
-        a = dist[i][own].sum() / own_count
+        # row i of the distance matrix, made when it is read
+        diff = points[i] - points
+        diff *= diff
+        dist = np.sqrt(np.sum(diff, axis=1))
+        a = dist[own].sum() / own_count
         b = np.inf
         for lab in uniq:
             if lab == labels[i]:
                 continue
             mask = labels == lab
-            b = min(b, dist[i][mask].mean())
+            b = min(b, dist[mask].mean())
         scores[i] = (b - a) / max(a, b)
     return float(scores.mean())
 

@@ -1,8 +1,9 @@
 """Small deterministic neural-network layers with hand-written gradients.
 
 Everything is float64 and seeded: a run's parameter trajectory is a pure
-function of (seed, data). Layers cache their last forward pass and
-accumulate parameter gradients on backward, in the usual
+function of (seed, data). A layer caches what its backward pass reads
+from its last forward pass, until `clear_caches` drops it, and
+accumulates parameter gradients on backward, in the usual
 from-scratch-numpy style. Shapes are tiny here, so clarity wins over
 cleverness; the kernels live in :mod:`fxppo.kernels`.
 
@@ -73,6 +74,9 @@ class DenseLayer(_Layer):
     whose outputs do not depend on how rows are batched together; the
     recurrent policy path needs that for exact rollout/replay agreement.
     The batched gemm forward is the default.
+    The bias and the ReLU are applied in place on the kernel's product,
+    and the layer caches ``(x, y)``, its input and its output: the ReLU's
+    mask is ``y > 0``, which is ``x @ w + b > 0`` bit for bit.
     The backward pass is the gemm kernel either way. ``backward`` returns
     the gradient on the input; ``accumulate`` makes only the parameter
     gradients, for the first layer of a network, whose input gradient
@@ -102,22 +106,24 @@ class DenseLayer(_Layer):
                 f"dense expects input size {self.in_size}, got {x.shape[1]}"
             )
         if rows:
-            pre = kernels.dense_rows_forward(x, self.w, self.b)
+            y = kernels.dense_rows_forward(x, self.w, self.b)
         else:
-            pre = kernels.dense_gemm_forward(x, self.w, self.b)
-        self._cache = (x, pre)
-        return np.maximum(pre, 0.0) if self.relu else pre
+            y = kernels.dense_gemm_forward(x, self.w, self.b)
+        if self.relu:
+            np.maximum(y, 0.0, out=y)
+        self._cache = (x, y)
+        return y
 
     def accumulate(self, dy):
         """Adds the parameter gradients for the output gradient ``dy`` to
         dw and db; returns the gradient on the pre-activation."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x, pre = self._cache
+        x, y = self._cache
         dy = np.asarray(dy, dtype=np.float64)
-        if dy.shape != pre.shape:
-            raise ShapeMismatch(f"gradient shape {dy.shape} != output {pre.shape}")
-        dpre = dy * (pre > 0.0) if self.relu else dy
+        if dy.shape != y.shape:
+            raise ShapeMismatch(f"gradient shape {dy.shape} != output {y.shape}")
+        dpre = dy * (y > 0.0) if self.relu else dy
         dw, db = kernels.dense_gemm_backward(x, dpre)
         self.dw += dw
         self.db += db

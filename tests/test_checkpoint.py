@@ -1,5 +1,7 @@
 import ast
 import hashlib
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,44 @@ def test_every_prefix_and_trailing_byte_rejected(tmp_path):
         path.write_bytes(data)
         with pytest.raises(CheckpointError):
             load_container(path)
+
+
+def joined_container(meta, blocks):
+    """The container's bytes made as one ``b"".join`` of ``tobytes()``
+    copies: the oracle for `save_container`'s streamed parts."""
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    parts = [b"FXPPOBIN", struct.pack("<II", 1, len(meta_bytes)), meta_bytes,
+             struct.pack("<I", len(blocks))]
+    for name, arr in blocks.items():
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        name_bytes = name.encode("utf-8")
+        parts += [struct.pack("<H", len(name_bytes)), name_bytes,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                  arr.astype("<f8").tobytes()]
+    return b"".join(parts)
+
+
+def test_save_container_matches_joined_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    blocks = {
+        "w": rng.normal(size=(7, 5)),
+        "strided": rng.normal(size=(6, 8))[::2, 1::3],
+        "transposed": rng.normal(size=(3, 4)).T,
+        "big_endian": rng.normal(size=9).astype(">f8"),
+        "single": rng.normal(size=4).astype(np.float32),
+        "ints": np.arange(5),
+        "empty": np.zeros((0, 3)),
+        "scalar": np.array(2.5),
+        "caf\u00e9": np.full(2, -0.0),
+    }
+    meta = {"kind": "test", "seed": 7, "note": "\u00e9"}
+    path = tmp_path / "model.bin"
+    save_container(path, meta, blocks)
+    assert path.read_bytes() == joined_container(meta, blocks)
+    model = Autoencoder(AutoencoderConfig(), rng)
+    save_autoencoder(path, model)
+    meta, _ = load_container(path)
+    assert path.read_bytes() == joined_container(meta, model.param_blocks())
 
 
 def test_container_bytes_pinned(tmp_path):

@@ -350,6 +350,23 @@ class TestLabel:
         assert len(labels) == 384
         assert all(0 <= l <= 11 for l in labels)
 
+    def test_label_bytes_independent_of_blas_threads(self, workspace):
+        # Each autoencoder layer is one gemm over the whole split; its
+        # bits, the codes and so the labels, must not depend on the
+        # OpenBLAS thread count.
+        _, config_path, _ = workspace
+        assert run_cli(["preprocess", "--config", config_path]) == EXIT_OK
+        out = Path(load_config(config_path).run_dir("label"))
+        names = ["labels_train.csv", "labels_test.csv", "ae.bin", "kmeans.bin"]
+        src = os.path.dirname(os.path.dirname(fxppo.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "fxppo.cli", "label", "--config", config_path],
+                           env=env, check=True, capture_output=True, timeout=600)
+            runs.append({name: (out / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+
 
 @pytest.fixture
 def prepared(workspace):

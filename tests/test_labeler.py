@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from fxppo.labeler import (
     load_kmeans,
     save_autoencoder,
     save_kmeans,
+    silhouette_score,
     train_autoencoder,
 )
 from fxppo.nn import collect_grads, collect_params, mse_loss
@@ -89,6 +91,34 @@ def lloyd_reference(points, init_centroids, max_iters=300, tol=1e-8):
                 labels[i] = best
             break
     return np.array(cents), np.array(labels)
+
+
+def assign_broadcast(points, centroids):
+    """`kernels.kmeans_assign` as one (n, k, d) broadcast over all points:
+    the oracle for its row blocks."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    dists = np.sum(diff * diff, axis=2)
+    labels = np.argmin(dists, axis=1).astype(np.int64)
+    return labels, float(np.sum(dists[np.arange(points.shape[0]), labels]))
+
+
+def silhouette_matrix(points, labels):
+    """`silhouette_score` over the whole (n, n) distance matrix, made at
+    once from an (n, n, d) broadcast: the oracle for its rows made one at
+    a time."""
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    uniq = np.unique(labels)
+    scores = np.zeros(points.shape[0])
+    for i in range(points.shape[0]):
+        own = labels == labels[i]
+        own_count = own.sum() - 1
+        if own_count == 0:
+            continue
+        a = dist[i][own].sum() / own_count
+        b = min(dist[i][labels == lab].mean() for lab in uniq if lab != labels[i])
+        scores[i] = (b - a) / max(a, b)
+    return float(scores.mean())
 
 
 def train_autoencoder_per_array(windows, config, seed):
@@ -241,6 +271,19 @@ class TestAutoencoder:
         held = [a.shape for a in reachable_arrays(model) if a.shape[:1] == (257,)]
         assert held == []
 
+    @pytest.mark.parametrize("config", [AutoencoderConfig(), AutoencoderConfig(
+        hidden_sizes=(7,), latent_size=3)], ids=["default", "small"])
+    def test_inference_matches_the_training_forward(self, config):
+        # encode and reconstruction_mse drop each layer's cache as they go;
+        # their bits are those of the cached training pass
+        rng = np.random.default_rng(14)
+        model = Autoencoder(config, rng)
+        windows = rng.normal(size=(301, 80))
+        recon = model.forward(windows)
+        codes = model.encoder[-1]._cache[1].copy()
+        assert np.array_equal(model.encode(windows), codes)
+        assert model.reconstruction_mse(windows) == mse_loss(recon, windows)[0]
+
     def test_trained_model_holds_only_its_arena(self):
         windows = np.random.default_rng(12).normal(size=(300, 80))
         model, _ = train_autoencoder(windows, AutoencoderConfig(max_epochs=2), seed=3)
@@ -343,6 +386,38 @@ class TestKMeans:
             d = [np.sum((p - c) ** 2) for c in model.centroids]
             assert lab == int(np.argmin(d))
 
+    @pytest.mark.parametrize("n", [1, kernels.ASSIGN_BLOCK_ROWS - 1, kernels.ASSIGN_BLOCK_ROWS,
+                                   kernels.ASSIGN_BLOCK_ROWS + 1,
+                                   3 * kernels.ASSIGN_BLOCK_ROWS + 7])
+    def test_blocked_assign_matches_broadcast(self, n):
+        rng = np.random.default_rng(n)
+        # small integers: many points lie exactly as near to two centroids
+        centroids = rng.integers(-2, 3, size=(12, 3)).astype(np.float64)
+        centroids[5] = centroids[2]
+        points = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+        points[0] = centroids[2]
+        labels, inertia = kernels.kmeans_assign(points, centroids)
+        expected, expected_inertia = assign_broadcast(points, centroids)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, expected)
+        assert labels[0] == 2  # a tie goes to the lowest index
+        assert inertia == expected_inertia
+        points = rng.normal(size=(n, 12))
+        centroids = rng.normal(size=(12, 12))
+        labels, inertia = kernels.kmeans_assign(points, centroids)
+        expected, expected_inertia = assign_broadcast(points, centroids)
+        assert np.array_equal(labels, expected)
+        assert inertia == expected_inertia
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_silhouette_matches_distance_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = (400, 12) if seed == 0 else (int(rng.integers(3, 60)), int(rng.integers(1, 9)))
+        points = rng.normal(size=(n, d))
+        labels = rng.integers(0, seed + 3, size=n)
+        labels[0] = labels.max() + 1  # a one-member cluster scores 0
+        assert silhouette_score(points, labels) == silhouette_matrix(points, labels)
+
     def test_repair_empty_uses_farthest_point(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
         labels = np.array([0, 0, 0], dtype=np.int64)
@@ -375,6 +450,26 @@ class TestLabeling:
         km = KMeansModel(np.random.default_rng(0).normal(size=(12, 12)), 0, 1, 0)
         out = label_dataset(model, km, np.zeros((0, 80)))
         assert out.shape == (0,)
+
+    def test_peak_memory_per_window(self):
+        # at the production sizes: the encode holds one layer's input and
+        # output at a time, 128 + 64 values a window at most, and k-means
+        # assigns fixed row blocks
+        rng = np.random.default_rng(3)
+        ae = Autoencoder(AutoencoderConfig(), rng)
+        km = KMeansModel(rng.normal(size=(12, 12)), 0.0, 1, 0)
+
+        def peak(n):
+            windows = rng.normal(size=(n, 80))
+            label_dataset(ae, km, windows)
+            tracemalloc.start()
+            try:
+                label_dataset(ae, km, windows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) - peak(1000) <= 1600 * (4000 - 1000)
 
     def test_labels_in_range_and_deterministic(self, tmp_path):
         rng = np.random.default_rng(31)

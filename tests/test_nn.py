@@ -97,6 +97,28 @@ def test_dense_gradcheck(activation, rows):
             assert max_rel_err(analytic, numeric) <= 1e-4
 
 
+@pytest.mark.parametrize("rows", [False, True])
+def test_dense_in_place_matches_textbook_formula_bit_for_bit(rows):
+    # the bias and the ReLU applied in place, and the mask taken from the
+    # output, against act(x @ w + b) and dy * (pre > 0) with temporaries
+    rng = np.random.default_rng(8)
+    layer = nn.DenseLayer(6, 5, "relu", rng=rng)
+    layer.b[:] = rng.normal(size=5)
+    x = rng.normal(size=(40, 6))
+    x[:3] = 0.0  # pre-activations of exactly b
+    layer.b[0] = 0.0  # and of exactly +-0
+    product = kernels.rows_matmul(x, layer.w) if rows else np.dot(x, layer.w)
+    pre = product + layer.b
+    y = layer.forward(x, rows=rows)
+    assert np.array_equal(y, np.maximum(pre, 0.0))
+    assert np.array_equal(np.signbit(y), np.signbit(np.maximum(pre, 0.0)))
+    dy = rng.normal(size=(40, 5))
+    dw, db = kernels.dense_gemm_backward(x, dy * (pre > 0.0))
+    layer.backward(dy)
+    assert np.array_equal(layer.dw, dw)
+    assert np.array_equal(layer.db, db)
+
+
 def test_dense_rows_matches_gemm():
     rng = np.random.default_rng(0)
     layer = nn.DenseLayer(6, 4, "relu", rng=rng)
