@@ -126,7 +126,7 @@ class PolicyNetwork(Net):
     def initial_state(self):
         return self.lstm.initial_state()
 
-    def forward_sequence(self, obs, h0, c0, resets, want_aux=True):
+    def forward_sequence(self, obs, h0, c0, resets, want_aux=True, keep=True):
         """Shared trunk plus heads over a (T, 80) slice from (H,) state, or
         over N lanes from (N, H) state and (T * N, 80) time-major rows
         (`LSTMLayer.forward`).
@@ -134,9 +134,10 @@ class PolicyNetwork(Net):
         Returns (policy_logits, aux_logits or None, values, hT, cT), one
         row per input row. Row-independent kernels throughout
         (``rows=True``), so results are independent of how the sequence is
-        sliced or laid out in lanes.
+        sliced or laid out in lanes. ``keep`` false runs the LSTM without
+        what its backward pass reads, for a pass that only acts.
         """
-        hs, hT, cT = self.lstm.forward(obs, h0, c0, resets)
+        hs, hT, cT = self.lstm.forward(obs, h0, c0, resets, keep)
         y = self.fc1.forward(hs, rows=True)
         y = self.fc2.forward(y, rows=True)
         y = self.fc3.forward(y, rows=True)
@@ -164,13 +165,14 @@ class PolicyNetwork(Net):
         Returns (actions, log_probs, values, hT, cT), one entry per row
         in the first three. `reset` nonzero discards every lane's incoming
         recurrent state before its first row, marking an episode start.
-        No backward pass follows, so no layer keeps the run's rows.
+        No backward pass follows: the LSTM runs without its per-row gates
+        and states, and no layer keeps the run's rows afterwards.
         """
         obs = np.asarray(observations, dtype=np.float64)
         resets = np.zeros(obs.shape[0], dtype=np.uint8)
         resets[: 1 if np.ndim(h) == 1 else len(h)] = 1 if reset else 0
         logits, _, values, hT, cT = self.forward_sequence(
-            obs, h, c, resets, want_aux=False
+            obs, h, c, resets, want_aux=False, keep=False
         )
         clear_caches(self.layers)
         probs = softmax(logits)
@@ -420,13 +422,16 @@ LOG_HEADER = "timestep,mean_reward,policy_loss,value_loss,aux_loss,entropy,clip_
 
 
 def collect_rollout(net, env, labels, buffer, rng, state):
-    """Fills the buffer by acting in the environment.
+    """Fills the buffer from its first row by acting in the environment;
+    every field of every row is written, so a buffer refilled this way
+    holds what a fresh one would.
 
     `state` carries (h, c, need_reset) across rollouts so the recurrent
     state and episode schedule persist. Returns the bootstrap value for
     the step after the final one (0 when that step ended an episode).
     """
     h, c, need_reset = state
+    buffer.pos = 0
     while not buffer.full:
         reset = 1 if need_reset else 0
         if need_reset:
@@ -488,11 +493,11 @@ def train(
 
     h, c = net.initial_state()
     state = [h, c, True]
+    buffer = RolloutBuffer(config.rollout_length, net.input_size, net.hidden_size)
     log_rows = []
     steps_done = 0
     n_updates = 0
     while steps_done + config.rollout_length <= config.total_timesteps:
-        buffer = RolloutBuffer(config.rollout_length, net.input_size, net.hidden_size)
         bootstrap = collect_rollout(net, env, labels, buffer, rng, state)
         advantages, returns_target = compute_gae(
             buffer.rewards, buffer.values, buffer.dones, bootstrap,
@@ -557,9 +562,12 @@ def _policy_shapes(meta):
 
 
 def load_policy(path):
-    """Returns (net, meta), through `checkpoint.load_checked`. The Adam
-    moments stored next to the parameters are not read: training cannot
-    resume from a checkpoint yet."""
+    """Returns (net, meta), through `checkpoint.load_checked`, which reads
+    only the parameter blocks: the Adam moments stored next to them, two
+    thirds of the file, are passed over with a seek, though their lengths
+    are checked (training cannot resume from a checkpoint yet). The blocks
+    are copied into the net's arena, so the load holds the parameters
+    twice at most, and the gradients once."""
     meta, blocks = load_checked(path, "policy", _policy_shapes)
     net = PolicyNetwork(meta["input_size"], meta["hidden_size"], tuple(meta["trunk"]))
     net.load_param_blocks(blocks)

@@ -20,11 +20,11 @@ from .env import ACTION_VALUES, position_rewards, step_returns
 DEGENERATE_ULPS = 8
 
 
-# The most rows one policy call of the backtest holds. At the policy's
-# sizes the LSTM allocates about 12 KiB a row per call; glibc reuses calls
-# of this size from its heap, while it returned each 600-row call's memory
-# and faulted it back in (about 1 480 minor page faults a call, and a row
-# cost about 25% more).
+# The most rows one policy call of the backtest holds. glibc reuses the
+# memory of calls of this size from its heap, while it returned each
+# 600-row call's memory and faulted it back in (about 1 480 minor page
+# faults a call, and a row cost about 25% more, measured while the LSTM
+# allocated 12 KiB a row per call; `act` now keeps 1 KiB a row of it).
 CALL_ROWS = 256
 
 

@@ -53,54 +53,69 @@ def save_container(path, meta, blocks):
     write_artifact(path, parts)
 
 
-def load_container(path):
+def load_container(path, select=None):
     """Read a container; returns (meta, blocks) with insertion order kept.
 
-    Every length field is checked against the bytes that remain, and bytes
-    after the last block are rejected, so a truncated or padded file raises
-    CheckpointError.
+    The file is read block by block. ``select(meta)``, when given, names
+    the blocks to build (or raises CheckpointError); every other block's
+    values are passed over with a seek, never read. Without it every block
+    is built. Every length field is checked against the bytes that remain,
+    a skipped block's included, and bytes after the last block are
+    rejected, so a truncated or padded file raises CheckpointError
+    whatever is selected.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n, what):
-        nonlocal pos
-        if n > len(data) - pos:
-            raise CheckpointError(f"{path}: truncated {what}")
-        pos += n
-        return data[pos - n : pos]
+        def check(n, what):
+            if n > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated {what}")
 
-    def uint(fmt, what):
-        return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
+        def take(n, what):
+            check(n, what)
+            data = fh.read(n)
+            if len(data) != n:
+                raise CheckpointError(f"{path}: truncated {what}")
+            return data
 
-    if take(8, "header") != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a fxppo container")
-    version = uint("<I", "header")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported container version {version}")
-    meta_len = uint("<I", "header")
-    try:
-        meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt metadata") from exc
-    count = uint("<I", "block count")
-    blocks = {}
-    for _ in range(count):
-        name_bytes = take(uint("<H", "block header"), "block header")
+        def uint(fmt, what):
+            return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
+
+        if take(8, "header") != MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a fxppo container")
+        version = uint("<I", "header")
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported container version {version}")
+        meta_len = uint("<I", "header")
         try:
-            name = name_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: corrupt block name") from exc
-        ndim = uint("<B", "block header")
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "block header"))
-        values = take(8 * math.prod(dims), f"block {name!r}")
-        try:
-            blocks[name] = np.frombuffer(values, dtype="<f8").astype(np.float64).reshape(dims)
-        except ValueError as exc:  # more dims than numpy allows, or too large a shape
-            raise CheckpointError(f"{path}: block {name!r} has unusable dims") from exc
-    if pos != len(data):
-        raise CheckpointError(f"{path}: {len(data) - pos} trailing bytes after the last block")
+            meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt metadata") from exc
+        wanted = None if select is None else select(meta)
+        count = uint("<I", "block count")
+        blocks = {}
+        for _ in range(count):
+            name_bytes = take(uint("<H", "block header"), "block header")
+            try:
+                name = name_bytes.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: corrupt block name") from exc
+            ndim = uint("<B", "block header")
+            dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "block header"))
+            n = math.prod(dims)
+            check(8 * n, f"block {name!r}")
+            if wanted is not None and name not in wanted:
+                fh.seek(8 * n, os.SEEK_CUR)
+                continue
+            values = np.empty(n, dtype="<f8")
+            if fh.readinto(values) != 8 * n:
+                raise CheckpointError(f"{path}: truncated block {name!r}")
+            try:
+                blocks[name] = values.astype(np.float64, copy=False).reshape(dims)
+            except ValueError as exc:  # more dims than numpy allows
+                raise CheckpointError(f"{path}: block {name!r} has unusable dims") from exc
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after the last block")
     return meta, blocks
 
 
@@ -117,16 +132,23 @@ def is_number(x):
 def load_checked(path, kind, block_shapes):
     """(meta, blocks) of a container whose meta is a dict of this ``kind``
     and whose blocks include every one ``block_shapes(meta)`` names, at its
-    shape. block_shapes raises KeyError, TypeError or ValueError on a meta
-    it cannot use. All of it is checked before the caller allocates
-    anything, so a malformed container raises CheckpointError."""
-    meta, blocks = load_container(path)
-    if not isinstance(meta, dict) or meta.get("kind") != kind:
-        raise CheckpointError(f"{path}: not a {kind} checkpoint")
-    try:
-        shapes = block_shapes(meta)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: unusable {kind} metadata: {exc!r}") from exc
+    shape. Only those blocks are built (`load_container`'s ``select``):
+    a policy's Adam moments, for one, are skipped. block_shapes raises
+    KeyError, TypeError or ValueError on a meta it cannot use. The meta is
+    checked before any block is read and the shapes before the caller
+    allocates anything, so a malformed container raises CheckpointError."""
+    shapes = {}
+
+    def select(meta):
+        if not isinstance(meta, dict) or meta.get("kind") != kind:
+            raise CheckpointError(f"{path}: not a {kind} checkpoint")
+        try:
+            shapes.update(block_shapes(meta))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: unusable {kind} metadata: {exc!r}") from exc
+        return shapes
+
+    meta, blocks = load_container(path, select)
     for name, shape in shapes.items():
         if name not in blocks or blocks[name].shape != shape:
             raise CheckpointError(f"{path}: block {name!r} missing or not of shape {shape}")
@@ -136,30 +158,48 @@ def load_checked(path, kind, block_shapes):
 def file_sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
 
+def _npy_values(arr):
+    """The values `np.save` writes after its header, as one C-contiguous
+    array: its memory for a Fortran-ordered array, else C order."""
+    if arr.flags.f_contiguous and not arr.flags.c_contiguous:
+        return arr.T
+    return np.ascontiguousarray(arr)
+
+
 def write_artifact(path, data):
     """Writes ``data`` (str as UTF-8, bytes, a list of bytes-like parts
-    written in order, or a numpy array in ``np.save`` format) to a
+    written in order, or a numeric numpy array in ``np.save`` format) to a
     temporary file next to ``path`` and renames it into place, creating
-    the directory, so ``path`` is whole or absent; returns its sha256."""
+    the directory, so ``path`` is whole or absent. Returns the sha256 of
+    the bytes written, hashed from memory as they are written; only an
+    array's ``np.save`` header is read back."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
+    h = hashlib.sha256()
     try:
+        # np.save writes an array's values straight into a "wb" file; into
+        # a file object of any other type it would write copies of them
         with open(tmp, "wb") as fh:
             if isinstance(data, np.ndarray):
                 np.save(fh, data)
-            elif isinstance(data, list):
-                for part in data:
-                    fh.write(part)
+                fh.flush()
+                with open(tmp, "rb") as head:
+                    h.update(head.read(fh.tell() - data.nbytes))
+                h.update(_npy_values(data))
             else:
-                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+                if not isinstance(data, list):
+                    data = [data.encode("utf-8") if isinstance(data, str) else data]
+                for part in data:
+                    h.update(part)
+                    fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    return file_sha256(path)
+    return h.hexdigest()

@@ -86,7 +86,7 @@ def dense_gemm_backward(x, dpre):
     return dw, db
 
 
-def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
+def lstm_seq_forward(x, resets, h0, c0, wx, wh, b, keep=True):
     """Run an LSTM over N lanes, independent sequences stepped together.
 
     The state is (N, H), or (H,) for one lane. ``x`` holds one row per
@@ -108,47 +108,65 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b):
     product and one expression per gate. Every other operation is
     elementwise over the (N, .) step, so each lane row has exactly the
     bits it has in a one-lane call. A gemm over the lanes would not.
+
+    With ``keep`` false no backward pass follows, and the call keeps only
+    hs for every row, H float64 a row instead of 12H: each step makes its
+    own rows' input product (the same gemv per row) and writes its gates
+    and tanh(c) to one step's scratch rows, which the next step overwrites;
+    no entry state is stored. tanhc, gates, hprev and cprev come back as
+    None, and hs, hT and cT have the bits of the pass that keeps them.
     """
     H = h0.shape[-1]
     N = 1 if h0.ndim == 1 else h0.shape[0]
     T = x.shape[0] // N
+    # the rows of gates and tanhc: every step's, or one step's scratch
+    S = T if keep else 1
     hs = np.empty((T * N, H), dtype=np.float64)
-    tanhc = np.empty((T * N, H), dtype=np.float64)
-    gates = np.empty((T * N, 4 * H), dtype=np.float64)
-    hprev = np.empty((T * N, H), dtype=np.float64)
-    cprev = np.empty((T * N, H), dtype=np.float64)
-    # (T, N, 1, .) views whose [t] is step t's rows. The state is (N, 1, H),
-    # so np.matmul(h, wh) is one gemv per lane.
-    xw = rows_matmul(x, wx).reshape(T, N, 1, 4 * H)
-    hs_t, tanhc_t, hprev_t, cprev_t = (a.reshape(T, N, 1, H) for a in (hs, tanhc, hprev, cprev))
-    gates_t = gates.reshape(T, N, 1, 4 * H)
+    tanhc = np.empty((S * N, H), dtype=np.float64)
+    gates = np.empty((S * N, 4 * H), dtype=np.float64)
+    # (T, N, 1, .) views whose [t] is step t's rows (S for gates and tanhc).
+    # The state is (N, 1, H), so np.matmul(h, wh) is one gemv per lane.
+    if keep:
+        xw = rows_matmul(x, wx).reshape(T, N, 1, 4 * H)
+    hs_t = hs.reshape(T, N, 1, H)
+    tanhc_t = tanhc.reshape(S, N, 1, H)
+    gates_t = gates.reshape(S, N, 1, 4 * H)
+    if keep:
+        hprev = np.empty((T * N, H), dtype=np.float64)
+        cprev = np.empty((T * N, H), dtype=np.float64)
+        hprev_t, cprev_t = hprev.reshape(T, N, 1, H), cprev.reshape(T, N, 1, H)
     i, f = gates_t[..., :H], gates_t[..., H : 2 * H]
     g, o = gates_t[..., 2 * H : 3 * H], gates_t[..., 3 * H :]
     reset_steps = set((np.flatnonzero(resets) // N).tolist())
     h = h0.reshape(N, 1, H).copy()
     c = c0.reshape(N, 1, H).copy()
     for t in range(T):
+        s = t if keep else 0
         if t in reset_steps:
             lane_reset = resets[t * N : (t + 1) * N, None, None] != 0
             h = np.where(lane_reset, 0.0, h)
             c = np.where(lane_reset, 0.0, c)
-        hprev_t[t] = h
-        cprev_t[t] = c
+        if keep:
+            hprev_t[t] = h
+            cprev_t[t] = c
         # z = x[t] @ wx + h @ wh + b, summed in that order
-        z = xw[t]
+        z = xw[t] if keep else np.matmul(x[t * N : (t + 1) * N, None, :], wx)
         z += np.matmul(h, wh)
         z += b
         # one sigmoid over all four gates, then tanh overwrites the candidate
-        gate = gates_t[t]
+        gate = gates_t[s]
         np.negative(z, out=gate)
         np.exp(gate, out=gate)
         gate += 1.0
         np.divide(1.0, gate, out=gate)
-        np.tanh(z[..., 2 * H : 3 * H], out=g[t])
-        c = f[t] * c + i[t] * g[t]
-        np.tanh(c, out=tanhc_t[t])
-        h = np.multiply(o[t], tanhc_t[t], out=hs_t[t])
-    return hs, tanhc, gates, hprev, cprev, h.reshape(h0.shape).copy(), c.reshape(c0.shape)
+        np.tanh(z[..., 2 * H : 3 * H], out=g[s])
+        c = f[s] * c + i[s] * g[s]
+        np.tanh(c, out=tanhc_t[s])
+        h = np.multiply(o[s], tanhc_t[s], out=hs_t[t])
+    hT, cT = h.reshape(h0.shape).copy(), c.reshape(c0.shape)
+    if not keep:
+        return hs, None, None, None, None, hT, cT
+    return hs, tanhc, gates, hprev, cprev, hT, cT
 
 
 def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):

@@ -74,6 +74,20 @@ def _layer_table(input_size, config):
     return table
 
 
+# Rows per block of the encoder's hidden layers in `Autoencoder.encode`.
+ENCODE_BLOCK_ROWS = 256
+
+
+def _row_blocks(n, size):
+    """(start, end) of consecutive blocks of ``size`` rows over ``n`` rows;
+    a 1-row remainder joins the block before it, so that no block of a
+    split of two or more rows has one row."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 class Autoencoder(Net):
     """Symmetric dense autoencoder; decoder mirrors the encoder
     (`_layer_table`).
@@ -85,9 +99,16 @@ class Autoencoder(Net):
     ``forward`` is the training pass: each layer keeps its input and
     output for ``backward``. ``encode`` and ``reconstruction_mse`` are
     inference: each layer's cache is dropped as soon as the layer has run,
-    so at most one layer's input and output are alive at a time, each
-    layer is still one gemm over the whole batch, and no layer holds the
-    batch afterwards.
+    and no layer holds the batch afterwards. `reconstruction_mse` runs each
+    layer as one gemm over the whole batch. `encode` runs the encoder's
+    hidden layers over blocks of ``ENCODE_BLOCK_ROWS`` rows, so only the
+    last hidden layer's output is made for the whole batch, and the latent
+    layer is still one gemm over the whole batch. The blocks keep the
+    codes' bits: with OpenBLAS 0.3.31, a gemm at the default hidden sizes
+    (80-128, 128-64, 64-32) gives each row the bits of the whole-batch
+    gemm at every row count of two or more, though not at one, which
+    `_row_blocks` never makes. The 32-12 latent gemm does not: over a few
+    thousand rows, its rows differ from those of every smaller gemm.
     """
 
     def __init__(self, config, rng=None, input_size=80):
@@ -97,12 +118,16 @@ class Autoencoder(Net):
         half = len(self.layers) // 2
         self.encoder, self.decoder = self.layers[:half], self.layers[half:]
 
-    def _run(self, layers, windows, keep):
+    def _check(self, windows):
         x = np.atleast_2d(np.asarray(windows, dtype=np.float64))
         if x.shape[1] != self.input_size:
             raise ShapeMismatch(
                 f"expected windows of size {self.input_size}, got {x.shape[1]}"
             )
+        return x
+
+    @staticmethod
+    def _run(layers, x, keep):
         for layer in layers:
             x = layer.forward(x)
             if not keep:
@@ -110,10 +135,17 @@ class Autoencoder(Net):
         return x
 
     def encode(self, windows):
-        return self._run(self.encoder, windows, keep=False)
+        x = self._check(windows)
+        *hidden, latent = self.encoder
+        if hidden:
+            y = np.empty((x.shape[0], hidden[-1].out_size))
+            for s, e in _row_blocks(x.shape[0], ENCODE_BLOCK_ROWS):
+                y[s:e] = self._run(hidden, x[s:e], keep=False)
+            x = y
+        return self._run([latent], x, keep=False)
 
     def forward(self, windows):
-        return self._run(self.layers, windows, keep=True)
+        return self._run(self.layers, self._check(windows), keep=True)
 
     def backward(self, dout):
         """Accumulates every parameter gradient. enc0 makes only its own:
@@ -126,7 +158,7 @@ class Autoencoder(Net):
     def reconstruction_mse(self, windows):
         """`mse_loss` of the reconstruction, squared in place, without the
         gradient."""
-        windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+        windows = self._check(windows)
         diff = self._run(self.layers, windows, keep=False)
         diff -= windows
         diff *= diff

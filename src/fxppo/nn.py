@@ -12,10 +12,13 @@ args)`` in arena order (:class:`Net`). The table builds the layers, in
 the order they draw their initial values, and names the checkpoint
 blocks ``<tag>.<param>``; :func:`block_shapes` gives the blocks' shapes
 without building anything. A network keeps all of its parameters in one
-flat array and all of its gradients in another (:func:`arena`); each
-layer's weight, bias and gradient attributes are views into them. Adam
-then updates a whole network with one pass of its ufuncs, and zeroing
-the gradients is one fill. A layer built on its own owns its arrays.
+flat array and all of its gradients in another, its arena, allocated
+once from the table's shapes; each layer is built on its own stretch of
+both (the ``arena`` argument of the layer constructors), draws its
+initial values straight into it, and its weight, bias and gradient
+attributes are views into it. Adam then updates a whole network with
+one pass of its ufuncs, and zeroing the gradients is one fill. A layer
+built on its own owns its arrays.
 
 Weight matrices are stored input-major, ``w[i, j]`` mapping input ``i`` to
 output ``j``; a dense layer computes ``act(x @ w + b)``.
@@ -45,18 +48,25 @@ def init_uniform(rng, shape, fan_in):
 class _Layer:
     """A layer names its parameter attributes in ``PARAMS`` and their
     gradient accumulators in ``GRADS``, in matching order; its static
-    ``shapes`` takes the constructor's arguments but ``rng`` and returns
-    ``{param: shape}`` in ``PARAMS`` order without allocating."""
+    ``shapes`` takes the constructor's arguments but ``rng`` and ``arena``
+    and returns ``{param: shape}`` in ``PARAMS`` order without allocating."""
 
-    def _allocate(self, rng, *sizes):
-        """Every parameter of ``shapes(*sizes)`` in order: a matrix drawn by
-        `init_uniform` with its row count as fan-in, or zeros without
-        ``rng``; a bias at zero. Then every gradient, at zero."""
-        for p, shape in zip(self.PARAMS, self.shapes(*sizes).values()):
-            drawn = rng is not None and len(shape) == 2
-            setattr(self, p, init_uniform(rng, shape, shape[0]) if drawn else np.zeros(shape))
-        for p, g in zip(self.PARAMS, self.GRADS):
-            setattr(self, g, np.zeros_like(getattr(self, p)))
+    def _allocate(self, rng, arena, *sizes):
+        """Binds every parameter of ``shapes(*sizes)``, in order, to a view
+        into ``arena[0]`` and its gradient to a view into ``arena[1]``: two
+        flat float64 arrays of the layer's parameter count, zero on entry,
+        or two of the layer's own when ``arena`` is None. With ``rng``,
+        each matrix then draws its values by `init_uniform`, its row count
+        as fan-in; biases stay at zero, and so does everything without."""
+        shapes = list(self.shapes(*sizes).values())
+        if arena is None:
+            arena = (np.zeros(_count(shapes)), np.zeros(_count(shapes)))
+        params, grads = (_views(flat, shapes) for flat in arena)
+        for p, g, view, grad, shape in zip(self.PARAMS, self.GRADS, params, grads, shapes):
+            if rng is not None and len(shape) == 2:
+                view[...] = init_uniform(rng, shape, shape[0])
+            setattr(self, p, view)
+            setattr(self, g, grad)
 
     def params(self):
         return [getattr(self, name) for name in self.PARAMS]
@@ -86,13 +96,13 @@ class DenseLayer(_Layer):
     PARAMS = ("w", "b")
     GRADS = ("dw", "db")
 
-    def __init__(self, in_size, out_size, activation="identity", rng=None):
+    def __init__(self, in_size, out_size, activation="identity", rng=None, arena=None):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.in_size = in_size
         self.out_size = out_size
         self.relu = activation == "relu"
-        self._allocate(rng, in_size, out_size)
+        self._allocate(rng, arena, in_size, out_size)
         self._cache = None
 
     @staticmethod
@@ -145,10 +155,10 @@ class LSTMLayer(_Layer):
     PARAMS = ("wx", "wh", "b")
     GRADS = ("dwx", "dwh", "db")
 
-    def __init__(self, input_size, hidden_size, rng=None):
+    def __init__(self, input_size, hidden_size, rng=None, arena=None):
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self._allocate(rng, input_size, hidden_size)
+        self._allocate(rng, arena, input_size, hidden_size)
         self._cache = None
 
     @staticmethod
@@ -159,10 +169,12 @@ class LSTMLayer(_Layer):
     def initial_state(self):
         return np.zeros(self.hidden_size), np.zeros(self.hidden_size)
 
-    def forward(self, x, h0=None, c0=None, resets=None):
+    def forward(self, x, h0=None, c0=None, resets=None, keep=True):
         """Returns (hs, hT, cT) for a (T, in) sequence from (H,) state, or
         for N lanes stepped together from (N, H) state over (T * N, in)
-        rows, time-major (see `kernels.lstm_seq_forward`)."""
+        rows, time-major (see `kernels.lstm_seq_forward`). With ``keep``
+        false no backward pass can follow: the kernel keeps no per-row
+        gates or states and the layer caches nothing."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_size:
             raise ShapeMismatch(
@@ -184,9 +196,9 @@ class LSTMLayer(_Layer):
         else:
             resets = np.ascontiguousarray(resets, dtype=np.uint8)
         hs, tanhc, gates, hprev, cprev, hT, cT = kernels.lstm_seq_forward(
-            x, resets, h0, c0, self.wx, self.wh, self.b,
+            x, resets, h0, c0, self.wx, self.wh, self.b, keep,
         )
-        self._cache = (x, resets, gates, tanhc, hprev, cprev, h0.shape)
+        self._cache = (x, resets, gates, tanhc, hprev, cprev, h0.shape) if keep else None
         return hs, hT, cT
 
     def backward(self, dh_out):
@@ -251,7 +263,7 @@ def clip_grad_norm(grads, max_norm):
 class Adam:
     """Adam with bias correction over one flat parameter array.
 
-    A network's optimizer gets the flat array of its :func:`arena`, so
+    A network's optimizer gets the flat ``params`` of its :class:`Net`, so
     ``m`` and ``v`` are flat too, laid out like the parameters. Every
     operation is elementwise, so stepping the flat array gives each
     parameter the bits that stepping its layer's array alone would.
@@ -313,33 +325,27 @@ def collect_grads(layers):
     return out
 
 
-def split_flat(flat, like):
-    """Views of the flat array ``flat`` shaped like the arrays ``like``,
-    which lie in it end to end in order."""
+def _count(shapes):
+    """The number of values in arrays of the given shapes."""
+    return sum(int(np.prod(shape)) for shape in shapes)
+
+
+def _views(flat, shapes):
+    """Views of the flat array ``flat`` of the given shapes, which lie in it
+    end to end in order."""
     views = []
     offset = 0
-    for a in like:
-        views.append(flat[offset : offset + a.size].reshape(a.shape))
-        offset += a.size
+    for shape in shapes:
+        size = _count([shape])
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
     return views
 
 
-def arena(layers):
-    """Moves the parameters of ``layers`` into one flat float64 array and
-    their gradients into another, in `collect_params` order, and rebinds
-    every layer's parameter and gradient attributes to views into them.
-    Returns (params, grads); the values are copied, the gradients zeroed.
-    """
-    like = collect_params(layers)
-    params = np.concatenate([p.ravel() for p in like])
-    grads = np.zeros_like(params)
-    views = zip(split_flat(params, like), split_flat(grads, like))
-    for layer in layers:
-        for p_name, g_name in zip(layer.PARAMS, layer.GRADS):
-            p, g = next(views)
-            setattr(layer, p_name, p)
-            setattr(layer, g_name, g)
-    return params, grads
+def split_flat(flat, like):
+    """Views of the flat array ``flat`` shaped like the arrays ``like``,
+    which lie in it end to end in order."""
+    return _views(flat, [a.shape for a in like])
 
 
 def block_shapes(table):
@@ -350,18 +356,24 @@ def block_shapes(table):
 
 
 class Net:
-    """A network built from a layer table. Each row's layer is built as
-    ``cls(*args, rng=rng)`` in table order, the order the layers draw
-    their initial values, and becomes attribute ``tag``; ``layers`` lists
-    them in that order, and ``params`` and ``grads`` are the flat arrays of
-    :func:`arena`."""
+    """A network built from a layer table. Its arena, the flat ``params``
+    and ``grads``, is allocated first from the layers' shapes; then each
+    row's layer is built as ``cls(*args, rng=rng, arena=...)`` on its
+    stretch of both, in table order, the order the layers draw their
+    initial values, and becomes attribute ``tag``. ``layers`` lists them
+    in that order. No parameter is copied: each value is drawn where it
+    lives."""
 
     def __init__(self, table, rng=None):
+        ends = np.cumsum([_count(cls.shapes(*args).values()) for _, cls, args in table])
+        self.params = np.zeros(ends[-1])
+        self.grads = np.zeros_like(self.params)
+        stretches = zip(np.split(self.params, ends[:-1]), np.split(self.grads, ends[:-1]))
         self.tags = [tag for tag, _, _ in table]
-        self.layers = [cls(*args, rng=rng) for _, cls, args in table]
+        self.layers = [cls(*args, rng=rng, arena=arena)
+                       for (_, cls, args), arena in zip(table, stretches)]
         for tag, layer in zip(self.tags, self.layers):
             setattr(self, tag, layer)
-        self.params, self.grads = arena(self.layers)
 
     def param_blocks(self):
         """``{"<tag>.<param>": view}`` in arena order."""

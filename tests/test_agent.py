@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TextbookAdam, reachable_arrays
+from fxppo import agent
 from fxppo.agent import (
     EmptyBuffer,
     LabelOutOfRange,
@@ -28,7 +30,7 @@ from fxppo.agent import (
     update,
     value_loss,
 )
-from fxppo.checkpoint import CheckpointError, load_container, save_container
+from fxppo.checkpoint import CheckpointError, load_checked, load_container, save_container
 from fxppo.env import EnvConfig, TradingEnv
 from fxppo.nn import Adam, collect_grads, collect_params, log_softmax, softmax
 
@@ -275,6 +277,51 @@ class TestLoadPolicy:
             pass
 
 
+def production_checkpoint(path):
+    """A saved policy at the production sizes (118 448 parameters), Adam
+    moments included; returns its parameter blocks."""
+    net = PolicyNetwork(rng=np.random.default_rng(5))
+    opt = Adam(net.params, 1e-3)
+    net.grads[:] = np.random.default_rng(6).normal(size=net.grads.shape)
+    opt.step(net.grads)
+    save_policy(path, net, opt, PPOConfig(), seed=30, steps_done=600)
+    assert net.params.size == 118_448
+    return {name: a.copy() for name, a in net.param_blocks().items()}
+
+
+class TestLoadPolicyMemory:
+    def test_production_load_reads_only_the_parameters(self, tmp_path):
+        # the Adam moments, two thirds of the file, are skipped and the net
+        # is built in its arena: the load peaks at the parameter blocks
+        # read plus the net's parameters and gradients (2.7 MiB)
+        path = tmp_path / "final.bin"
+        want = production_checkpoint(path)
+        _, blocks = load_checked(path, "policy", agent._policy_shapes)
+        assert list(blocks) == list(want)
+        del blocks
+        tracemalloc.start()
+        try:
+            net, meta = load_policy(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert meta["adam_step"] == 1
+        for name, a in net.param_blocks().items():
+            assert np.array_equal(a, want[name])
+
+    def test_cut_or_padded_around_skipped_moments(self, tmp_path):
+        path = tmp_path / "policy.bin"
+        moments = POLICY.index(b"adam.m.fc1.w")
+        for data, match in ((POLICY[: moments + 40], "truncated"), (POLICY[:-3], "truncated"),
+                            (POLICY + b"\x00", "1 trailing"), (POLICY + POLICY[-8:], "8 trailing")):
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError, match=match):
+                load_policy(path)
+        path.write_bytes(POLICY)
+        load_policy(path)
+
+
 class TestGAE:
     def test_all_zero(self):
         adv, ret = compute_gae(
@@ -382,6 +429,28 @@ class TestRatioIdentity:
             assert np.all(np.abs(ratio - 1.0) <= 1e-10)
             obj = ppo_clip_objective(lpn, buffer.log_probs[s:e], adv[s:e], 0.2)
             assert np.array_equal(obj, adv[s:e])
+
+
+def test_refilled_buffer_holds_what_a_fresh_one_would():
+    # train refills one RolloutBuffer each iteration; the second rollout
+    # must record what it would record in a buffer of its own
+    net = tiny_net(12)
+    windows, returns, labels = make_market(seed=5)
+    runs = []
+    for refill in (True, False):
+        env = TradingEnv(windows, returns, EnvConfig(episode_length=20))
+        buffer = RolloutBuffer(48, net.input_size, net.hidden_size)
+        rng = np.random.default_rng(2)
+        state = [*net.initial_state(), True]
+        collect_rollout(net, env, labels, buffer, rng, state)
+        if not refill:
+            buffer = RolloutBuffer(48, net.input_size, net.hidden_size)
+        bootstrap = collect_rollout(net, env, labels, buffer, rng, state)
+        runs.append((bootstrap, {k: np.copy(v) for k, v in vars(buffer).items()}))
+    (boot_a, a), (boot_b, b) = runs
+    assert boot_a == boot_b and a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
 
 
 def composite_loss_value(net, batch, config):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fxppo
 from fxppo.agent import PolicyNetwork, save_policy
@@ -210,6 +212,77 @@ def test_write_artifact_makes_directories_and_keeps_bytes(tmp_path):
     assert text.read_bytes() == b"caf\xc3\xa9\n"
     assert write_artifact(text, b"\x00\x01") == file_sha256(text)
     assert text.read_bytes() == b"\x00\x01"
+
+
+@pytest.mark.parametrize("data", [
+    "step,reward\n0,0.5\ncaf\u00e9\n",
+    b"\x00\x01\xff",
+    b"",
+    [b"FXPPOBIN", b"", np.arange(5.0).view(np.uint8), bytearray(b"tail")],
+    np.linspace(-1.0, 1.0, 24).reshape(4, 6),
+    np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    np.linspace(-1.0, 1.0, 24).reshape(4, 6)[:, ::2],
+    np.arange(7, dtype=np.int64),
+    np.array(2.5),
+    np.zeros((0, 3)),
+], ids=["str", "bytes", "empty", "parts", "array", "fortran", "strided", "ints", "0-d", "no-rows"])
+def test_write_artifact_returns_the_sha256_of_its_bytes(tmp_path, data):
+    # the digest is made from the data as it is written, not read back
+    path = tmp_path / "artifact"
+    assert write_artifact(str(path), data) == file_sha256(path)
+    if isinstance(data, np.ndarray):
+        np.save(tmp_path / "reference.npy", data)
+        assert path.read_bytes() == (tmp_path / "reference.npy").read_bytes()
+
+
+block_names = st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), min_size=1, max_size=6)
+block_dims = st.lists(st.integers(0, 4), min_size=1, max_size=3)
+
+
+@given(
+    blocks=st.dictionaries(block_names, block_dims, max_size=5),
+    meta=st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=3),
+    keep=st.lists(st.booleans(), min_size=5, max_size=5),
+    damage=st.sampled_from(["none", "cut", "pad"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    pad=st.binary(min_size=1, max_size=16),
+    selected=st.booleans(),
+)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_streamed_reader_reads_back_exactly_or_raises(
+        tmp_path, blocks, meta, keep, damage, where, pad, selected):
+    # a whole container reads back exactly, only the selected blocks when
+    # there is a selection; a cut or padded one raises CheckpointError,
+    # whether the damaged bytes lie in a block it builds or one it skips
+    rng = np.random.default_rng(len(blocks))
+    arrays = {name: rng.normal(size=dims) for name, dims in blocks.items()}
+    path = tmp_path / "c.bin"
+    save_container(path, meta, arrays)
+    raw = path.read_bytes()
+    if damage == "cut":
+        path.write_bytes(raw[: int(where * len(raw))])
+    elif damage == "pad":
+        path.write_bytes(raw + pad)
+    wanted = [name for name, k in zip(arrays, keep) if k]
+    seen = []
+
+    def select(got_meta):
+        seen.append(got_meta)
+        return set(wanted)
+
+    if damage != "none":
+        message = "truncated" if damage == "cut" else "trailing"
+        with pytest.raises(CheckpointError, match=message):
+            load_container(path, select if selected else None)
+        return
+    got_meta, got = load_container(path, select if selected else None)
+    assert got_meta == meta
+    assert seen == ([meta] if selected else [])
+    assert list(got) == (wanted if selected else list(arrays))
+    for name, a in got.items():
+        assert a.dtype == np.float64 and a.shape == arrays[name].shape
+        assert a.tobytes() == arrays[name].tobytes()
 
 
 # (module, function, call): the only places in the package that write files

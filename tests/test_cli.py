@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -41,6 +42,7 @@ from fxppo.config import (
     write_effective_config,
 )
 from fxppo.data import parse_candles
+from fxppo.nn import Adam
 
 
 def run_cli(argv):
@@ -508,6 +510,29 @@ class TestBacktestCli:
                            env=env, check=True, capture_output=True, timeout=600)
             runs.append({name: (out / name).read_bytes() for name in names})
         assert runs[0] == runs[1]
+
+    def test_seed_peak_memory(self, tmp_path):
+        # one seed of a long split holds its net (parameters and gradients,
+        # 1.8 MiB), its split-long rewards and one cache-free policy call
+        # of at most about CALL_ROWS rows: 2.8 MiB at its peak, while the
+        # checkpoint's parameter blocks are copied into the net
+        config = RunConfig("a.csv", "b.csv", seeds=[30], out_root=str(tmp_path),
+                           env={"episode_length": 600, "spread_cost": 1e-4})
+        net = PolicyNetwork(rng=np.random.default_rng(0))
+        save_policy(config.run_dir("train", 30, "final.bin"), net, Adam(net.params, 1e-3),
+                    None, 30, 0)
+        del net
+        rng = np.random.default_rng(1)
+        windows = rng.normal(scale=2e-3, size=(8000, 80))
+        returns = rng.normal(scale=1e-3, size=8000 + 15)
+        tracemalloc.start()
+        try:
+            report = cli._backtest_one_seed(config, 30, windows, returns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.steps == 8000 - 1
+        assert peak < 4.5 * 2**20
 
     def test_seed_with_baseline_is_a_usage_error(self, prepared, capsys):
         _, config_path, _ = prepared

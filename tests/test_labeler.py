@@ -14,6 +14,7 @@ from conftest import TextbookAdam, reachable_arrays
 from fxppo import kernels
 from fxppo.checkpoint import CheckpointError, load_container, save_container
 from fxppo.labeler import (
+    ENCODE_BLOCK_ROWS,
     Autoencoder,
     AutoencoderConfig,
     DegenerateData,
@@ -22,6 +23,7 @@ from fxppo.labeler import (
     TooFewSamples,
     _kmeans_pp_init,
     _repair_empty,
+    _row_blocks,
     kmeans_assign,
     kmeans_fit,
     label_dataset,
@@ -283,6 +285,24 @@ class TestAutoencoder:
         codes = model.encoder[-1]._cache[1].copy()
         assert np.array_equal(model.encode(windows), codes)
         assert model.reconstruction_mse(windows) == mse_loss(recon, windows)[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513, 2971])
+    def test_blocked_encode_matches_whole_split_gemm(self, n):
+        # encode runs the hidden layers over row blocks and the latent
+        # layer over the whole split; its codes keep the bits of one gemm
+        # per layer over the whole split (a 1-row tail block would not)
+        rng = np.random.default_rng(n)
+        model = Autoencoder(AutoencoderConfig(), rng)
+        for windows in (rng.normal(scale=2e-3, size=(n, 80)), rng.normal(size=(n, 80))):
+            want = windows
+            for layer in model.encoder:
+                want = np.dot(want, layer.w) + layer.b
+                if layer.relu:
+                    want = np.maximum(want, 0.0)
+            assert np.array_equal(model.encode(windows), want)
+        blocks = _row_blocks(n, ENCODE_BLOCK_ROWS)
+        assert [s for s, _ in blocks] + [n] == [0] + [e for _, e in blocks]
+        assert n < 2 or min(e - s for s, e in blocks) >= 2
 
     def test_trained_model_holds_only_its_arena(self):
         windows = np.random.default_rng(12).normal(size=(300, 80))

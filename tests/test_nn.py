@@ -252,6 +252,44 @@ def test_lstm_lanes_match_rowwise_oracle_per_lane(N, T, resets):
                 assert np.array_equal(g, w.reshape(g.shape)), name
 
 
+@pytest.mark.parametrize("T", [1, 9, 256])
+@pytest.mark.parametrize("N", [1, 2, 14])
+def test_lstm_cache_free_pass_matches_caching_pass(N, T):
+    # act's pass makes each step's input product in the step, keeps one
+    # step's gates and tanh(c) and no entry states; hs and the final state
+    # must keep the bits of the pass that caches
+    rng = np.random.default_rng(10 * N + T)
+    H = 128
+    wx = nn.init_uniform(rng, (80, 4 * H), 80)
+    wh = nn.init_uniform(rng, (H, 4 * H), H)
+    b = rng.normal(0, 0.1, 4 * H)
+    r = (rng.random(T * N) < 0.1).astype(np.uint8)
+    r[:N] = 1
+    shape = (N, H) if N > 1 else (H,)
+    h0, c0 = rng.normal(size=shape), rng.normal(size=shape)
+    for x in (rng.normal(scale=2e-3, size=(T * N, 80)), column_strided(rng, T * N, 80)):
+        want = kernels.lstm_seq_forward(x, r, h0, c0, wx, wh, b)
+        got = kernels.lstm_seq_forward(x, r, h0, c0, wx, wh, b, keep=False)
+        assert got[1:5] == (None, None, None, None)
+        for name, k in (("hs", 0), ("hT", 5), ("cT", 6)):
+            assert got[k].shape == want[k].shape and np.array_equal(got[k], want[k]), name
+        assert not np.shares_memory(got[5], got[0])
+
+
+def test_lstm_layer_without_cache_has_no_backward():
+    rng = np.random.default_rng(13)
+    layer = nn.LSTMLayer(2, 3, rng=rng)
+    x = rng.normal(size=(4, 2))
+    hs, hT, cT = layer.forward(x, keep=False)
+    assert layer._cache is None
+    want = layer.forward(x)
+    for g, w in zip((hs, hT, cT), want):
+        assert np.array_equal(g, w)
+    layer.forward(x, keep=False)
+    with pytest.raises(RuntimeError):
+        layer.backward(np.ones((4, 3)))
+
+
 def plain_gemm_tn(x, d):
     # the single gemm the dense backward made before block sums
     return np.dot(np.ascontiguousarray(x.T), d)
@@ -626,6 +664,46 @@ def test_layers_hold_views_into_their_nets_arena(make):
     own = nn.collect_params(standalone_layers(make))
     assert np.array_equal(net.params, np.concatenate([p.ravel() for p in own]))
     assert not net.grads.any()
+
+
+def drawn_one_layer_at_a_time(table, rng):
+    """The initial values of the layer table ``table`` as each layer drew
+    them into arrays of its own, concatenated in table order: how a net was
+    built before its layers drew their values in its arena. The oracle
+    for `nn.Net`."""
+    values = []
+    for _, cls, args in table:
+        for shape in cls.shapes(*args).values():
+            drawn = rng is not None and len(shape) == 2
+            values.append(nn.init_uniform(rng, shape, shape[0]) if drawn else np.zeros(shape))
+    return np.concatenate([v.ravel() for v in values])
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3])
+@pytest.mark.parametrize("table", [
+    agent._layer_table(80, 128, (32, 64, 64)),
+    labeler._layer_table(80, AutoencoderConfig()),
+], ids=["policy", "autoencoder"])
+def test_net_draws_the_values_of_per_layer_construction(table, seed):
+    rng, oracle_rng = (None, None) if seed is None else (
+        np.random.default_rng(seed), np.random.default_rng(seed))
+    net = nn.Net(table, rng)
+    assert np.array_equal(net.params, drawn_one_layer_at_a_time(table, oracle_rng))
+    assert net.params.shape == net.grads.shape and not net.grads.any()
+    if seed is not None:
+        # and drew no more and no fewer values
+        assert rng.random() == oracle_rng.random()
+
+
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=5), st.integers(0, 99))
+@settings(max_examples=40, deadline=None)
+def test_net_of_any_table_draws_the_per_layer_values(sizes, seed):
+    table = [("lstm", nn.LSTMLayer, (sizes[0], sizes[-1]))]
+    table += [(f"fc{k}", nn.DenseLayer, (n_in, n_out, "relu"))
+              for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))]
+    net = nn.Net(table, np.random.default_rng(seed))
+    want = drawn_one_layer_at_a_time(table, np.random.default_rng(seed))
+    assert np.array_equal(net.params, want)
 
 
 @pytest.mark.parametrize("make", [policy_net, autoencoder])
