@@ -6,17 +6,19 @@ auxiliary task), and a scalar value estimate. Training alternates
 fixed-length rollouts in the trading simulator with several epochs of
 minibatch updates on the collected data.
 
-Exact-replay discipline: every forward pass on the policy path uses the
-row-independent dense kernel and the stepwise LSTM, whose products are
-one vector-matrix call per row however many rows a call holds, and the
-rollout records the LSTM state entering each step. Rollouts call `act`
-one row at a time and updates replay 32-row slices from their stored
-state, into which no gradient flows back (the BPTT stops at a slice's
-first row); because each row's bits do not depend on its neighbours, both
-give the same logits bit for bit, which makes the probability ratio
-exactly 1 on the first pass after a rollout. The backtest steps many
-episodes together as the lanes of one call, and each lane row again has
-the bits of a one-row call.
+Exact-replay discipline: every product on the policy path gives a row
+the same bits however many rows its call holds (`fxppo.kernels`). The
+LSTM's input and recurrent products and the three trunk layers are
+gemms, a one-row call padded to two rows, and the heads make one
+vector-matrix call per row. The rollout records the LSTM state entering
+each step. Rollouts call `act` one row at a time and updates replay
+32-row slices from their stored state, into which no gradient flows back
+(the BPTT stops at a slice's first row); because each row's bits do not
+depend on its neighbours, both give the same logits bit for bit, which
+makes the probability ratio exactly 1 on the first pass after a rollout.
+The backtest steps many episodes together as the lanes of one call, each
+step's recurrent product one gemm over the lanes, and each lane row
+again has the bits of a one-row call.
 """
 
 import os
@@ -132,15 +134,17 @@ class PolicyNetwork(Net):
         (`LSTMLayer.forward`).
 
         Returns (policy_logits, aux_logits or None, values, hT, cT), one
-        row per input row. Row-independent kernels throughout
-        (``rows=True``), so results are independent of how the sequence is
-        sliced or laid out in lanes. ``keep`` false runs the LSTM without
-        what its backward pass reads, for a pass that only acts.
+        row per input row. Row-independent products throughout: gemms
+        for the LSTM and the trunk (``rows="gemm"``), one vector-matrix
+        call per row for the heads (``rows=True``), so results are
+        independent of how the sequence is sliced or laid out in lanes.
+        ``keep`` false runs the LSTM without what its backward pass reads,
+        for a pass that only acts.
         """
         hs, hT, cT = self.lstm.forward(obs, h0, c0, resets, keep)
-        y = self.fc1.forward(hs, rows=True)
-        y = self.fc2.forward(y, rows=True)
-        y = self.fc3.forward(y, rows=True)
+        y = self.fc1.forward(hs, rows="gemm")
+        y = self.fc2.forward(y, rows="gemm")
+        y = self.fc3.forward(y, rows="gemm")
         policy_logits = self.policy.forward(y, rows=True)
         aux_logits = self.aux.forward(y, rows=True) if want_aux else None
         values = self.value.forward(y, rows=True)[:, 0]

@@ -45,7 +45,8 @@ def save_container(path, meta, blocks):
     parts = [MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes
              + struct.pack("<I", len(blocks))]
     for name, arr in blocks.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
+        # not np.ascontiguousarray, which makes a 0-d array 1-d
+        arr = np.asarray(arr, dtype="<f8", order="C")
         name_bytes = name.encode("utf-8")
         parts += [struct.pack("<H", len(name_bytes)) + name_bytes
                   + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),

@@ -4,16 +4,21 @@ Plain numpy float64. The dense kernels compute only the affine map
 ``x @ w + b`` and its gradients; :class:`fxppo.nn.DenseLayer` applies the
 activation.
 
-Row independence is a property of the forward kernels only.
-``dense_rows_forward`` and the input half of the LSTM forward are stacked
-(T, 1, in) @ (in, out) products, which NumPy runs as one vector-matrix
-BLAS call per row, the same call a one-row ``np.dot`` makes; the LSTM's
-recurrence then steps through the rows, one gemv per lane for the
-recurrent product. So a length-1 call, a length-T call and a call of N
-lanes give bitwise-identical values for the same row: rollouts step one
-observation at a time, updates replay 32-row slices and the backtest
-steps every episode of a split as a lane, and all three must agree.
-``dense_gemm_forward`` does one matmul for non-recurrent nets.
+Row independence is a property of the policy's forward products: a row
+gets the same bits in a one-row call, a 32-row replay slice and a call
+of N lanes, so a rollout, the update that replays it and the backtest,
+which steps every episode of a split as a lane, all agree. Two kinds of
+product give it. A gemm gives each row the bits of the same row in a
+gemm of any other row count at the LSTM's and trunk's shapes (OpenBLAS
+0.3.31; ``tests/test_nn.py`` checks this at 2 to 6 000 rows), so the
+LSTM's input and recurrent products and the trunk layers are gemms.
+NumPy makes a one-row product a gemv, whose bits differ from a gemm
+row's, so a one-row call is padded with a zero row
+(:func:`two_or_more_rows`, or the LSTM's pad row). Narrow products lack
+the property (64-3 and 64-1 differ at 2 to 9 rows, 64-12 from about 1 300),
+so the heads use ``dense_rows_forward``, stacked (T, 1, in) @ (in, out)
+products that NumPy runs as one vector-matrix call per row.
+``dense_gemm_forward`` is the plain matmul, for the autoencoder.
 
 The backward kernels are gemms. Weight gradients are sums of gemms over
 fixed ``GRAD_BLOCK_ROWS``-row blocks (:func:`block_sum_tn`), so their bits
@@ -78,6 +83,16 @@ def dense_gemm_forward(x, w, b):
     return out
 
 
+def two_or_more_rows(x):
+    """``x``, or a one-row ``x`` with a zero row below it: numpy makes a
+    one-row product a gemv, whose bits differ from a gemm row's."""
+    if x.shape[0] != 1:
+        return x
+    padded = np.zeros((2, x.shape[1]), dtype=np.float64)
+    padded[:1] = x
+    return padded
+
+
 def dense_gemm_backward(x, dpre):
     """(dw, db) of the affine map given the gradient on its output; the
     caller that needs the input gradient makes it (`DenseLayer.backward`)."""
@@ -101,20 +116,25 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b, keep=True):
     hprev/cprev the state *before* the step, so any sub-segment can be
     replayed later; then the final state, shaped like ``h0``.
 
-    Every row's input product ``x[t] @ wx`` is made before the loop
-    (:func:`rows_matmul`); each step adds the lanes' ``h @ wh``, again one
-    gemv per lane, and ``b`` to it and writes its gates straight into the
-    step's rows of ``gates``, in the operation order of one ``np.dot`` per
-    product and one expression per gate. Every other operation is
+    Both products are gemms whose rows do not depend on the row count
+    (module docstring). The input product ``x @ wx`` is one gemm over
+    every row of the call, made before the loop; each step adds the
+    recurrent product ``h @ wh``, one gemm over the N lanes, and ``b``,
+    and writes its gates straight into the step's rows of ``gates``.
+    The lanes' state lives in the first N rows of the recurrent gemm's
+    left operand; one lane gets a zero pad row there, made once per call,
+    so that its product is a gemm too. Every other operation is
     elementwise over the (N, .) step, so each lane row has exactly the
-    bits it has in a one-lane call. A gemm over the lanes would not.
+    bits it has in a one-lane or one-row call.
 
     With ``keep`` false no backward pass follows, and the call keeps only
     hs for every row, H float64 a row instead of 12H: each step makes its
-    own rows' input product (the same gemv per row) and writes its gates
-    and tanh(c) to one step's scratch rows, which the next step overwrites;
-    no entry state is stored. tanhc, gates, hprev and cprev come back as
-    None, and hs, hT and cT have the bits of the pass that keeps them.
+    own rows' input product (one gemm over the lanes, padded the same
+    way) and writes its gates and tanh(c) to one step's scratch rows,
+    which the next step overwrites; no entry state is stored. tanhc,
+    gates, hprev and cprev come back as None, and hs, hT and cT have the
+    bits of the pass that keeps them. A one-row call takes this per-step
+    path whatever ``keep`` says.
     """
     H = h0.shape[-1]
     N = 1 if h0.ndim == 1 else h0.shape[0]
@@ -124,34 +144,47 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b, keep=True):
     hs = np.empty((T * N, H), dtype=np.float64)
     tanhc = np.empty((S * N, H), dtype=np.float64)
     gates = np.empty((S * N, 4 * H), dtype=np.float64)
-    # (T, N, 1, .) views whose [t] is step t's rows (S for gates and tanhc).
-    # The state is (N, 1, H), so np.matmul(h, wh) is one gemv per lane.
-    if keep:
-        xw = rows_matmul(x, wx).reshape(T, N, 1, 4 * H)
-    hs_t = hs.reshape(T, N, 1, H)
-    tanhc_t = tanhc.reshape(S, N, 1, H)
-    gates_t = gates.reshape(S, N, 1, 4 * H)
+    # each step's gemms run over P >= 2 rows, the lanes' and a lone lane's pad
+    P = max(N, 2)
+    h_rows = np.zeros((P, H), dtype=np.float64)
+    hw = np.empty((P, 4 * H), dtype=np.float64)
+    # the input product: one gemm over the call, or one per step
+    whole = keep and T * N > 1
+    if whole:
+        xw = np.dot(x, wx).reshape(T, N, 4 * H)
+    else:
+        x_rows = np.zeros((P, x.shape[1]), dtype=np.float64)
+        xw_step = np.empty((P, 4 * H), dtype=np.float64)
+    # (T, N, .) views whose [t] is step t's rows (S for gates and tanhc)
+    hs_t = hs.reshape(T, N, H)
+    tanhc_t = tanhc.reshape(S, N, H)
+    gates_t = gates.reshape(S, N, 4 * H)
     if keep:
         hprev = np.empty((T * N, H), dtype=np.float64)
         cprev = np.empty((T * N, H), dtype=np.float64)
-        hprev_t, cprev_t = hprev.reshape(T, N, 1, H), cprev.reshape(T, N, 1, H)
+        hprev_t, cprev_t = hprev.reshape(T, N, H), cprev.reshape(T, N, H)
     i, f = gates_t[..., :H], gates_t[..., H : 2 * H]
     g, o = gates_t[..., 2 * H : 3 * H], gates_t[..., 3 * H :]
     reset_steps = set((np.flatnonzero(resets) // N).tolist())
-    h = h0.reshape(N, 1, H).copy()
-    c = c0.reshape(N, 1, H).copy()
+    h = h_rows[:N]
+    h[...] = h0.reshape(N, H)
+    c = c0.reshape(N, H).copy()
     for t in range(T):
         s = t if keep else 0
         if t in reset_steps:
-            lane_reset = resets[t * N : (t + 1) * N, None, None] != 0
-            h = np.where(lane_reset, 0.0, h)
-            c = np.where(lane_reset, 0.0, c)
+            lane_reset = resets[t * N : (t + 1) * N] != 0
+            h[lane_reset] = 0.0
+            c = np.where(lane_reset[:, None], 0.0, c)
         if keep:
             hprev_t[t] = h
             cprev_t[t] = c
         # z = x[t] @ wx + h @ wh + b, summed in that order
-        z = xw[t] if keep else np.matmul(x[t * N : (t + 1) * N, None, :], wx)
-        z += np.matmul(h, wh)
+        if whole:
+            z = xw[t]
+        else:
+            x_rows[:N] = x[t * N : (t + 1) * N]
+            z = np.dot(x_rows, wx, out=xw_step)[:N]
+        z += np.dot(h_rows, wh, out=hw)[:N]
         z += b
         # one sigmoid over all four gates, then tanh overwrites the candidate
         gate = gates_t[s]
@@ -159,10 +192,11 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b, keep=True):
         np.exp(gate, out=gate)
         gate += 1.0
         np.divide(1.0, gate, out=gate)
-        np.tanh(z[..., 2 * H : 3 * H], out=g[s])
+        np.tanh(z[:, 2 * H : 3 * H], out=g[s])
         c = f[s] * c + i[s] * g[s]
         np.tanh(c, out=tanhc_t[s])
-        h = np.multiply(o[s], tanhc_t[s], out=hs_t[t])
+        np.multiply(o[s], tanhc_t[s], out=hs_t[t])
+        h[...] = hs_t[t]
     hT, cT = h.reshape(h0.shape).copy(), c.reshape(c0.shape)
     if not keep:
         return hs, None, None, None, None, hT, cT

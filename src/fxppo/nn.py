@@ -79,11 +79,14 @@ class DenseLayer(_Layer):
     """Fully connected layer, ``y = act(x @ w + b)`` with ``act`` one of
     :data:`ACTIVATIONS`.
 
-    ``forward`` takes a (T, in) or (in,) array. ``rows=True`` selects the
-    row-independent forward kernel, one vector-matrix product per row,
-    whose outputs do not depend on how rows are batched together; the
-    recurrent policy path needs that for exact rollout/replay agreement.
-    The batched gemm forward is the default.
+    ``forward`` takes a (T, in) or (in,) array. The policy path needs
+    outputs that do not depend on how rows are batched together, for
+    exact rollout/replay agreement (`fxppo.kernels`), and gets them two
+    ways: ``rows="gemm"``, one gemm over the call with a one-row call
+    padded to two rows, for shapes whose gemm rows do not depend on the
+    row count (the policy's trunk), and ``rows=True``, one vector-matrix
+    product per row, for any shape (the narrow heads). The plain gemm,
+    one-row calls included, is the default.
     The bias and the ReLU are applied in place on the kernel's product,
     and the layer caches ``(x, y)``, its input and its output: the ReLU's
     mask is ``y > 0``, which is ``x @ w + b > 0`` bit for bit.
@@ -115,7 +118,10 @@ class DenseLayer(_Layer):
             raise ShapeMismatch(
                 f"dense expects input size {self.in_size}, got {x.shape[1]}"
             )
-        if rows:
+        if rows == "gemm":
+            padded = kernels.two_or_more_rows(x)
+            y = kernels.dense_gemm_forward(padded, self.w, self.b)[: x.shape[0]]
+        elif rows:
             y = kernels.dense_rows_forward(x, self.w, self.b)
         else:
             y = kernels.dense_gemm_forward(x, self.w, self.b)
@@ -309,13 +315,6 @@ class Adam:
         s2 += self.EPS
         s1 /= s2
         self.params -= s1
-
-
-def collect_params(layers):
-    out = []
-    for layer in layers:
-        out.extend(layer.params())
-    return out
 
 
 def collect_grads(layers):

@@ -51,7 +51,6 @@ from fxppo.nn import (
     DenseLayer,
     LSTMLayer,
     collect_grads,
-    collect_params,
     log_softmax,
     mse_loss,
 )
@@ -338,7 +337,7 @@ class TestCriterion03GradientFidelity:
             buffer.labels,
         )
         # step off the rollout point so the clip min() picks one branch
-        for p in collect_params(net.layers):
+        for p in net.param_blocks().values():
             p += rng.normal(scale=1e-3, size=p.shape)
 
         def loss():
@@ -348,7 +347,7 @@ class TestCriterion03GradientFidelity:
         # each loss() call runs the backward pass again, so copy first
         analytic = [g.copy() for g in collect_grads(net.layers)]
         worst = 0.0
-        for p, g in zip(collect_params(net.layers), analytic):
+        for p, g in zip(net.param_blocks().values(), analytic):
             worst = max(worst, self.check_entries(p, g, loss, limit=8))
         return worst
 

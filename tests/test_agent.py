@@ -32,7 +32,7 @@ from fxppo.agent import (
 )
 from fxppo.checkpoint import CheckpointError, load_checked, load_container, save_container
 from fxppo.env import EnvConfig, TradingEnv
-from fxppo.nn import Adam, collect_grads, collect_params, log_softmax, softmax
+from fxppo.nn import Adam, collect_grads, log_softmax, softmax
 
 
 def tiny_net(seed=0, obs=6, hidden=5, trunk=(4, 4, 4)):
@@ -475,12 +475,12 @@ class TestCompositeGradient:
         # nudge parameters off the rollout point so the clip min() has a
         # unique active branch everywhere
         nudge = np.random.default_rng(77)
-        for p in collect_params(net.layers):
+        for p in net.param_blocks().values():
             p += nudge.normal(scale=1e-3, size=p.shape)
 
         minibatch_pass(net, *batch, config)
         analytic = [g.copy() for g in collect_grads(net.layers)]
-        params = collect_params(net.layers)
+        params = list(net.param_blocks().values())
         h = 1e-5
         worst = 0.0
         for p, g in zip(params, analytic):
@@ -523,7 +523,7 @@ class TestUpdate:
 
         class PerArrayAdam(TextbookAdam):
             def __init__(self, layers, lr):
-                super().__init__(collect_params(layers), lr)
+                super().__init__([p for layer in layers for p in layer.params()], lr)
                 self.layers = layers
 
             def step(self, grads):

@@ -103,7 +103,7 @@ def joined_container(meta, blocks):
     parts = [b"FXPPOBIN", struct.pack("<II", 1, len(meta_bytes)), meta_bytes,
              struct.pack("<I", len(blocks))]
     for name, arr in blocks.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype=np.float64)
         name_bytes = name.encode("utf-8")
         parts += [struct.pack("<H", len(name_bytes)), name_bytes,
                   struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
@@ -140,7 +140,7 @@ def test_container_bytes_pinned(tmp_path):
     blocks = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([-0.5, 1e-300]),
               "s": np.array(2.5).reshape(())}
     save_container(path, {"kind": "test", "seed": 30}, blocks)
-    pinned = "e43fab942a7ead7bc33cde7655cc17296d351d95dc1938d668389c01d7ad718f"
+    pinned = "c4d91d4f2fb3acc161fb1d3d18c32e5dae1e2d5f87e82df4deaedd5dc02015ab"
     assert file_sha256(path) == pinned
 
 
@@ -236,7 +236,7 @@ def test_write_artifact_returns_the_sha256_of_its_bytes(tmp_path, data):
 
 
 block_names = st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), min_size=1, max_size=6)
-block_dims = st.lists(st.integers(0, 4), min_size=1, max_size=3)
+block_dims = st.lists(st.integers(0, 4), min_size=0, max_size=3)
 
 
 @given(

@@ -34,7 +34,7 @@ from fxppo.labeler import (
     silhouette_score,
     train_autoencoder,
 )
-from fxppo.nn import collect_grads, collect_params, mse_loss
+from fxppo.nn import collect_grads, mse_loss
 
 
 def lloyd_reference(points, init_centroids, max_iters=300, tol=1e-8):
@@ -129,7 +129,7 @@ def train_autoencoder_per_array(windows, config, seed):
     reference for the flat-arena loop."""
     rng = np.random.default_rng(seed)
     model = Autoencoder(config, rng, windows.shape[1])
-    params = collect_params(model.layers)
+    params = [p for layer in model.layers for p in layer.params()]
     grads = collect_grads(model.layers)
     opt = TextbookAdam(params, config.learning_rate)
     n = windows.shape[0]

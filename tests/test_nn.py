@@ -146,10 +146,16 @@ def dense_rows_forward_rowwise(x, w, b):
     return pre
 
 
+def padded_row_gemm(v, w):
+    """``v @ w`` for one row ``v``, as the first row of a two-row gemm whose
+    second row is zero: the bits of that row in a gemm of any row count."""
+    return np.dot(np.stack([v, np.zeros_like(v)]), w)[0]
+
+
 def lstm_seq_forward_rowwise(x, resets, h0, c0, wx, wh, b):
-    """The LSTM forward with every product inside the step loop: the oracle
-    for the hoisted input product and in-place step of
-    `kernels.lstm_seq_forward`."""
+    """The LSTM forward with every product inside the step loop, each the
+    padded one-row gemm: the oracle for the whole-call input gemm, the
+    lane gemms and the in-place step of `kernels.lstm_seq_forward`."""
     T = x.shape[0]
     H = h0.shape[0]
     hs, tanhc, hprev, cprev = (np.empty((T, H)) for _ in range(4))
@@ -162,7 +168,7 @@ def lstm_seq_forward_rowwise(x, resets, h0, c0, wx, wh, b):
             c = np.zeros(H)
         hprev[t, :] = h
         cprev[t, :] = c
-        z = np.dot(x[t], wx) + np.dot(h, wh) + b
+        z = padded_row_gemm(x[t], wx) + padded_row_gemm(h, wh) + b
         i = 1.0 / (1.0 + np.exp(-z[:H]))
         f = 1.0 / (1.0 + np.exp(-z[H : 2 * H]))
         g = np.tanh(z[2 * H : 3 * H])
@@ -250,6 +256,47 @@ def test_lstm_lanes_match_rowwise_oracle_per_lane(N, T, resets):
             assert one_lane[5].shape == one_lane[6].shape == (N_HIDDEN,)
             for name, g, w in zip(names, one_lane, got):
                 assert np.array_equal(g, w.reshape(g.shape)), name
+
+
+def gemm_products(net):
+    """(name, weight) of every product the policy runs as a gemm: the
+    LSTM's input and recurrent products and the three trunk layers."""
+    return [("wx", net.lstm.wx), ("wh", net.lstm.wh),
+            ("fc1", net.fc1.w), ("fc2", net.fc2.w), ("fc3", net.fc3.w)]
+
+
+ROW_COUNTS = [2, 3, 13, 14, 32, 256, 600, 6000]
+ROW_OFFSETS = [0, 1, 7, 33]
+
+
+@pytest.mark.parametrize("sizes", [
+    (80, 128, (32, 64, 64)),  # production
+    (6, 5, (4, 4, 4)),  # the small nets of the exact agent and backtest tests
+    (8, 5, (4, 4, 4)),
+    (2, 3, (4, 4, 4)),
+], ids=lambda s: f"{s[0]}-{s[1]}-{'-'.join(map(str, s[2]))}")
+def test_policy_gemm_rows_do_not_depend_on_the_row_count(sizes):
+    # the rollout's one-row calls, the backtest's lane gemms and the
+    # replay's slices agree only if each row of an M-row gemm has the bits
+    # of the padded one-row gemm; a BLAS that breaks this fails here first
+    input_size, hidden_size, trunk = sizes
+    rng = np.random.default_rng(input_size + hidden_size)
+    net = PolicyNetwork(input_size, hidden_size, trunk, rng)
+    n = ROW_COUNTS[-1] + ROW_OFFSETS[-1]
+    for name, w in gemm_products(net):
+        k = w.shape[0]
+        # rows one float64 off the allocation's alignment, as arena views are
+        pool = np.empty(n * k + 1)[1:].reshape(n, k)
+        pool[...] = rng.normal(size=(n, k))
+        pad = np.zeros((2, k))
+        want = np.empty((n, w.shape[1]))
+        for r in range(n):
+            pad[0] = pool[r]
+            want[r] = np.dot(pad, w)[0]
+        for m in ROW_COUNTS:
+            for off in ROW_OFFSETS:
+                got = np.dot(pool[off : off + m], w)
+                assert np.array_equal(got, want[off : off + m]), (name, m, off)
 
 
 @pytest.mark.parametrize("T", [1, 9, 256])
@@ -606,7 +653,7 @@ def test_adam_in_place_matches_textbook_formula_bit_for_bit():
     lr = 3e-4
     rng = np.random.default_rng(60)
     net = PolicyNetwork(rng=rng)
-    params = nn.collect_params(net.layers)
+    params = [p for layer in net.layers for p in layer.params()]
     ref = TextbookAdam([p.copy() for p in params], lr)
     opt = nn.Adam(net.params, lr)
     for _ in range(60):
@@ -646,7 +693,7 @@ def standalone_layers(make):
 @pytest.mark.parametrize("make", [policy_net, autoencoder])
 def test_layers_hold_views_into_their_nets_arena(make):
     net = make()
-    params = nn.collect_params(net.layers)
+    params = [p for layer in net.layers for p in layer.params()]
     grads = nn.collect_grads(net.layers)
     blocks = list(net.param_blocks().values())
     assert len(blocks) == len(params) == len(grads)
@@ -661,7 +708,7 @@ def test_layers_hold_views_into_their_nets_arena(make):
     assert net.params.shape == net.grads.shape == (offset,)
     assert net.params.dtype == net.grads.dtype == np.float64
     # the layers drew their initial values in the usual order
-    own = nn.collect_params(standalone_layers(make))
+    own = [p for layer in standalone_layers(make) for p in layer.params()]
     assert np.array_equal(net.params, np.concatenate([p.ravel() for p in own]))
     assert not net.grads.any()
 
