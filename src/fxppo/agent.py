@@ -1,21 +1,21 @@
 """Recurrent actor-critic trained with clipped-surrogate policy gradients.
 
-The network is an LSTM trunk feeding three dense layers, then three
-heads: a 3-way trade policy, a 12-way cluster-label predictor (the
-auxiliary task), and a scalar value estimate. Training alternates
-fixed-length rollouts in the trading simulator with several epochs of
-minibatch updates on the collected data.
+The network is an LSTM trunk feeding three dense layers, then one dense
+head layer whose 16 outputs are three heads: a 3-way trade policy, a
+12-way cluster-label predictor (the auxiliary task), and a scalar value
+estimate. Training alternates fixed-length rollouts in the trading
+simulator with several epochs of minibatch updates on the collected data.
 
 Exact-replay discipline: every product on the policy path gives a row
-the same bits however many rows its call holds (`fxppo.kernels`). The
-LSTM's input and recurrent products and the three trunk layers are
-gemms, a one-row call padded to two rows, and the heads make one
-vector-matrix call per row. The rollout records the LSTM state entering
-each step. Rollouts call `act` one row at a time and updates replay
-32-row slices from their stored state, into which no gradient flows back
-(the BPTT stops at a slice's first row); because each row's bits do not
-depend on its neighbours, both give the same logits bit for bit, which
-makes the probability ratio exactly 1 on the first pass after a rollout.
+the same bits however many rows its call holds (`fxppo.kernels`): the
+LSTM's input and recurrent products, the three trunk layers and the head
+layer are gemms, a one-row call padded to two rows. The rollout records
+the LSTM state entering each step. Rollouts call `act` one row at a time
+and updates replay 32-row slices from their stored state, into which no
+gradient flows back (the BPTT stops at a slice's first row); because
+each row's bits do not depend on its neighbours, both give the same
+logits bit for bit, which makes the probability ratio exactly 1 on the
+first pass after a rollout.
 The backtest steps many episodes together as the lanes of one call, each
 step's recurrent product one gemm over the lanes, and each lane row
 again has the bits of a one-row call.
@@ -37,7 +37,6 @@ from .nn import (
     block_shapes,
     clear_caches,
     clip_grad_norm,
-    collect_grads,
     log_softmax,
     softmax,
     split_flat,
@@ -58,6 +57,9 @@ class LabelOutOfRange(AgentError):
 
 N_ACTIONS = 3
 N_CLUSTERS = 12
+# the head layer's output columns: policy logits, aux logits, then the value
+AUX_COLUMNS = slice(N_ACTIONS, N_ACTIONS + N_CLUSTERS)
+VALUE_COLUMN = N_ACTIONS + N_CLUSTERS
 
 
 @dataclass
@@ -105,15 +107,14 @@ def _layer_table(input_size, hidden_size, trunk):
         ("fc1", DenseLayer, (hidden_size, t1, "relu")),
         ("fc2", DenseLayer, (t1, t2, "relu")),
         ("fc3", DenseLayer, (t2, t3, "relu")),
-        ("policy", DenseLayer, (t3, N_ACTIONS, "identity")),
-        ("aux", DenseLayer, (t3, N_CLUSTERS, "identity")),
-        ("value", DenseLayer, (t3, 1, "identity")),
+        ("heads", DenseLayer, (t3, VALUE_COLUMN + 1, "identity")),
     ]
 
 
 class PolicyNetwork(Net):
-    """LSTM(80->128) -> dense 32/64/64 (ReLU) -> policy/aux/value heads,
-    declared by `_layer_table`.
+    """LSTM(80->128) -> dense 32/64/64 (ReLU) -> dense 16, the policy
+    logits, aux logits and value in its column ranges, declared by
+    `_layer_table`.
 
     The default sizes are the production architecture; tests shrink
     them to keep finite-difference sweeps cheap.
@@ -134,28 +135,27 @@ class PolicyNetwork(Net):
         (`LSTMLayer.forward`).
 
         Returns (policy_logits, aux_logits or None, values, hT, cT), one
-        row per input row. Row-independent products throughout: gemms
-        for the LSTM and the trunk (``rows="gemm"``), one vector-matrix
-        call per row for the heads (``rows=True``), so results are
-        independent of how the sequence is sliced or laid out in lanes.
+        row per input row: column views of the head layer's one output.
+        Every product is a row-invariant gemm, so results are independent
+        of how the sequence is sliced or laid out in lanes.
         ``keep`` false runs the LSTM without what its backward pass reads,
         for a pass that only acts.
         """
         hs, hT, cT = self.lstm.forward(obs, h0, c0, resets, keep)
-        y = self.fc1.forward(hs, rows="gemm")
-        y = self.fc2.forward(y, rows="gemm")
-        y = self.fc3.forward(y, rows="gemm")
-        policy_logits = self.policy.forward(y, rows=True)
-        aux_logits = self.aux.forward(y, rows=True) if want_aux else None
-        values = self.value.forward(y, rows=True)[:, 0]
-        return policy_logits, aux_logits, values, hT, cT
+        y = self.fc3.forward(self.fc2.forward(self.fc1.forward(hs)))
+        out = self.heads.forward(y)
+        aux_logits = out[:, AUX_COLUMNS] if want_aux else None
+        return out[:, :N_ACTIONS], aux_logits, out[:, VALUE_COLUMN], hT, cT
 
     def backward_sequence(self, d_policy_logits, d_aux_logits, d_values):
-        """Accumulates parameter gradients for the last forward_sequence."""
-        dy = self.policy.backward(d_policy_logits)
+        """Accumulates parameter gradients for the last forward_sequence;
+        with ``d_aux_logits`` None the aux columns get zero gradient."""
+        d_out = np.zeros((d_values.shape[0], self.heads.out_size))
+        d_out[:, :N_ACTIONS] = d_policy_logits
         if d_aux_logits is not None:
-            dy = dy + self.aux.backward(d_aux_logits)
-        dy = dy + self.value.backward(d_values[:, None])
+            d_out[:, AUX_COLUMNS] = d_aux_logits
+        d_out[:, VALUE_COLUMN] = d_values
+        dy = self.heads.backward(d_out)
         dy = self.fc3.backward(dy)
         dy = self.fc2.backward(dy)
         dy = self.fc1.backward(dy)
@@ -318,10 +318,10 @@ def minibatch_pass(
     The total loss is
         -clip_objective + value_w * value_mse + aux_w * aux_ce
         - entropy_coef * policy_entropy
-    with the auxiliary term skipped entirely when its weight is zero so
-    the aux head receives no gradient at all. Returns (total, policy,
-    value, aux, entropy, clip_fraction), and ``net.grads`` holds
-    d(total)/d(params) on return.
+    with the auxiliary term skipped entirely when its weight is zero, so
+    the aux columns of the head layer get exactly zero gradient. Returns
+    (total, policy, value, aux, entropy, clip_fraction), and ``net.grads``
+    holds d(total)/d(params) on return.
     """
     n = obs.shape[0]
     eps = config.clip_epsilon
@@ -389,7 +389,6 @@ def update(net, optimizer, buffer, advantages, returns_target, config, rng):
     """
     if not buffer.full:
         raise EmptyBuffer("rollout buffer is not full")
-    grads = collect_grads(net.layers)
     bounds = _segment_bounds(buffer.length, config.minibatch_size)
 
     sums = np.zeros(4)
@@ -412,7 +411,7 @@ def update(net, optimizer, buffer, advantages, returns_target, config, rng):
                 buffer.labels[s:e],
                 config,
             )
-            clip_grad_norm(grads, config.max_grad_norm)
+            clip_grad_norm(net.grads, config.max_grad_norm)
             optimizer.step(net.grads)
             sums += (p_l, v_l, a_l, ent)
             clip_hits += clip_frac

@@ -7,18 +7,18 @@ activation.
 Row independence is a property of the policy's forward products: a row
 gets the same bits in a one-row call, a 32-row replay slice and a call
 of N lanes, so a rollout, the update that replays it and the backtest,
-which steps every episode of a split as a lane, all agree. Two kinds of
-product give it. A gemm gives each row the bits of the same row in a
-gemm of any other row count at the LSTM's and trunk's shapes (OpenBLAS
-0.3.31; ``tests/test_nn.py`` checks this at 2 to 6 000 rows), so the
-LSTM's input and recurrent products and the trunk layers are gemms.
-NumPy makes a one-row product a gemv, whose bits differ from a gemm
-row's, so a one-row call is padded with a zero row
-(:func:`two_or_more_rows`, or the LSTM's pad row). Narrow products lack
-the property (64-3 and 64-1 differ at 2 to 9 rows, 64-12 from about 1 300),
-so the heads use ``dense_rows_forward``, stacked (T, 1, in) @ (in, out)
-products that NumPy runs as one vector-matrix call per row.
-``dense_gemm_forward`` is the plain matmul, for the autoencoder.
+which steps every episode of a split as a lane, all agree. Every product
+is a gemm, and a gemm gives each row the bits of the same row in a gemm
+of any other row count at the policy's shapes: the LSTM's input and
+recurrent products, the trunk layers and the one fused head layer
+(64-16). That holds for the SkylakeX kernel of OpenBLAS 0.3.31, which
+a DYNAMIC_ARCH build picks on AVX-512 hosts (``tests/test_nn.py`` checks
+2 to 6 000 rows), but is not a property of numpy: under its Haswell
+kernel rows agree only at even row counts. NumPy makes a one-row product
+a gemv, whose bits differ from a gemm row's, so a one-row call is padded
+with a zero row (:func:`two_or_more_rows`, or the LSTM's pad row).
+Narrower products lack the property (64-3, 64-12 and 64-1 each differ at
+some row counts), which is why the three heads are one 16-output layer.
 
 The backward kernels are gemms. Weight gradients are sums of gemms over
 fixed ``GRAD_BLOCK_ROWS``-row blocks (:func:`block_sum_tn`), so their bits
@@ -45,23 +45,18 @@ def block_sum_tn(a, d):
     return out
 
 
-def rows_matmul(x, w):
-    """(T, in) @ (in, out) as T vector-matrix products: the stacked matmul
-    makes one gemv per row, the BLAS call ``np.dot(x[t], w)`` makes, so
-    every row has the bits it would have alone. A (T, in) gemm would not:
-    its blocking and kernel depend on T."""
-    return np.matmul(x[:, None, :], w)[:, 0, :]
-
-
+# Neither this nor `dense_rows_backward` has a caller since every dense
+# product became a gemm; both go with the next change to perfbench,
+# whose traced metrics still name them.
 def dense_rows_forward(x, w, b):
-    # x: (T, in), w: (in, out), b: (out,) -> (T, out); b is added in place
-    out = rows_matmul(x, w)
+    """(T, in) @ (in, out) + b as T vector-matrix products: the stacked
+    matmul makes one gemv per row, so every row has the bits it would have
+    alone; b is added in place."""
+    out = np.matmul(x[:, None, :], w)[:, 0, :]
     out += b
     return out
 
 
-# No caller since the backward passes became gemms; it goes with the next
-# change to perfbench, whose traced metrics still name it.
 def dense_rows_backward(x, w, dpre):
     """(dx, dw, db) of the affine map given the gradient on its output."""
     T = x.shape[0]

@@ -78,16 +78,6 @@ def _layer_table(input_size, config):
 ENCODE_BLOCK_ROWS = 256
 
 
-def _row_blocks(n, size):
-    """(start, end) of consecutive blocks of ``size`` rows over ``n`` rows;
-    a 1-row remainder joins the block before it, so that no block of a
-    split of two or more rows has one row."""
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
-
-
 class Autoencoder(Net):
     """Symmetric dense autoencoder; decoder mirrors the encoder
     (`_layer_table`).
@@ -104,11 +94,12 @@ class Autoencoder(Net):
     hidden layers over blocks of ``ENCODE_BLOCK_ROWS`` rows, so only the
     last hidden layer's output is made for the whole batch, and the latent
     layer is still one gemm over the whole batch. The blocks keep the
-    codes' bits: with OpenBLAS 0.3.31, a gemm at the default hidden sizes
-    (80-128, 128-64, 64-32) gives each row the bits of the whole-batch
-    gemm at every row count of two or more, though not at one, which
-    `_row_blocks` never makes. The 32-12 latent gemm does not: over a few
-    thousand rows, its rows differ from those of every smaller gemm.
+    codes' bits: with OpenBLAS 0.3.31's SkylakeX kernel, a gemm at the
+    default hidden sizes (80-128, 128-64, 64-32) gives each row the bits
+    of the whole-batch gemm at every row count of two or more, and
+    `DenseLayer.forward` pads a 1-row tail block to two rows. The 32-12
+    latent gemm does not: over a few thousand rows, its rows differ from
+    those of every smaller gemm.
     """
 
     def __init__(self, config, rng=None, input_size=80):
@@ -139,8 +130,9 @@ class Autoencoder(Net):
         *hidden, latent = self.encoder
         if hidden:
             y = np.empty((x.shape[0], hidden[-1].out_size))
-            for s, e in _row_blocks(x.shape[0], ENCODE_BLOCK_ROWS):
-                y[s:e] = self._run(hidden, x[s:e], keep=False)
+            for s in range(0, x.shape[0], ENCODE_BLOCK_ROWS):
+                block = slice(s, s + ENCODE_BLOCK_ROWS)
+                y[block] = self._run(hidden, x[block], keep=False)
             x = y
         return self._run([latent], x, keep=False)
 

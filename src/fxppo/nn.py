@@ -71,26 +71,22 @@ class _Layer:
     def params(self):
         return [getattr(self, name) for name in self.PARAMS]
 
-    def grads(self):
-        return [getattr(self, name) for name in self.GRADS]
-
 
 class DenseLayer(_Layer):
     """Fully connected layer, ``y = act(x @ w + b)`` with ``act`` one of
     :data:`ACTIVATIONS`.
 
-    ``forward`` takes a (T, in) or (in,) array. The policy path needs
-    outputs that do not depend on how rows are batched together, for
-    exact rollout/replay agreement (`fxppo.kernels`), and gets them two
-    ways: ``rows="gemm"``, one gemm over the call with a one-row call
-    padded to two rows, for shapes whose gemm rows do not depend on the
-    row count (the policy's trunk), and ``rows=True``, one vector-matrix
-    product per row, for any shape (the narrow heads). The plain gemm,
-    one-row calls included, is the default.
+    ``forward`` takes a (T, in) or (in,) array and makes one gemm over the
+    call, a one-row call padded to two rows (`kernels.two_or_more_rows`):
+    NumPy makes a one-row product a gemv, whose bits differ from a gemm
+    row's. At the shapes where a gemm row does not depend on the row count
+    (`fxppo.kernels`), every row then has the bits it has in a call of any
+    other row count, which the policy's exact rollout/replay agreement
+    needs.
     The bias and the ReLU are applied in place on the kernel's product,
     and the layer caches ``(x, y)``, its input and its output: the ReLU's
     mask is ``y > 0``, which is ``x @ w + b > 0`` bit for bit.
-    The backward pass is the gemm kernel either way. ``backward`` returns
+    The backward pass is the gemm kernel. ``backward`` returns
     the gradient on the input; ``accumulate`` makes only the parameter
     gradients, for the first layer of a network, whose input gradient
     nothing reads.
@@ -112,19 +108,14 @@ class DenseLayer(_Layer):
     def shapes(in_size, out_size, activation="identity"):
         return {"w": (in_size, out_size), "b": (out_size,)}
 
-    def forward(self, x, rows=False):
+    def forward(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.in_size:
             raise ShapeMismatch(
                 f"dense expects input size {self.in_size}, got {x.shape[1]}"
             )
-        if rows == "gemm":
-            padded = kernels.two_or_more_rows(x)
-            y = kernels.dense_gemm_forward(padded, self.w, self.b)[: x.shape[0]]
-        elif rows:
-            y = kernels.dense_rows_forward(x, self.w, self.b)
-        else:
-            y = kernels.dense_gemm_forward(x, self.w, self.b)
+        padded = kernels.two_or_more_rows(x)
+        y = kernels.dense_gemm_forward(padded, self.w, self.b)[: x.shape[0]]
         if self.relu:
             np.maximum(y, 0.0, out=y)
         self._cache = (x, y)
@@ -254,15 +245,13 @@ def mse_loss(estimates, targets):
 
 
 def clip_grad_norm(grads, max_norm):
-    """Scale gradients in place so their global L2 norm is <= max_norm."""
-    total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
+    """Scales the flat gradient array ``grads`` (a net's arena) in place so
+    that its L2 norm is at most ``max_norm``; returns the norm before.
+    The squares are summed by ``np.sum``, whose pairwise sum gives the
+    same bits under any BLAS thread count, which ``np.dot``'s does not."""
+    norm = np.sqrt(np.sum(grads * grads))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for g in grads:
-            g *= scale
+        grads *= max_norm / (norm + 1e-12)
     return norm
 
 
@@ -315,13 +304,6 @@ class Adam:
         s2 += self.EPS
         s1 /= s2
         self.params -= s1
-
-
-def collect_grads(layers):
-    out = []
-    for layer in layers:
-        out.extend(layer.grads())
-    return out
 
 
 def _count(shapes):

@@ -17,6 +17,8 @@ import pytest
 
 import conftest
 from fxppo.agent import (
+    AUX_COLUMNS,
+    N_ACTIONS,
     PPOConfig,
     PolicyNetwork,
     RolloutBuffer,
@@ -50,9 +52,9 @@ from fxppo.nn import (
     Adam,
     DenseLayer,
     LSTMLayer,
-    collect_grads,
     log_softmax,
     mse_loss,
+    split_flat,
 )
 
 
@@ -345,9 +347,10 @@ class TestCriterion03GradientFidelity:
 
         minibatch_pass(net, *batch, config)
         # each loss() call runs the backward pass again, so copy first
-        analytic = [g.copy() for g in collect_grads(net.layers)]
+        params = list(net.param_blocks().values())
+        analytic = [g.copy() for g in split_flat(net.grads, params)]
         worst = 0.0
-        for p, g in zip(net.param_blocks().values(), analytic):
+        for p, g in zip(params, analytic):
             worst = max(worst, self.check_entries(p, g, loss, limit=8))
         return worst
 
@@ -614,8 +617,8 @@ class TestCriterion09AblationSeparation:
 
             # update-level: auxiliary parameters bitwise frozen
             net = PolicyNetwork(80, 128, (32, 64, 64), np.random.default_rng(2))
-            aux_w = net.aux.w.copy()
-            aux_b = net.aux.b.copy()
+            aux_w = net.heads.w[:, AUX_COLUMNS].copy()
+            aux_b = net.heads.b[AUX_COLUMNS].copy()
             optimizer = Adam(net.params, config.learning_rate)
             env = TradingEnv(windows, returns, env_cfg)
             h, c = net.initial_state()
@@ -632,12 +635,12 @@ class TestCriterion09AblationSeparation:
                     config, rng,
                 )
                 assert stats.aux_loss == 0.0
-            assert np.array_equal(net.aux.w, aux_w)
-            assert np.array_equal(net.aux.b, aux_b)
+            assert np.array_equal(net.heads.w[:, AUX_COLUMNS], aux_w)
+            assert np.array_equal(net.heads.b[AUX_COLUMNS], aux_b)
             assert not np.array_equal(  # sanity: the rest did move
-                net.policy.w, PolicyNetwork(
+                net.heads.w[:, :N_ACTIONS], PolicyNetwork(
                     80, 128, (32, 64, 64), np.random.default_rng(2)
-                ).policy.w,
+                ).heads.w[:, :N_ACTIONS],
             )
 
             # loop-level: the logged auxiliary column is identically zero

@@ -32,7 +32,7 @@ from fxppo.agent import (
 )
 from fxppo.checkpoint import CheckpointError, load_checked, load_container, save_container
 from fxppo.env import EnvConfig, TradingEnv
-from fxppo.nn import Adam, collect_grads, log_softmax, softmax
+from fxppo.nn import Adam, log_softmax, softmax, split_flat
 
 
 def tiny_net(seed=0, obs=6, hidden=5, trunk=(4, 4, 4)):
@@ -63,9 +63,7 @@ class TestPolicyNetwork:
         net = PolicyNetwork(rng=np.random.default_rng(0))
         assert net.lstm.input_size == 80 and net.lstm.hidden_size == 128
         assert [l.out_size for l in (net.fc1, net.fc2, net.fc3)] == [32, 64, 64]
-        assert net.policy.out_size == 3
-        assert net.aux.out_size == 12
-        assert net.value.out_size == 1
+        assert net.heads.out_size == agent.N_ACTIONS + agent.N_CLUSTERS + 1 == 16
 
     def test_heads_are_distributions(self):
         net = tiny_net(3)
@@ -99,7 +97,7 @@ class TestPolicyNetwork:
         for layer in net.layers:
             for p in layer.params():
                 p[:] = 0.0
-        net.policy.b[:] = np.log([0.2, 0.5, 0.3])
+        net.heads.b[: agent.N_ACTIONS] = np.log([0.2, 0.5, 0.3])
         h, c = net.initial_state()
         actions, log_probs, _, _, _ = net.act(np.zeros((1, 6)), h, c, 1, mode="greedy")
         assert actions[0] == 1
@@ -110,7 +108,7 @@ class TestPolicyNetwork:
         for layer in net.layers:
             for p in layer.params():
                 p[:] = 0.0
-        net.policy.b[:] = np.log([0.2, 0.5, 0.3])
+        net.heads.b[: agent.N_ACTIONS] = np.log([0.2, 0.5, 0.3])
         h, c = net.initial_state()
         rng = np.random.default_rng(99)
         counts = np.zeros(3)
@@ -139,7 +137,7 @@ class TestPolicyNetwork:
     @pytest.mark.parametrize("reset", [0, 1])
     def test_run_matches_one_row_calls(self, mode, reset):
         net = tiny_net(4)
-        net.policy.w *= 20.0  # sharpen so the greedy action moves
+        net.heads.w[:, : agent.N_ACTIONS] *= 20.0  # sharpen so the greedy action moves
         rng = np.random.default_rng(2)
         obs = rng.normal(size=(40, 6))
         h0, c0 = rng.normal(size=5), rng.normal(size=5)
@@ -163,7 +161,7 @@ class TestPolicyNetwork:
     def test_lanes_match_one_lane_calls(self, reset):
         # lane n of a 3-lane call is the rows obs[n::3]
         net = tiny_net(9)
-        net.policy.w *= 20.0
+        net.heads.w[:, : agent.N_ACTIONS] *= 20.0
         rng = np.random.default_rng(4)
         obs = rng.normal(size=(3 * 20, 6))
         h0, c0 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
@@ -250,9 +248,9 @@ class TestLoadPolicy:
         src, path = tmp_path / "policy.bin", tmp_path / "bad.bin"
         src.write_bytes(POLICY)
         meta, blocks = load_container(src)
-        del blocks["value.b"]
+        del blocks["heads.b"]
         save_container(path, meta, blocks)
-        with pytest.raises(CheckpointError, match="value.b"):
+        with pytest.raises(CheckpointError, match="heads.b"):
             load_policy(path)
 
     @given(
@@ -479,8 +477,8 @@ class TestCompositeGradient:
             p += nudge.normal(scale=1e-3, size=p.shape)
 
         minibatch_pass(net, *batch, config)
-        analytic = [g.copy() for g in collect_grads(net.layers)]
         params = list(net.param_blocks().values())
+        analytic = [g.copy() for g in split_flat(net.grads, params)]
         h = 1e-5
         worst = 0.0
         for p, g in zip(params, analytic):
@@ -524,10 +522,9 @@ class TestUpdate:
         class PerArrayAdam(TextbookAdam):
             def __init__(self, layers, lr):
                 super().__init__([p for layer in layers for p in layer.params()], lr)
-                self.layers = layers
 
             def step(self, grads):
-                super().step(collect_grads(self.layers))
+                super().step(split_flat(grads, self.params))
 
         net, buffer, adv, ret, config, _ = self.setup_pieces()
         ref, *_ = self.setup_pieces()
@@ -563,22 +560,22 @@ class TestUpdate:
 
     def test_aux_weight_zero_freezes_aux_head(self):
         net, buffer, adv, ret, config, _ = self.setup_pieces(aux_weight=0.0)
-        before_w = net.aux.w.copy()
-        before_b = net.aux.b.copy()
-        other_before = net.policy.w.copy()
+        before_w = net.heads.w[:, agent.AUX_COLUMNS].copy()
+        before_b = net.heads.b[agent.AUX_COLUMNS].copy()
+        other_before = net.heads.w[:, : agent.N_ACTIONS].copy()
         opt = Adam(net.params, config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
-        assert np.array_equal(net.aux.w, before_w)
-        assert np.array_equal(net.aux.b, before_b)
-        assert not np.array_equal(net.policy.w, other_before)
+        assert np.array_equal(net.heads.w[:, agent.AUX_COLUMNS], before_w)
+        assert np.array_equal(net.heads.b[agent.AUX_COLUMNS], before_b)
+        assert not np.array_equal(net.heads.w[:, : agent.N_ACTIONS], other_before)
         assert stats.aux_loss == 0.0
 
     def test_aux_weight_positive_moves_aux_head(self):
         net, buffer, adv, ret, config, _ = self.setup_pieces(aux_weight=0.5)
-        before = net.aux.w.copy()
+        before = net.heads.w[:, agent.AUX_COLUMNS].copy()
         opt = Adam(net.params, config.learning_rate)
         stats = update(net, opt, buffer, adv, ret, config, np.random.default_rng(5))
-        assert not np.array_equal(net.aux.w, before)
+        assert not np.array_equal(net.heads.w[:, agent.AUX_COLUMNS], before)
         assert stats.aux_loss > 0.0
 
     def test_total_loss_is_sum_of_components(self):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fxppo import backtest
-from fxppo.agent import PolicyNetwork
+from fxppo.agent import N_ACTIONS, PolicyNetwork
 from fxppo.backtest import (
     BacktestReport,
     DegenerateReturns,
@@ -36,7 +36,7 @@ def make_market(n_steps=120, seed=0, obs=6):
 def biased_net(log_probs, obs=6):
     """Zero everywhere except a policy bias, so the policy is constant."""
     net = PolicyNetwork(obs, 5, (4, 4, 4))
-    net.policy.b[:] = log_probs
+    net.heads.b[:N_ACTIONS] = log_probs
     return net
 
 
@@ -94,7 +94,7 @@ class TestRunBacktest:
         monkeypatch.setattr(backtest, "CALL_ROWS", call_rows)
         windows, returns = make_market(n_steps=steps + 16, seed=steps)
         net = PolicyNetwork(6, 5, (4, 4, 4), np.random.default_rng(11))
-        net.policy.w *= 20.0  # sharpen so the greedy action moves
+        net.heads.w[:, :N_ACTIONS] *= 20.0  # sharpen so the greedy action moves
         cfg = EnvConfig(episode_length=length, spread_cost=0.0003)
         report = run_backtest(net, windows, returns, cfg)
         expected = per_episode_backtest(net, windows, returns, cfg)
@@ -122,7 +122,7 @@ class TestRunBacktest:
     def test_matches_stepwise_reference(self):
         windows, returns = make_market(n_steps=120, seed=4)
         net = PolicyNetwork(6, 5, (4, 4, 4), np.random.default_rng(11))
-        net.policy.w *= 20.0  # sharpen so the greedy action moves
+        net.heads.w[:, :N_ACTIONS] *= 20.0  # sharpen so the greedy action moves
         cfg = EnvConfig(episode_length=25, spread_cost=0.0003)
         expected, actions = stepwise_backtest(net, windows, returns, cfg)
         assert len(expected) % 25 != 0  # the data cuts the last episode short

@@ -148,8 +148,7 @@ def test_container_bytes_pinned(tmp_path):
 POLICY_LAYOUT = [
     ("lstm.wx", (5, 12)), ("lstm.wh", (3, 12)), ("lstm.b", (12,)),
     ("fc1.w", (3, 2)), ("fc1.b", (2,)), ("fc2.w", (2, 4)), ("fc2.b", (4,)),
-    ("fc3.w", (4, 6)), ("fc3.b", (6,)), ("policy.w", (6, 3)), ("policy.b", (3,)),
-    ("aux.w", (6, 12)), ("aux.b", (12,)), ("value.w", (6, 1)), ("value.b", (1,)),
+    ("fc3.w", (4, 6)), ("fc3.b", (6,)), ("heads.w", (6, 16)), ("heads.b", (16,)),
 ]
 # the default 80-128-64-32-12 autoencoder
 AUTOENCODER_LAYOUT = [

@@ -23,6 +23,7 @@ import fxppo
 from fxppo import cli
 from fxppo.agent import PolicyNetwork, save_policy
 from fxppo.backtest import BacktestReport, MissingCheckpoint, parse_summary
+from fxppo.checkpoint import load_container, save_container
 from fxppo.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -570,6 +571,24 @@ class TestBacktestCli:
         assert run_cli(["backtest", "--config", config_path, "--seed", "30"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{final}: the policy takes windows of 6 values" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_with_one_layer_per_head(self, prepared, capsys):
+        # a policy saved when the policy, aux and value heads were three
+        # layers, with their own blocks, is refused by name
+        _, config_path, _ = prepared
+        run_cli(["train", "--config", config_path, "--seed", "30"])
+        final = Path(load_config(config_path).run_dir("train", 30), "final.bin")
+        meta, blocks = load_container(final)
+        old = {name: b for name, b in blocks.items() if not name.startswith(("heads.", "adam."))}
+        w, b = blocks["heads.w"], blocks["heads.b"]
+        for name, cols in (("policy", slice(0, 3)), ("aux", slice(3, 15)), ("value", slice(15, 16))):
+            old[f"{name}.w"], old[f"{name}.b"] = w[:, cols], b[cols]
+        save_container(str(final), meta, old)
+        capsys.readouterr()
+        assert run_cli(["backtest", "--config", config_path, "--seed", "30"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{final}: block 'heads.w' missing" in err
         assert "Traceback" not in err
 
     def test_truncated_checkpoint(self, prepared):

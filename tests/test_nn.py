@@ -76,8 +76,7 @@ def test_dense_unknown_activation():
 
 
 @pytest.mark.parametrize("activation", ["identity", "relu"])
-@pytest.mark.parametrize("rows", [False, True])
-def test_dense_gradcheck(activation, rows):
+def test_dense_gradcheck(activation):
     rng = np.random.default_rng(SEED)
     for trial in range(25):
         layer = nn.DenseLayer(4, 3, activation, rng=rng)
@@ -86,7 +85,7 @@ def test_dense_gradcheck(activation, rows):
         proj = rng.normal(0, 1.0, (3, 3))  # random scalarizer
 
         def loss():
-            return float(np.sum(layer.forward(x, rows=rows) * proj))
+            return float(np.sum(layer.forward(x) * proj))
 
         loss()
         layer.dw[:] = 0
@@ -97,8 +96,7 @@ def test_dense_gradcheck(activation, rows):
             assert max_rel_err(analytic, numeric) <= 1e-4
 
 
-@pytest.mark.parametrize("rows", [False, True])
-def test_dense_in_place_matches_textbook_formula_bit_for_bit(rows):
+def test_dense_in_place_matches_textbook_formula_bit_for_bit():
     # the bias and the ReLU applied in place, and the mask taken from the
     # output, against act(x @ w + b) and dy * (pre > 0) with temporaries
     rng = np.random.default_rng(8)
@@ -107,9 +105,8 @@ def test_dense_in_place_matches_textbook_formula_bit_for_bit(rows):
     x = rng.normal(size=(40, 6))
     x[:3] = 0.0  # pre-activations of exactly b
     layer.b[0] = 0.0  # and of exactly +-0
-    product = kernels.rows_matmul(x, layer.w) if rows else np.dot(x, layer.w)
-    pre = product + layer.b
-    y = layer.forward(x, rows=rows)
+    pre = np.dot(x, layer.w) + layer.b
+    y = layer.forward(x)
     assert np.array_equal(y, np.maximum(pre, 0.0))
     assert np.array_equal(np.signbit(y), np.signbit(np.maximum(pre, 0.0)))
     dy = rng.normal(size=(40, 5))
@@ -117,25 +114,6 @@ def test_dense_in_place_matches_textbook_formula_bit_for_bit(rows):
     layer.backward(dy)
     assert np.array_equal(layer.dw, dw)
     assert np.array_equal(layer.db, db)
-
-
-def test_dense_rows_matches_gemm():
-    rng = np.random.default_rng(0)
-    layer = nn.DenseLayer(6, 4, "relu", rng=rng)
-    x = rng.normal(size=(7, 6))
-    y_rows = layer.forward(x, rows=True).copy()
-    y_gemm = layer.forward(x, rows=False)
-    assert np.allclose(y_rows, y_gemm, atol=1e-12)
-
-
-def test_dense_rows_batch_invariance():
-    # row results must not depend on how many rows share the call
-    rng = np.random.default_rng(3)
-    layer = nn.DenseLayer(5, 3, "relu", rng=rng)
-    x = rng.normal(size=(9, 5))
-    full = layer.forward(x, rows=True).copy()
-    single = np.vstack([layer.forward(x[t], rows=True) for t in range(9)])
-    assert np.array_equal(full, single)
 
 
 def dense_rows_forward_rowwise(x, w, b):
@@ -184,7 +162,7 @@ def lstm_seq_forward_rowwise(x, resets, h0, c0, wx, wh, b):
 
 # the policy's shapes: LSTM input and hidden size, then every dense layer
 N_IN, N_HIDDEN = 80, 128
-POLICY_DENSE = [(128, 32), (32, 64), (64, 64), (64, 3), (64, 12), (64, 1)]
+POLICY_DENSE = [(128, 32), (32, 64), (64, 64), (64, 16)]
 
 
 def column_strided(rng, T, n):
@@ -260,9 +238,11 @@ def test_lstm_lanes_match_rowwise_oracle_per_lane(N, T, resets):
 
 def gemm_products(net):
     """(name, weight) of every product the policy runs as a gemm: the
-    LSTM's input and recurrent products and the three trunk layers."""
+    LSTM's input and recurrent products, the three trunk layers and the
+    fused heads."""
     return [("wx", net.lstm.wx), ("wh", net.lstm.wh),
-            ("fc1", net.fc1.w), ("fc2", net.fc2.w), ("fc3", net.fc3.w)]
+            ("fc1", net.fc1.w), ("fc2", net.fc2.w), ("fc3", net.fc3.w),
+            ("heads", net.heads.w)]
 
 
 ROW_COUNTS = [2, 3, 13, 14, 32, 256, 600, 6000]
@@ -660,7 +640,7 @@ def test_adam_in_place_matches_textbook_formula_bit_for_bit():
         grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape) for p in params]
         opt.step(np.concatenate([g.ravel() for g in grads]))
         ref.step(grads)
-    assert len(params) == 15 and opt.step_count == 60
+    assert len(params) == 11 and opt.step_count == 60
     moments = zip(nn.split_flat(opt.m, params), nn.split_flat(opt.v, params))
     for p, (m, v), want_p, want_m, want_v in zip(params, moments, ref.params, ref.m, ref.v):
         assert np.array_equal(p, want_p)
@@ -681,8 +661,7 @@ def standalone_layers(make):
     its arrays: the initial values before they move into the arena."""
     rng = np.random.default_rng(3)
     if make is policy_net:
-        sizes = [(128, 32, "relu"), (32, 64, "relu"), (64, 64, "relu"),
-                 (64, 3, "identity"), (64, 12, "identity"), (64, 1, "identity")]
+        sizes = [(128, 32, "relu"), (32, 64, "relu"), (64, 64, "relu"), (64, 16, "identity")]
         return [nn.LSTMLayer(80, 128, rng)] + [nn.DenseLayer(*s, rng) for s in sizes]
     sizes = [80, 128, 64, 32, 12]
     pairs = list(zip(sizes, sizes[1:])) + list(zip(sizes[::-1], sizes[-2::-1]))
@@ -694,7 +673,7 @@ def standalone_layers(make):
 def test_layers_hold_views_into_their_nets_arena(make):
     net = make()
     params = [p for layer in net.layers for p in layer.params()]
-    grads = nn.collect_grads(net.layers)
+    grads = [getattr(layer, g) for layer in net.layers for g in layer.GRADS]
     blocks = list(net.param_blocks().values())
     assert len(blocks) == len(params) == len(grads)
     offset = 0
@@ -790,15 +769,41 @@ def test_autoencoder_block_shapes_match_a_built_net(input_size, hidden_sizes, la
     assert model.encoder[-1].out_size == latent_size
 
 
+def clip_grad_norm_per_array(grads, max_norm):
+    """The clip over each parameter's own gradient array, as it was before
+    the gradients shared one arena: the oracle for `nn.clip_grad_norm`."""
+    total = 0.0
+    for g in grads:
+        total += float(np.sum(g * g))
+    norm = np.sqrt(total)
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / (norm + 1e-12)
+        for g in grads:
+            g *= scale
+    return norm
+
+
 def test_clip_grad_norm():
-    g = [np.array([3.0, 0.0]), np.array([[4.0]])]
-    norm = nn.clip_grad_norm(g, 0.5)
-    assert norm == pytest.approx(5.0)
-    total = math.sqrt(sum(float(np.sum(a * a)) for a in g))
-    assert total == pytest.approx(0.5, rel=1e-9)
-    g2 = [np.array([0.1])]
-    nn.clip_grad_norm(g2, 0.5)  # under the cap: untouched
-    assert g2[0][0] == 0.1
+    g = np.array([3.0, 0.0, 4.0])
+    assert nn.clip_grad_norm(g, 0.5) == pytest.approx(5.0)
+    assert math.sqrt(float(np.sum(g * g))) == pytest.approx(0.5, rel=1e-9)
+    # a policy's whole arena, against the per-array clip of its blocks
+    net = policy_net()
+    params = list(net.param_blocks().values())
+    rng = np.random.default_rng(6)
+    for max_norm, scale in ((0.5, 1e-2), (0.5, 1e-4)):
+        net.grads[:] = rng.normal(scale=scale, size=net.grads.shape)
+        before = net.grads.copy()
+        per_array = [a.copy() for a in nn.split_flat(before, params)]
+        want = clip_grad_norm_per_array(per_array, max_norm)
+        norm = nn.clip_grad_norm(net.grads, max_norm)
+        assert norm == pytest.approx(want, rel=1e-13, abs=0.0)
+        if want <= max_norm:  # under the cap: every bit kept
+            assert np.array_equal(net.grads, before)
+        else:
+            assert math.sqrt(float(np.sum(net.grads * net.grads))) <= max_norm
+            np.testing.assert_allclose(net.grads, np.concatenate(
+                [a.ravel() for a in per_array]), rtol=1e-13, atol=0.0)
 
 
 def test_init_determinism():
