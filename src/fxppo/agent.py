@@ -47,14 +47,6 @@ class AgentError(Exception):
     pass
 
 
-class EmptyBuffer(AgentError):
-    pass
-
-
-class LabelOutOfRange(AgentError):
-    pass
-
-
 N_ACTIONS = 3
 N_CLUSTERS = 12
 # the head layer's output columns: policy logits, aux logits, then the value
@@ -242,7 +234,7 @@ def compute_gae(rewards, values, dones, bootstrap_value, discount, gae_lambda):
     dones = np.asarray(dones)
     T = rewards.shape[0]
     if T == 0:
-        raise EmptyBuffer("cannot compute advantages over zero steps")
+        raise AgentError("cannot compute advantages over zero steps")
     advantages = np.zeros(T)
     last = 0.0
     for t in range(T - 1, -1, -1):
@@ -280,7 +272,7 @@ def auxiliary_loss(aux_distribution, cluster_labels):
     probs = np.atleast_2d(np.asarray(aux_distribution, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(cluster_labels))
     if np.any(labels < 0) or np.any(labels >= probs.shape[1]):
-        raise LabelOutOfRange(
+        raise AgentError(
             f"labels must lie in [0, {probs.shape[1]}), got "
             f"[{labels.min()}, {labels.max()}]"
         )
@@ -388,7 +380,7 @@ def update(net, optimizer, buffer, advantages, returns_target, config, rng):
     are global-norm clipped before each Adam step.
     """
     if not buffer.full:
-        raise EmptyBuffer("rollout buffer is not full")
+        raise AgentError("rollout buffer is not full")
     bounds = _segment_bounds(buffer.length, config.minibatch_size)
 
     sums = np.zeros(4)
@@ -532,25 +524,21 @@ def train(
 
 def save_policy(path, net, optimizer, config, seed, steps_done):
     blocks = dict(net.param_blocks())
-    if optimizer is not None:
-        # flat moments over `net.params`, stored as one block per parameter
-        like = list(blocks.values())
-        moments = zip(list(blocks), split_flat(optimizer.m, like), split_flat(optimizer.v, like))
-        for name, marr, varr in moments:
-            blocks[f"adam.m.{name}"] = marr
-            blocks[f"adam.v.{name}"] = varr
-        adam_step = optimizer.step_count
-    else:
-        adam_step = 0
+    # flat moments over `net.params`, stored as one block per parameter
+    like = list(blocks.values())
+    moments = zip(list(blocks), split_flat(optimizer.m, like), split_flat(optimizer.v, like))
+    for name, marr, varr in moments:
+        blocks[f"adam.m.{name}"] = marr
+        blocks[f"adam.v.{name}"] = varr
     meta = {
         "kind": "policy",
         "seed": seed,
         "steps_done": steps_done,
-        "adam_step": adam_step,
+        "adam_step": optimizer.step_count,
         "input_size": net.input_size,
         "hidden_size": net.hidden_size,
         "trunk": list(net.trunk_sizes),
-        "config": asdict(config) if config else None,
+        "config": asdict(config),
     }
     save_container(path, meta, blocks)
 

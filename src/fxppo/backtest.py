@@ -32,28 +32,6 @@ class BacktestError(Exception):
     pass
 
 
-class DegenerateReturns(BacktestError):
-    pass
-
-
-class TooFewSamples(BacktestError):
-    pass
-
-
-class ZeroBaseline(BacktestError):
-    pass
-
-
-class EmptyInput(BacktestError):
-    pass
-
-
-class MissingCheckpoint(BacktestError):
-    def __init__(self, seed):
-        super().__init__(f"no checkpoint found for seed {seed}")
-        self.seed = seed
-
-
 class BacktestReport:
     """Reward stream plus identifying info for one (seed, checkpoint)."""
 
@@ -78,7 +56,7 @@ class BacktestReport:
         too-short streams) so reports can still be written."""
         try:
             return sharpe_ratio(self.rewards)
-        except (DegenerateReturns, TooFewSamples):
+        except BacktestError:
             return float("nan")
 
 
@@ -142,26 +120,26 @@ def sharpe_ratio(rewards):
     """
     r = np.asarray(rewards, dtype=np.float64)
     if r.size < 2:
-        raise TooFewSamples(f"need at least 2 rewards, got {r.size}")
+        raise BacktestError(f"need at least 2 rewards, got {r.size}")
     _, exponent = np.frexp(np.max(np.abs(r)))
     r = np.ldexp(r, -exponent)
     std = r.std(ddof=0)
     if std <= DEGENERATE_ULPS * np.finfo(np.float64).eps:
-        raise DegenerateReturns("constant reward stream has no Sharpe ratio")
+        raise BacktestError("constant reward stream has no Sharpe ratio")
     return float(r.mean() / std)
 
 
 def ppi(value_new, value_original):
     """Percentage improvement of value_new over value_original."""
     if value_original == 0:
-        raise ZeroBaseline("cannot compute improvement over a zero baseline")
+        raise BacktestError("cannot compute improvement over a zero baseline")
     return (value_new - value_original) / abs(value_original) * 100.0
 
 
 class SeedAggregate:
     def __init__(self, reports):
         if not reports:
-            raise EmptyInput("no backtest reports to aggregate")
+            raise BacktestError("no backtest reports to aggregate")
         self.per_seed = list(reports)
         n = len(self.per_seed)
         self.mean_total_return = sum(r.total_return for r in self.per_seed) / n
@@ -209,7 +187,7 @@ def emit_report(aggregate, out_dir, baseline_summary=None):
         for name, b, m in pairs:
             try:
                 improvement = repr(ppi(m, b))
-            except ZeroBaseline:
+            except BacktestError:
                 improvement = "undefined"
             out.append(f"{name},{b!r},{m!r},{improvement}")
     write_artifact(summary_path, "\n".join(out) + "\n")

@@ -25,7 +25,6 @@ from .agent import train as train_agent
 from .backtest import (
     BacktestError,
     BacktestReport,
-    MissingCheckpoint,
     SeedAggregate,
     emit_report,
     run_backtest,
@@ -310,7 +309,7 @@ def cmd_train(config, args):
 def _backtest_one_seed(config, seed, windows, returns):
     checkpoint = config.run_dir("train", seed, "final.bin")
     if not os.path.exists(checkpoint):
-        raise MissingCheckpoint(seed)
+        raise BacktestError(f"no checkpoint found for seed {seed}")
     net, _ = load_policy(checkpoint)
     if net.input_size != windows.shape[1]:
         raise ConfigError(

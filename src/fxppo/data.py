@@ -55,32 +55,8 @@ _TS_LAYOUTS = tuple(_layout_regex(fmt) for fmt in _TS_FORMATS)
 
 
 class DataError(ValueError):
-    """Base class for candle ingestion failures."""
-
-
-class EmptyInput(DataError):
-    pass
-
-
-class MalformedRow(DataError):
-    def __init__(self, line, reason):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
-
-
-class NonMonotonicTimestamp(DataError):
-    def __init__(self, line):
-        super().__init__(f"line {line}: timestamp not strictly increasing")
-        self.line = line
-
-
-class SeriesTooShort(DataError):
-    pass
-
-
-class TooFewFeatures(DataError):
-    pass
+    """A candle file or series the pipeline cannot use; a row's message
+    starts with its 1-based line number, ``line <n>: ``."""
 
 
 @dataclass
@@ -120,14 +96,15 @@ def parse_candles(raw_text):
     string fits two layouts, so trying first the layout of the row before
     changes no result, only the cost of a row.
 
-    Raises MalformedRow / NonMonotonicTimestamp with 1-based line numbers;
-    OHLC ordering and positivity are enforced per row.
+    Raises DataError, naming the row's 1-based line number for a
+    malformed row or a timestamp that does not increase; OHLC ordering and
+    positivity are enforced per row.
     """
     lines = raw_text.splitlines()
     # skip blank lines but keep real line numbers for error messages
     rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
     if len(rows) <= 1:
-        raise EmptyInput("no candle rows found (header plus at least one row required)")
+        raise DataError("no candle rows found (header plus at least one row required)")
 
     timestamps = []
     opens, highs, lows, closes = [], [], [], []
@@ -136,7 +113,7 @@ def parse_candles(raw_text):
     for lineno, line in rows[1:]:
         cells = line.split(",")
         if len(cells) < 5:
-            raise MalformedRow(lineno, f"expected at least 5 columns, got {len(cells)}")
+            raise DataError(f"line {lineno}: expected at least 5 columns, got {len(cells)}")
         try:
             ts, layout = _parse_timestamp(cells[0], layouts)
             o = float(cells[1])
@@ -144,15 +121,15 @@ def parse_candles(raw_text):
             lo = float(cells[3])
             c = float(cells[4])
         except ValueError as exc:
-            raise MalformedRow(lineno, str(exc)) from exc
+            raise DataError(f"line {lineno}: {exc}") from exc
         if layout is not layouts[0]:
             layouts = (layout, *_TS_LAYOUTS)
         if not (o > 0 and h > 0 and lo > 0 and c > 0):
-            raise MalformedRow(lineno, "prices must be strictly positive")
+            raise DataError(f"line {lineno}: prices must be strictly positive")
         if not (lo <= o <= h and lo <= c <= h):
-            raise MalformedRow(lineno, f"OHLC ordering violated: o={o} h={h} l={lo} c={c}")
+            raise DataError(f"line {lineno}: OHLC ordering violated: o={o} h={h} l={lo} c={c}")
         if last_ts is not None and ts <= last_ts:
-            raise NonMonotonicTimestamp(lineno)
+            raise DataError(f"line {lineno}: timestamp not strictly increasing")
         last_ts = ts
         timestamps.append(ts)
         opens.append(o)
@@ -183,7 +160,7 @@ def compute_features(series):
     x4 and x5 are deliberately denominated in the previous close.
     """
     if len(series) < 2:
-        raise SeriesTooShort("need at least 2 candles to compute features")
+        raise DataError("need at least 2 candles to compute features")
     c_prev, c_now = series.close[:-1], series.close[1:]
     h_prev, h_now = series.high[:-1], series.high[1:]
     l_prev, l_now = series.low[:-1], series.low[1:]
@@ -199,7 +176,7 @@ def compute_features(series):
 def compute_returns(series):
     """Step returns z_t = (c_t - c_{t-1}) / c_{t-1}, length len(series)-1."""
     if len(series) < 2:
-        raise SeriesTooShort("need at least 2 candles to compute returns")
+        raise DataError("need at least 2 candles to compute returns")
     c_prev, c_now = series.close[:-1], series.close[1:]
     return (c_now - c_prev) / c_prev
 
@@ -213,7 +190,7 @@ def build_windows(features):
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if n < WINDOW_LEN:
-        raise TooFewFeatures(f"need at least {WINDOW_LEN} feature rows, got {n}")
+        raise DataError(f"need at least {WINDOW_LEN} feature rows, got {n}")
     # window k is the WINDOW_LEN * width consecutive values from row k on
     width = features.shape[1]
     return sliding_window_view(features.ravel(), WINDOW_LEN * width)[::width].copy()

@@ -24,14 +24,6 @@ class EnvError(Exception):
     pass
 
 
-class OutOfData(EnvError):
-    pass
-
-
-class EpisodeFinished(EnvError):
-    pass
-
-
 @dataclass
 class EnvConfig:
     """Simulator knobs."""
@@ -99,7 +91,7 @@ class TradingEnv:
     def reset(self, start_index=0):
         start_index = int(start_index)
         if start_index < 0 or start_index > self.max_start_index():
-            raise OutOfData(
+            raise EnvError(
                 f"start index {start_index} outside [0, {self.max_start_index()}]"
             )
         self.cursor = start_index
@@ -110,7 +102,7 @@ class TradingEnv:
 
     def step(self, action):
         if self.done or self.cursor is None:
-            raise EpisodeFinished("reset the environment before stepping")
+            raise EnvError("reset the environment before stepping")
         action = int(action)
         if action not in ACTION_VALUES:
             raise ValueError(f"action must be one of {ACTION_VALUES}, got {action}")

@@ -20,19 +20,7 @@ class LabelerError(Exception):
     pass
 
 
-class TooFewSamples(LabelerError):
-    pass
-
-
 class DivergedLoss(LabelerError):
-    pass
-
-
-class TooFewPoints(LabelerError):
-    pass
-
-
-class DegenerateData(LabelerError):
     pass
 
 
@@ -172,7 +160,7 @@ def train_autoencoder(windows, config=None, seed=0):
     n = windows.shape[0]
     n_val = max(1, int(round(config.holdout_fraction * n)))
     if n < 2 * config.batch_size or n_val == n:
-        raise TooFewSamples(
+        raise LabelerError(
             f"need at least {2 * config.batch_size} windows, and one outside "
             f"the holdout; got {n}"
         )
@@ -284,11 +272,11 @@ def kmeans_fit(points, k=12, seed=0, max_iters=300, tol=1e-8):
         raise ShapeMismatch(f"expected 2-D points, got shape {points.shape}")
     n = points.shape[0]
     if n < k:
-        raise TooFewPoints(f"need at least {k} points, got {n}")
+        raise LabelerError(f"need at least {k} points, got {n}")
     if not np.all(np.isfinite(points)):
-        raise DegenerateData("points contain non-finite values")
+        raise LabelerError("points contain non-finite values")
     if np.unique(points, axis=0).shape[0] < k:
-        raise DegenerateData(f"fewer than {k} distinct points")
+        raise LabelerError(f"fewer than {k} distinct points")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
@@ -320,31 +308,23 @@ def kmeans_fit(points, k=12, seed=0, max_iters=300, tol=1e-8):
     for a in range(k):
         for b in range(a + 1, k):
             if np.array_equal(centroids[a], centroids[b]):
-                raise DegenerateData(f"centroids {a} and {b} collapsed together")
+                raise LabelerError(f"centroids {a} and {b} collapsed together")
     return KMeansModel(centroids, inertia, n_iter, seed)
 
 
 def kmeans_assign(model, points):
-    """Nearest-centroid label(s) under squared Euclidean distance; ties
-    break toward the lowest centroid index."""
+    """Nearest-centroid labels of (n, dim) points under squared Euclidean
+    distance; ties break toward the lowest centroid index."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != model.dim:
-        raise ShapeMismatch(
-            f"point dimension {pts.shape[1]} != centroid dimension {model.dim}"
-        )
+    if pts.ndim != 2 or pts.shape[1] != model.dim:
+        raise ShapeMismatch(f"expected points of shape (n, {model.dim}), got {pts.shape}")
     labels, _ = kernels.kmeans_assign(pts, model.centroids)
-    return int(labels[0]) if single else labels
+    return labels
 
 
 def label_dataset(ae, km, windows):
-    """Encode windows and assign cluster labels; empty input stays empty."""
-    windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-    if windows.shape[0] == 0 or windows.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    codes = ae.encode(windows)
-    return kmeans_assign(km, codes)
+    """Encode windows and assign cluster labels; no windows, no labels."""
+    return kmeans_assign(km, ae.encode(windows))
 
 
 def silhouette_score(points, labels):
@@ -355,7 +335,7 @@ def silhouette_score(points, labels):
     labels = np.asarray(labels)
     n = points.shape[0]
     if n < 2 or len(np.unique(labels)) < 2:
-        raise DegenerateData("silhouette needs >= 2 points in >= 2 clusters")
+        raise LabelerError("silhouette needs >= 2 points in >= 2 clusters")
     uniq = np.unique(labels)
     scores = np.zeros(n)
     for i in range(n):

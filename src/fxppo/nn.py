@@ -166,19 +166,18 @@ class LSTMLayer(_Layer):
     def initial_state(self):
         return np.zeros(self.hidden_size), np.zeros(self.hidden_size)
 
-    def forward(self, x, h0=None, c0=None, resets=None, keep=True):
+    def forward(self, x, h0, c0, resets, keep=True):
         """Returns (hs, hT, cT) for a (T, in) sequence from (H,) state, or
         for N lanes stepped together from (N, H) state over (T * N, in)
-        rows, time-major (see `kernels.lstm_seq_forward`). With ``keep``
-        false no backward pass can follow: the kernel keeps no per-row
-        gates or states and the layer caches nothing."""
+        rows, time-major (see `kernels.lstm_seq_forward`); ``resets[t]``
+        nonzero zeroes the state entering row t. With ``keep`` false no
+        backward pass can follow: the kernel keeps no per-row gates or
+        states and the layer caches nothing."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_size:
             raise ShapeMismatch(
                 f"lstm expects input size {self.input_size}, got {x.shape[1]}"
             )
-        if h0 is None:
-            h0, c0 = self.initial_state()
         h0 = np.asarray(h0, dtype=np.float64)
         c0 = np.asarray(c0, dtype=np.float64)
         lanes = h0.shape[0] if h0.ndim == 2 else 1
@@ -188,10 +187,7 @@ class LSTMLayer(_Layer):
                 f"state {h0.shape}/{c0.shape} does not fit hidden size {self.hidden_size} "
                 f"and {x.shape[0]} rows"
             )
-        if resets is None:
-            resets = np.zeros(x.shape[0], dtype=np.uint8)
-        else:
-            resets = np.ascontiguousarray(resets, dtype=np.uint8)
+        resets = np.ascontiguousarray(resets, dtype=np.uint8)
         hs, tanhc, gates, hprev, cprev, hT, cT = kernels.lstm_seq_forward(
             x, resets, h0, c0, self.wx, self.wh, self.b, keep,
         )

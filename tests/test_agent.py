@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from conftest import TextbookAdam, reachable_arrays
 from fxppo import agent
 from fxppo.agent import (
-    EmptyBuffer,
-    LabelOutOfRange,
+    AgentError,
     PPOConfig,
     PolicyNetwork,
     RolloutBuffer,
@@ -362,7 +361,7 @@ class TestGAE:
         assert np.allclose(ret, expect + values, atol=1e-12)
 
     def test_empty_buffer(self):
-        with pytest.raises(EmptyBuffer):
+        with pytest.raises(AgentError, match="^cannot compute advantages over zero steps$"):
             compute_gae([], [], [], 0.0, 0.99, 0.95)
 
     def test_normalization(self):
@@ -393,7 +392,7 @@ class TestLossPieces:
         assert auxiliary_loss(half, [2]) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_aux_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(AgentError, match=r"^labels must lie in \[0, 12\), got \[12, 12\]$"):
             auxiliary_loss(np.full((1, 12), 1 / 12), [12])
 
     def test_value_loss_cases(self):

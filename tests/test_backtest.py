@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 from fxppo import backtest
 from fxppo.agent import N_ACTIONS, PolicyNetwork
 from fxppo.backtest import (
+    BacktestError,
     BacktestReport,
-    DegenerateReturns,
-    EmptyInput,
     SeedAggregate,
-    TooFewSamples,
-    ZeroBaseline,
     emit_report,
     parse_summary,
     ppi,
@@ -182,11 +179,11 @@ class TestSharpe:
         assert sharpe_ratio([0.01, -0.01]) == 0.0
 
     def test_constant_degenerate(self):
-        with pytest.raises(DegenerateReturns):
+        with pytest.raises(BacktestError, match="^constant reward stream has no Sharpe"):
             sharpe_ratio([0.5, 0.5, 0.5])
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(BacktestError, match="^need at least 2 rewards, got 1$"):
             sharpe_ratio([0.1])
 
     def test_hand_value(self):
@@ -213,7 +210,7 @@ class TestSharpe:
             assume(not np.any((stream != 0) & (np.abs(stream) < tiny)))
         if np.all(r == r[0]):
             for stream in (r, r * scale):
-                with pytest.raises(DegenerateReturns):
+                with pytest.raises(BacktestError, match="^constant reward stream has no Sharpe"):
                     sharpe_ratio(stream)
             return
         base = sharpe_ratio(r)
@@ -231,7 +228,7 @@ class TestPpi:
         assert ppi(0.249, -2.618) == pytest.approx(109.51, abs=0.5)
 
     def test_zero_baseline(self):
-        with pytest.raises(ZeroBaseline):
+        with pytest.raises(BacktestError, match="^cannot compute improvement over a zero"):
             ppi(1.0, 0.0)
 
     def test_doubling_positive(self):
@@ -245,7 +242,7 @@ class TestPpi:
 
 class TestAggregate:
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(BacktestError, match="^no backtest reports to aggregate$"):
             SeedAggregate([])
 
     def test_singleton(self):

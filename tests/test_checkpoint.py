@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fxppo
-from fxppo.agent import PolicyNetwork, save_policy
+from fxppo.agent import PPOConfig, PolicyNetwork, save_policy
 from fxppo.checkpoint import (
     CheckpointError,
     file_sha256,
@@ -165,7 +165,7 @@ def test_policy_checkpoint_layout_pinned(tmp_path):
     opt = Adam(net.params, 1e-3)
     net.grads[:] = np.random.default_rng(1).normal(size=net.grads.shape)
     opt.step(net.grads)
-    save_policy(tmp_path / "p.bin", net, opt, None, 0, 0)
+    save_policy(tmp_path / "p.bin", net, opt, PPOConfig(), 0, 0)
     _, blocks = load_container(tmp_path / "p.bin")
     adam = [(f"adam.{moment}.{name}", shape)
             for name, shape in POLICY_LAYOUT for moment in ("m", "v")]

@@ -3,9 +3,12 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -21,8 +24,8 @@ from hypothesis import strategies as st
 
 import fxppo
 from fxppo import cli
-from fxppo.agent import PolicyNetwork, save_policy
-from fxppo.backtest import BacktestReport, MissingCheckpoint, parse_summary
+from fxppo.agent import PPOConfig, PolicyNetwork, save_policy
+from fxppo.backtest import BacktestError, BacktestReport, parse_summary
 from fxppo.checkpoint import load_container, save_container
 from fxppo.cli import (
     EXIT_DATA,
@@ -288,6 +291,57 @@ class TestUsage:
         assert "fxppo" in capsys.readouterr().out
 
 
+# Every exception class fxppo defines, by "<module>.<class>", with the exit
+# code `cli._guarded` gives it; None: it guards against a programming error,
+# no input can raise it through the CLI, and it propagates as raised.
+EXIT_CODES = {
+    "config.ConfigError": EXIT_DATA,
+    "data.DataError": EXIT_DATA,
+    "labeler.LabelerError": EXIT_DATA,
+    "backtest.BacktestError": EXIT_DATA,
+    "checkpoint.CheckpointError": EXIT_DATA,
+    "nn.NonFiniteValue": EXIT_NUMERIC,
+    "labeler.DivergedLoss": EXIT_NUMERIC,
+    "agent.AgentError": None,
+    "env.EnvError": None,
+    "nn.ShapeMismatch": None,
+}
+
+
+def exception_classes():
+    """{"<module>.<class>": class} of every exception class defined in a
+    module of fxppo."""
+    found = {}
+    for info in pkgutil.iter_modules(fxppo.__path__):
+        module = importlib.import_module(f"fxppo.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+class TestFailureTaxonomy:
+    def test_every_exception_class_has_a_chosen_exit_code(self):
+        # a new class fails here until its exit code is chosen above
+        assert sorted(exception_classes()) == sorted(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_exit_code_and_stderr_line(self, name, capsys):
+        cls = exception_classes()[name]
+
+        def fail():
+            raise cls("probe")
+
+        if EXIT_CODES[name] is None:
+            with pytest.raises(cls, match="^probe$"):
+                cli._guarded(fail)
+            return
+        assert cli._guarded(fail) == EXIT_CODES[name]
+        prefix = "numeric failure: " if EXIT_CODES[name] == EXIT_NUMERIC else ""
+        assert capsys.readouterr().err == f"fxppo: {prefix}probe\n"
+
+
 class TestPreprocess:
     def test_artifacts_and_manifest(self, workspace):
         tmp_path, config_path, raw = workspace
@@ -521,7 +575,7 @@ class TestBacktestCli:
                            env={"episode_length": 600, "spread_cost": 1e-4})
         net = PolicyNetwork(rng=np.random.default_rng(0))
         save_policy(config.run_dir("train", 30, "final.bin"), net, Adam(net.params, 1e-3),
-                    None, 30, 0)
+                    PPOConfig(), 30, 0)
         del net
         rng = np.random.default_rng(1)
         windows = rng.normal(scale=2e-3, size=(8000, 80))
@@ -566,7 +620,7 @@ class TestBacktestCli:
         _, config_path, _ = prepared
         final = Path(load_config(config_path).run_dir("train", 30), "final.bin")
         net = PolicyNetwork(input_size=6, hidden_size=4, trunk=(3, 3, 3))
-        save_policy(str(final), net, None, None, 30, 0)
+        save_policy(str(final), net, Adam(net.params, 1e-3), PPOConfig(), 30, 0)
         capsys.readouterr()
         assert run_cli(["backtest", "--config", config_path, "--seed", "30"]) == EXIT_DATA
         err = capsys.readouterr().err
@@ -654,7 +708,7 @@ class TestBacktestCli:
                 raise cli.NonFiniteValue("seed 30 diverged")
             if seed == 50:
                 seed_50_failing.set()
-                raise MissingCheckpoint(seed)
+                raise BacktestError(f"no checkpoint found for seed {seed}")
             return f"backtest: seed {seed} done"
 
         monkeypatch.setattr(cli, "_load_split", lambda config, split: (None, None, None))
@@ -781,7 +835,7 @@ class TestBacktestCli:
     @staticmethod
     def one_seed(config, seed):
         if seed == 70:
-            raise MissingCheckpoint(seed)
+            raise BacktestError(f"no checkpoint found for seed {seed}")
         return f"seed {seed}"
 
     def run_seeds(self, config, seeds):
@@ -902,7 +956,7 @@ class TestSeedRunners:
             for seed in (30, 50):
                 final = Path(load_config(config_path).run_dir("train", seed, "final.bin"))
                 final.parent.mkdir(parents=True)
-                save_policy(str(final), net, None, None, seed, 0)
+                save_policy(str(final), net, Adam(net.params, 1e-3), PPOConfig(), seed, 0)
         else:
             argv += ["--set", "ppo.learning_rate=NaN"]
         capfd.readouterr()

@@ -12,11 +12,7 @@ from fxppo.data import (
     _TS_LAYOUTS,
     N_FEATURES,
     WINDOW_LEN,
-    EmptyInput,
-    MalformedRow,
-    NonMonotonicTimestamp,
-    SeriesTooShort,
-    TooFewFeatures,
+    DataError,
     build_windows,
     compute_features,
     compute_returns,
@@ -54,32 +50,31 @@ class TestParsing:
         assert len(series) == 1
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^no candle rows found"):
             parse_candles("")
 
     def test_header_only(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^no candle rows found"):
             parse_candles("time,open,high,low,close\n")
 
     def test_high_below_low_rejected(self):
         text = make_csv(["2017-01-02T00:00,1.0465,1.0460,1.0472,1.0470"])
-        with pytest.raises(MalformedRow) as exc:
+        with pytest.raises(DataError, match="^line 2: OHLC ordering violated: "):
             parse_candles(text)
-        assert exc.value.line == 2
 
     def test_non_numeric_field(self):
         text = make_csv(["2017-01-02T00:00,abc,1.0472,1.0460,1.0470"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DataError, match="^line 2: could not convert string to float"):
             parse_candles(text)
 
     def test_missing_column(self):
         text = make_csv(["2017-01-02T00:00,1.0465,1.0472,1.0460"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DataError, match="^line 2: expected at least 5 columns, got 4$"):
             parse_candles(text)
 
     def test_nonpositive_price(self):
         text = make_csv(["2017-01-02T00:00,1.0465,1.0472,-1.0,1.0470"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DataError, match="^line 2: prices must be strictly positive$"):
             parse_candles(text)
 
     def test_equal_timestamps_rejected(self):
@@ -87,16 +82,15 @@ class TestParsing:
             "2017-01-02T00:00,1.0465,1.0472,1.0460,1.0470",
             "2017-01-02T00:00,1.0470,1.0475,1.0465,1.0471",
         ]
-        with pytest.raises(NonMonotonicTimestamp) as exc:
+        with pytest.raises(DataError, match="^line 3: timestamp not strictly increasing$"):
             parse_candles(make_csv(rows))
-        assert exc.value.line == 3
 
     def test_decreasing_timestamps_rejected(self):
         rows = [
             "2017-01-02T00:01,1.0465,1.0472,1.0460,1.0470",
             "2017-01-02T00:00,1.0470,1.0475,1.0465,1.0471",
         ]
-        with pytest.raises(NonMonotonicTimestamp):
+        with pytest.raises(DataError, match="^line 3: timestamp not strictly increasing$"):
             parse_candles(make_csv(rows))
 
     def test_blank_lines_skipped(self):
@@ -210,13 +204,12 @@ class TestTimestamps:
     def test_unparseable_row_after_a_layout_is_found(self, bad):
         rows = [f"2017-01-02 0{i}:00,1.0,1.0,1.0,1.0" for i in range(3)]
         rows.append(f"{bad},1.0,1.0,1.0,1.0")
-        with pytest.raises(MalformedRow) as exc:
+        with pytest.raises(DataError) as exc:
             parse_candles(make_csv(rows))
-        assert exc.value.line == 5
         assert str(exc.value) == f"line 5: unparseable timestamp {bad!r}"
         with pytest.raises(ValueError) as oracle:
             strptime_timestamp(bad)
-        assert exc.value.reason == str(oracle.value)
+        assert str(exc.value) == f"line 5: {oracle.value}"
 
 
 class TestFeatures:
@@ -276,7 +269,7 @@ class TestFeatures:
 
     def test_too_short_series(self):
         series = parse_candles(make_csv(synth_rows(1)))
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(DataError, match="^need at least 2 candles to compute features$"):
             compute_features(series)
 
 
@@ -297,7 +290,7 @@ class TestWindows:
             assert build_windows(feats).shape[0] == expect
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewFeatures):
+        with pytest.raises(DataError, match=f"^need at least {WINDOW_LEN} feature rows, got 15$"):
             build_windows(np.zeros((WINDOW_LEN - 1, N_FEATURES)))
 
     def test_end_indices(self):

@@ -11,8 +11,6 @@ from fxppo.env import (
     ACTION_VALUES,
     EnvConfig,
     EnvError,
-    EpisodeFinished,
-    OutOfData,
     TradingEnv,
     position_rewards,
     step_returns,
@@ -35,7 +33,7 @@ class TestReset:
 
     def test_reset_beyond_end(self):
         env, _, _ = make_env()
-        with pytest.raises(OutOfData):
+        with pytest.raises(EnvError, match=rf"^start index {env.n_windows} outside \[0, "):
             env.reset(env.n_windows)
 
     def test_last_startable_index(self):
@@ -54,7 +52,7 @@ class TestReset:
 
     def test_step_before_reset(self):
         env, _, _ = make_env()
-        with pytest.raises(EpisodeFinished):
+        with pytest.raises(EnvError, match="^reset the environment before stepping$"):
             env.step(1)
 
 
@@ -98,7 +96,7 @@ class TestStep:
         for i in range(5):
             result = env.step(1)
         assert result.done
-        with pytest.raises(EpisodeFinished):
+        with pytest.raises(EnvError, match="^reset the environment before stepping$"):
             env.step(1)
 
     def test_data_exhaustion_terminates(self):

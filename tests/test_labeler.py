@@ -16,10 +16,8 @@ from fxppo.checkpoint import CheckpointError, load_container, save_container
 from fxppo.labeler import (
     Autoencoder,
     AutoencoderConfig,
-    DegenerateData,
     KMeansModel,
-    TooFewPoints,
-    TooFewSamples,
+    LabelerError,
     _kmeans_pp_init,
     _repair_empty,
     kmeans_assign,
@@ -193,12 +191,12 @@ class TestAutoencoder:
         assert np.array_equal(model.encode(x), model.encode(x))
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(LabelerError, match="^need at least 64 windows, .*; got 63$"):
             train_autoencoder(np.zeros((63, 80)), AutoencoderConfig(), seed=0)
 
     def test_holdout_leaves_no_training_window(self):
         cfg = AutoencoderConfig(holdout_fraction=0.999)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(LabelerError, match="^need at least 64 windows, .*; got 100$"):
             train_autoencoder(np.zeros((100, 80)), cfg, seed=0)
 
     def test_constant_dataset_fits_to_zero(self):
@@ -368,20 +366,19 @@ class TestKMeans:
             assert np.array_equal(kmeans_assign(model, pts), ref_labels)
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(LabelerError, match="^need at least 6 points, got 5$"):
             kmeans_fit(np.zeros((5, 2)), k=6)
 
     def test_degenerate_data(self):
         pts = np.tile([1.0, 2.0], (20, 1))
-        with pytest.raises(DegenerateData):
+        with pytest.raises(LabelerError, match="^fewer than 2 distinct points$"):
             kmeans_fit(pts, k=2)
 
     def test_assign_exact_centroid(self):
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(50, 4))
         model = kmeans_fit(pts, k=4, seed=1)
-        for j in range(4):
-            assert kmeans_assign(model, model.centroids[j]) == j
+        assert kmeans_assign(model, model.centroids).tolist() == [0, 1, 2, 3]
 
     def test_assign_tie_breaks_low(self):
         from fxppo.labeler import KMeansModel
@@ -390,7 +387,7 @@ class TestKMeans:
             np.array([[0.0, 1.0], [0.0, -1.0], [5.0, 0.0]]), 0.0, 1, 0
         )
         # origin is equidistant from centroids 0 and 1
-        assert kmeans_assign(model, np.array([0.0, 0.0])) == 0
+        assert kmeans_assign(model, np.array([[0.0, 0.0]])).tolist() == [0]
 
     def test_assign_matches_brute_scan(self):
         rng = np.random.default_rng(17)
@@ -465,7 +462,7 @@ class TestLabeling:
 
         km = KMeansModel(np.random.default_rng(0).normal(size=(12, 12)), 0, 1, 0)
         out = label_dataset(model, km, np.zeros((0, 80)))
-        assert out.shape == (0,)
+        assert out.shape == (0,) and out.dtype == np.int64
 
     def test_peak_memory_per_window(self):
         # at the production sizes: the encode holds one layer's input and

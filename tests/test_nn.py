@@ -1,6 +1,9 @@
 """Layer-level checks: hand cases, finite-difference oracles, Adam, softmax."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,16 +306,23 @@ def test_lstm_cache_free_pass_matches_caching_pass(N, T):
         assert not np.shares_memory(got[5], got[0])
 
 
+def lstm_from_zero(layer, x, resets=None, keep=True):
+    """`layer.forward` over x from zero state; no resets unless given."""
+    if resets is None:
+        resets = np.zeros(len(x), dtype=np.uint8)
+    return layer.forward(x, *layer.initial_state(), resets, keep)
+
+
 def test_lstm_layer_without_cache_has_no_backward():
     rng = np.random.default_rng(13)
     layer = nn.LSTMLayer(2, 3, rng=rng)
     x = rng.normal(size=(4, 2))
-    hs, hT, cT = layer.forward(x, keep=False)
+    hs, hT, cT = lstm_from_zero(layer, x, keep=False)
     assert layer._cache is None
-    want = layer.forward(x)
+    want = lstm_from_zero(layer, x)
     for g, w in zip((hs, hT, cT), want):
         assert np.array_equal(g, w)
-    layer.forward(x, keep=False)
+    lstm_from_zero(layer, x, keep=False)
     with pytest.raises(RuntimeError):
         layer.backward(np.ones((4, 3)))
 
@@ -350,7 +360,7 @@ def test_dense_gemm_dw_sums_64_row_blocks_left_to_right():
 def test_lstm_zero_params_stay_zero():
     layer = nn.LSTMLayer(3, 4)
     x = np.random.default_rng(0).normal(size=(5, 3))
-    hs, hT, cT = layer.forward(x)
+    hs, hT, cT = lstm_from_zero(layer, x)
     assert np.all(hs == 0) and np.all(hT == 0) and np.all(cT == 0)
 
 
@@ -370,7 +380,7 @@ def test_lstm_single_cell_hand_computed():
     o = sig(wxo * x + bo)
     c1 = i * g
     h1 = o * math.tanh(c1)
-    hs, hT, cT = layer.forward(np.array([[x]]))
+    hs, hT, cT = lstm_from_zero(layer, np.array([[x]]))
     assert hs[0, 0] == pytest.approx(h1, abs=1e-15)
     assert cT[0] == pytest.approx(c1, abs=1e-15)
 
@@ -379,9 +389,9 @@ def test_lstm_two_steps_compose():
     rng = np.random.default_rng(7)
     layer = nn.LSTMLayer(2, 3, rng=rng)
     x = rng.normal(size=(2, 2))
-    hs, hT, cT = layer.forward(x)
-    h1, c1 = layer.forward(x[:1])[1:]
-    hs2, hT2, cT2 = layer.forward(x[1:], h0=h1, c0=c1)
+    hs, hT, cT = lstm_from_zero(layer, x)
+    h1, c1 = lstm_from_zero(layer, x[:1])[1:]
+    hs2, hT2, cT2 = layer.forward(x[1:], h1, c1, np.zeros(1, dtype=np.uint8))
     assert np.array_equal(hT, hT2)
     assert np.array_equal(cT, cT2)
     assert np.array_equal(hs[1], hs2[0])
@@ -392,9 +402,9 @@ def test_lstm_reset_equals_fresh_state():
     layer = nn.LSTMLayer(2, 3, rng=rng)
     x = rng.normal(size=(6, 2))
     resets = np.array([1, 0, 0, 1, 0, 0], dtype=np.uint8)
-    hs, _, _ = layer.forward(x, resets=resets)
-    hs_a, hTa, cTa = layer.forward(x[:3])
-    hs_b, _, _ = layer.forward(x[3:])
+    hs, _, _ = lstm_from_zero(layer, x, resets)
+    hs_a, hTa, cTa = lstm_from_zero(layer, x[:3])
+    hs_b, _, _ = lstm_from_zero(layer, x[3:])
     assert np.array_equal(hs[:3], hs_a)
     assert np.array_equal(hs[3:], hs_b)
 
@@ -404,8 +414,8 @@ def test_lstm_backward_is_one_lane():
     layer = nn.LSTMLayer(2, 3, rng=rng)
     h0 = np.zeros((2, 3))
     with pytest.raises(nn.ShapeMismatch):
-        layer.forward(rng.normal(size=(5, 2)), h0, h0)  # 5 rows over 2 lanes
-    hs, hT, _ = layer.forward(rng.normal(size=(6, 2)), h0, h0)
+        layer.forward(rng.normal(size=(5, 2)), h0, h0, np.zeros(5))  # 5 rows over 2 lanes
+    hs, hT, _ = layer.forward(rng.normal(size=(6, 2)), h0, h0, np.zeros(6))
     assert hs.shape == (6, 3) and hT.shape == (2, 3)
     with pytest.raises(nn.ShapeMismatch):
         layer.backward(np.ones_like(hs))
@@ -421,7 +431,7 @@ def test_lstm_gradcheck():
         proj = rng.normal(0, 1.0, (3, 2))
 
         def loss():
-            hs, _, _ = layer.forward(x, resets=resets)
+            hs, _, _ = lstm_from_zero(layer, x, resets)
             return float(np.sum(hs * proj))
 
         loss()
@@ -804,6 +814,32 @@ def test_clip_grad_norm():
             assert math.sqrt(float(np.sum(net.grads * net.grads))) <= max_norm
             np.testing.assert_allclose(net.grads, np.concatenate(
                 [a.ravel() for a in per_array]), rtol=1e-13, atol=0.0)
+
+
+# Clips seeded policy-sized arenas and prints, per seed, the norm and the
+# sha256 of the clipped arena. `np.dot(g, g)` in place of the clip's sum
+# gives other bits under one and two OpenBLAS threads at seeds 0, 4 and 5.
+CLIP_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from fxppo import nn
+for seed in range(6):
+    grads = np.random.default_rng(seed).normal(scale=1e-2, size=int(sys.argv[1]))
+    norm = nn.clip_grad_norm(grads, 0.5)
+    print(seed, float(norm).hex(), hashlib.sha256(grads.tobytes()).hexdigest())
+"""
+
+
+def test_clip_grad_norm_independent_of_blas_threads():
+    size = str(PolicyNetwork().grads.size)
+    src = os.path.dirname(os.path.dirname(nn.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        runs.append(subprocess.run([sys.executable, "-c", CLIP_SCRIPT, size], env=env,
+                                   check=True, capture_output=True, text=True, timeout=120).stdout)
+    assert size == "118448" and len(runs[0].split()) == 18
+    assert runs[0] == runs[1]
 
 
 def test_init_determinism():
