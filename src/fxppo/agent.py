@@ -140,7 +140,7 @@ class PolicyNetwork(Net):
         return out[:, :N_ACTIONS], aux_logits, out[:, VALUE_COLUMN], hT, cT
 
     def backward_sequence(self, d_policy_logits, d_aux_logits, d_values):
-        """Accumulates parameter gradients for the last forward_sequence;
+        """Writes the parameter gradients for the last forward_sequence;
         with ``d_aux_logits`` None the aux columns get zero gradient."""
         d_out = np.zeros((d_values.shape[0], self.heads.out_size))
         d_out[:, :N_ACTIONS] = d_policy_logits
@@ -366,7 +366,6 @@ def minibatch_pass(
         d_aux = config.aux_loss_weight * (aux_p - aux_onehot) / n
     else:
         d_aux = None
-    net.grads.fill(0.0)
     net.backward_sequence(d_logits, d_aux, d_values)
 
     return total, policy_loss_val, v_loss_val, aux_loss_val, entropy_val, clip_fraction
@@ -473,7 +472,9 @@ def train(
     """Full training loop: rollouts alternating with updates.
 
     Runs while another whole rollout still fits into total_timesteps.
-    Returns (net, log_rows) where each log row mirrors LOG_HEADER. After
+    Returns (net, log_rows) where each log row mirrors LOG_HEADER, its
+    floats printed with 17 significant digits, which read back as the
+    same float64, so the log shows any move in the losses. After
     each update the whole log is rewritten as ``<log_path>.partial``,
     which is renamed to ``log_path`` when the loop ends; final.bin comes last.
     """
@@ -503,10 +504,10 @@ def train(
         steps_done += config.rollout_length
         n_updates += 1
         log_rows.append(
-            f"{steps_done},{np.mean(buffer.rewards):.10g},"
-            f"{stats.policy_loss:.10g},{stats.value_loss:.10g},"
-            f"{stats.aux_loss:.10g},{stats.entropy:.10g},"
-            f"{stats.clip_fraction:.10g}"
+            f"{steps_done},{np.mean(buffer.rewards):.17g},"
+            f"{stats.policy_loss:.17g},{stats.value_loss:.17g},"
+            f"{stats.aux_loss:.17g},{stats.entropy:.17g},"
+            f"{stats.clip_fraction:.17g}"
         )
         if log_path:
             write_artifact(f"{log_path}.partial", "\n".join([LOG_HEADER, *log_rows, ""]))

@@ -20,11 +20,15 @@ with a zero row (:func:`two_or_more_rows`, or the LSTM's pad row).
 Narrower products lack the property (64-3, 64-12 and 64-1 each differ at
 some row counts), which is why the three heads are one 16-output layer.
 
-The backward kernels are gemms. Weight gradients are sums of gemms over
-fixed ``GRAD_BLOCK_ROWS``-row blocks (:func:`block_sum_tn`), so their bits
-depend neither on how a minibatch is batched nor on the BLAS thread count:
-a single gemm whose reduction runs over a few hundred rows gives different
-bits under one and two OpenBLAS threads.
+The backward kernels are gemms. They write the parameter gradients into
+the caller's arrays (a layer's views into its network's arena) and read
+each transposed operand as a view, which BLAS takes as a transpose flag,
+instead of a copy. Weight gradients are sums of gemms over fixed
+``GRAD_BLOCK_ROWS``-row blocks (:func:`block_sum_tn`), so their bits
+depend neither on how a minibatch is batched nor on the BLAS thread
+count: at the production shapes each block's product has the same bits
+under one and two OpenBLAS threads with the SkylakeX and the Haswell
+kernel, while one gemm over 600 rows does not with SkylakeX.
 """
 
 import numpy as np
@@ -35,14 +39,14 @@ import numpy as np
 GRAD_BLOCK_ROWS = 64
 
 
-def block_sum_tn(a, d):
-    """``a.T @ d`` for (T, m) and (T, n) arrays, as the left-to-right sum
-    of gemms over consecutive ``GRAD_BLOCK_ROWS``-row blocks."""
+def block_sum_tn(a, d, out):
+    """Writes ``a.T @ d`` for (T, m) and (T, n) arrays into the (m, n)
+    array ``out``, as the left-to-right sum of gemms over consecutive
+    ``GRAD_BLOCK_ROWS``-row blocks."""
     B = GRAD_BLOCK_ROWS
-    out = np.dot(np.ascontiguousarray(a[:B].T), d[:B])
+    np.dot(a[:B].T, d[:B], out=out)
     for s in range(B, a.shape[0], B):
-        out += np.dot(np.ascontiguousarray(a[s : s + B].T), d[s : s + B])
-    return out
+        out += np.dot(a[s : s + B].T, d[s : s + B])
 
 
 # Neither this nor `dense_rows_backward` has a caller since every dense
@@ -61,7 +65,7 @@ def dense_rows_backward(x, w, dpre):
     """(dx, dw, db) of the affine map given the gradient on its output."""
     T = x.shape[0]
     n_in, n_out = w.shape
-    wT = np.ascontiguousarray(w.T)
+    wT = w.T
     dx = np.empty((T, n_in), dtype=np.float64)
     dw = np.zeros((n_in, n_out), dtype=np.float64)
     db = np.zeros(n_out, dtype=np.float64)
@@ -88,12 +92,12 @@ def two_or_more_rows(x):
     return padded
 
 
-def dense_gemm_backward(x, dpre):
-    """(dw, db) of the affine map given the gradient on its output; the
-    caller that needs the input gradient makes it (`DenseLayer.backward`)."""
-    dw = block_sum_tn(x, dpre)
-    db = np.sum(dpre, axis=0)
-    return dw, db
+def dense_gemm_backward(x, dpre, dw, db):
+    """Writes the parameter gradients of the affine map, given the
+    gradient on its output, into ``dw`` and ``db``; the caller that needs
+    the input gradient makes it (`DenseLayer.backward`)."""
+    block_sum_tn(x, dpre, dw)
+    np.sum(dpre, axis=0, out=db)
 
 
 def lstm_seq_forward(x, resets, h0, c0, wx, wh, b, keep=True):
@@ -198,9 +202,10 @@ def lstm_seq_forward(x, resets, h0, c0, wx, wh, b, keep=True):
     return hs, tanhc, gates, hprev, cprev, hT, cT
 
 
-def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
-    """Backprop through time for `lstm_seq_forward`: (dwx, dwh, db) given
-    dh_out, the per-step upstream gradient on hs.
+def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out, dwx, dwh, db):
+    """Backprop through time for `lstm_seq_forward`: writes the parameter
+    gradients into ``dwx``, ``dwh`` and ``db`` given dh_out, the per-step
+    upstream gradient on hs.
 
     The carried gradient starts at zero at the sequence end and no
     gradient flows into the entry state or the inputs: updates replay
@@ -214,14 +219,14 @@ def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
     gate gradient) and ``[1 - i, 1 - f, 1, 1 - o]``, and ``[g, cprev, i]``,
     which turn ``dc`` into the input, forget and candidate gradients. The
     recurrence then runs row by row, about ten numpy calls around its one
-    gemv, and keeps the association of one expression per gate, e.g.
-    ``(di * i) * (1 - i)``: the exact ``* 1`` and the commuted products
-    leave every bit as it was. The parameter gradients are then gemms over
-    all steps.
+    gemv, ``wh @ dz`` on ``wh`` as stored, and keeps the association of
+    one expression per gate, e.g. ``(di * i) * (1 - i)``: the exact ``* 1``
+    and the commuted products leave every bit as it was. The parameter
+    gradients are then gemms over all steps, written into the caller's
+    arrays.
     """
     T = x.shape[0]
     H = tanhc.shape[1]
-    whT = np.ascontiguousarray(wh.T)
     i, f, g = gates[:, :H], gates[:, H : 2 * H], gates[:, 2 * H : 3 * H]
     o = gates[:, 3 * H :]
     dtanhc = 1.0 - tanhc * tanhc
@@ -252,11 +257,11 @@ def lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
             dh_carry = np.zeros(H, dtype=np.float64)
             dc_carry = np.zeros(H, dtype=np.float64)
         elif t > 0:
-            dh_carry = np.dot(dz, whT)
+            dh_carry = np.dot(wh, dz)
             dc_carry = dc * f[t]
-    dwx = block_sum_tn(x, dZ)
-    dwh = block_sum_tn(hprev, dZ)
-    return dwx, dwh, dZ.sum(axis=0)
+    block_sum_tn(x, dZ, dwx)
+    block_sum_tn(hprev, dZ, dwh)
+    np.sum(dZ, axis=0, out=db)
 
 
 # ---------------------------------------------------------------------------

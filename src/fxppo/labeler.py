@@ -128,12 +128,12 @@ class Autoencoder(Net):
         return self._run(self.layers, self._check(windows), keep=True)
 
     def backward(self, dout):
-        """Accumulates every parameter gradient. enc0 makes only its own:
+        """Writes every parameter gradient. enc0 makes only its own:
         nothing reads the gradient on the windows."""
         d = dout
         for layer in self.layers[:0:-1]:
             d = layer.backward(d)
-        self.layers[0].accumulate(d)
+        self.layers[0].backward_params(d)
 
     def reconstruction_mse(self, windows):
         """`mse_loss` of the reconstruction, squared in place, without the
@@ -187,7 +187,6 @@ def train_autoencoder(windows, config=None, seed=0):
             loss, drecon = mse_loss(recon, batch)
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-            model.grads.fill(0.0)
             model.backward(drecon)
             opt.step(model.grads)
             epoch_loss += loss * batch.shape[0]

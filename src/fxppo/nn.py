@@ -2,9 +2,10 @@
 
 Everything is float64 and seeded: a run's parameter trajectory is a pure
 function of (seed, data). A layer caches what its backward pass reads
-from its last forward pass, until `clear_caches` drops it, and
-accumulates parameter gradients on backward, in the usual
-from-scratch-numpy style. Shapes are tiny here, so clarity wins over
+from its last forward pass, until `clear_caches` drops it. Its backward
+pass writes the parameter gradients of that forward pass over its
+gradient arrays, never adding to what they held, so a network needs no
+zeroing between passes. Shapes are tiny here, so clarity wins over
 cleverness; the kernels live in :mod:`fxppo.kernels`.
 
 A network is declared once, as a layer table: rows ``(tag, layer class,
@@ -16,9 +17,9 @@ flat array and all of its gradients in another, its arena, allocated
 once from the table's shapes; each layer is built on its own stretch of
 both (the ``arena`` argument of the layer constructors), draws its
 initial values straight into it, and its weight, bias and gradient
-attributes are views into it. Adam then updates a whole network with
-one pass of its ufuncs, and zeroing the gradients is one fill. A layer
-built on its own owns its arrays.
+attributes are views into it, which the kernels write into. Adam then
+updates a whole network with one pass of its ufuncs. A layer built on
+its own owns its arrays.
 
 Weight matrices are stored input-major, ``w[i, j]`` mapping input ``i`` to
 output ``j``; a dense layer computes ``act(x @ w + b)``.
@@ -47,7 +48,7 @@ def init_uniform(rng, shape, fan_in):
 
 class _Layer:
     """A layer names its parameter attributes in ``PARAMS`` and their
-    gradient accumulators in ``GRADS``, in matching order; its static
+    gradient arrays in ``GRADS``, in matching order; its static
     ``shapes`` takes the constructor's arguments but ``rng`` and ``arena``
     and returns ``{param: shape}`` in ``PARAMS`` order without allocating."""
 
@@ -86,8 +87,9 @@ class DenseLayer(_Layer):
     The bias and the ReLU are applied in place on the kernel's product,
     and the layer caches ``(x, y)``, its input and its output: the ReLU's
     mask is ``y > 0``, which is ``x @ w + b > 0`` bit for bit.
-    The backward pass is the gemm kernel. ``backward`` returns
-    the gradient on the input; ``accumulate`` makes only the parameter
+    The backward pass is the gemm kernel, which writes ``dw`` and ``db``.
+    ``backward`` returns the gradient on the input, a gemm on the
+    transposed view of ``w``; ``backward_params`` makes only the parameter
     gradients, for the first layer of a network, whose input gradient
     nothing reads.
     """
@@ -121,9 +123,9 @@ class DenseLayer(_Layer):
         self._cache = (x, y)
         return y
 
-    def accumulate(self, dy):
-        """Adds the parameter gradients for the output gradient ``dy`` to
-        dw and db; returns the gradient on the pre-activation."""
+    def backward_params(self, dy):
+        """Writes the parameter gradients for the output gradient ``dy``
+        into dw and db; returns the gradient on the pre-activation."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, y = self._cache
@@ -131,14 +133,12 @@ class DenseLayer(_Layer):
         if dy.shape != y.shape:
             raise ShapeMismatch(f"gradient shape {dy.shape} != output {y.shape}")
         dpre = dy * (y > 0.0) if self.relu else dy
-        dw, db = kernels.dense_gemm_backward(x, dpre)
-        self.dw += dw
-        self.db += db
+        kernels.dense_gemm_backward(x, dpre, self.dw, self.db)
         return dpre
 
     def backward(self, dy):
-        """`accumulate`, then the gradient on the input."""
-        return np.dot(self.accumulate(dy), np.ascontiguousarray(self.w.T))
+        """`backward_params`, then the gradient on the input."""
+        return np.dot(self.backward_params(dy), self.w.T)
 
 
 class LSTMLayer(_Layer):
@@ -195,9 +195,9 @@ class LSTMLayer(_Layer):
         return hs, hT, cT
 
     def backward(self, dh_out):
-        """Accumulates the parameter gradients given per-step gradients on
-        the outputs (`kernels.lstm_seq_backward`). One lane only: the
-        forward must have started from (H,) state."""
+        """Writes the parameter gradients given per-step gradients on the
+        outputs into dwx, dwh and db (`kernels.lstm_seq_backward`). One
+        lane only: the forward must have started from (H,) state."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, resets, gates, tanhc, hprev, cprev, state_shape = self._cache
@@ -206,12 +206,10 @@ class LSTMLayer(_Layer):
         dh_out = np.asarray(dh_out, dtype=np.float64)
         if dh_out.shape != (x.shape[0], self.hidden_size):
             raise ShapeMismatch("dh_out shape mismatch")
-        dwx, dwh, db = kernels.lstm_seq_backward(
+        kernels.lstm_seq_backward(
             x, resets, gates, tanhc, hprev, cprev, self.wh, dh_out,
+            self.dwx, self.dwh, self.db,
         )
-        self.dwx += dwx
-        self.dwh += dwh
-        self.db += db
 
 
 def softmax(logits):
@@ -259,10 +257,13 @@ class Adam:
     operation is elementwise, so stepping the flat array gives each
     parameter the bits that stepping its layer's array alone would.
 
-    ``step`` updates in place through two scratch arrays, in the operation
-    order of ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)`` with
-    ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g**2``, so it gives
-    the same bits as that formula written with temporaries.
+    ``step`` takes Kingma and Ba's efficient form (ICLR 2015, section 2):
+    after ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g**2``,
+    ``p -= a * (m / (sqrt(v) + eps * sqrt(b2t)))`` with
+    ``a = lr * sqrt(b2t) / b1t``, ``b1t = 1 - b1**t``, ``b2t = 1 - b2**t``.
+    That is the bias-corrected ``lr * (m / b1t) / (sqrt(v / b2t) + eps)``
+    up to rounding, made in place through one scratch array with one sqrt
+    and one divide over the parameters.
     """
 
     BETA1 = 0.9
@@ -275,31 +276,28 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._s1 = np.empty_like(params)
-        self._s2 = np.empty_like(params)
+        self._scratch = np.empty_like(params)
 
     def step(self, grads):
         if grads.shape != self.params.shape:
             raise ShapeMismatch("gradient/parameter shape mismatch")
         self.step_count += 1
         b1, b2 = self.BETA1, self.BETA2
-        b1t = 1.0 - b1**self.step_count
-        b2t = 1.0 - b2**self.step_count
-        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        root_b2t = np.sqrt(1.0 - b2**self.step_count)
+        step_size = self.lr * root_b2t / (1.0 - b1**self.step_count)
+        m, v, s = self.m, self.v, self._scratch
         m *= b1
-        np.multiply(grads, 1.0 - b1, out=s1)
-        m += s1
+        np.multiply(grads, 1.0 - b1, out=s)
+        m += s
         v *= b2
-        np.multiply(grads, grads, out=s1)
-        s1 *= 1.0 - b2
-        v += s1
-        np.divide(m, b1t, out=s1)
-        s1 *= self.lr
-        np.divide(v, b2t, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += self.EPS
-        s1 /= s2
-        self.params -= s1
+        np.multiply(grads, grads, out=s)
+        s *= 1.0 - b2
+        v += s
+        np.sqrt(v, out=s)
+        s += self.EPS * root_b2t
+        np.divide(m, s, out=s)
+        s *= step_size
+        self.params -= s
 
 
 def _count(shapes):

@@ -48,9 +48,10 @@ def reachable_arrays(root):
 
 
 class TextbookAdam:
-    """Adam as its formula, with temporaries and one state per array,
-    stepping each array of ``params`` in place: the reference for
-    `fxppo.nn.Adam`, which steps one flat array."""
+    """Adam as the formula of Kingma and Ba's efficient form, with
+    temporaries and one state per array, stepping each array of
+    ``params`` in place: the reference for `fxppo.nn.Adam`, which steps
+    one flat array."""
 
     def __init__(self, params, lr):
         self.params = params
@@ -62,11 +63,13 @@ class TextbookAdam:
     def step(self, grads):
         self.step_count += 1
         t, b1, b2, eps = self.step_count, 0.9, 0.999, 1e-8
+        root_b2t = np.sqrt(1.0 - b2**t)
+        step_size = self.lr * root_b2t / (1.0 - b1**t)
+        eps_hat = eps * root_b2t
         for k, (p, g) in enumerate(zip(self.params, grads)):
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-            m_hat, v_hat = self.m[k] / (1.0 - b1**t), self.v[k] / (1.0 - b2**t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+            p -= step_size * (self.m[k] / (np.sqrt(self.v[k]) + eps_hat))
 
 
 class _CutFile:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import TextbookAdam, reachable_arrays
 from fxppo import agent
 from fxppo.agent import (
+    N_ACTIONS,
+    N_CLUSTERS,
     AgentError,
     PPOConfig,
     PolicyNetwork,
@@ -495,6 +497,33 @@ class TestCompositeGradient:
                 denom = max(abs(numeric) + abs(gflat[i]), 1e-6)
                 worst = max(worst, abs(numeric - gflat[i]) / denom)
         assert worst <= 1e-4
+
+
+class TestWrittenGradients:
+    @pytest.mark.parametrize("aux_weight", [0.5, 0.0])
+    def test_minibatch_pass_writes_over_the_arena(self, aux_weight):
+        """Every layer writes its gradients over what the arena held: from
+        an arena of NaN, one pass gives finite gradients with the bits of
+        the same pass from a zeroed arena. A layer that added to the arena,
+        or left a block unwritten, would leave NaN."""
+        rng = np.random.default_rng(40)
+        net = PolicyNetwork(rng=rng)
+        n = 32
+        resets = np.zeros(n, dtype=np.uint8)
+        resets[[0, 17]] = 1
+        batch = (
+            rng.normal(scale=2e-3, size=(n, 80)), rng.normal(size=128), rng.normal(size=128),
+            resets, rng.integers(0, N_ACTIONS, n), np.log(rng.uniform(0.2, 0.5, n)),
+            rng.normal(size=n), rng.normal(size=n), rng.integers(0, N_CLUSTERS, n),
+        )
+        config = PPOConfig(aux_loss_weight=aux_weight)
+        grads = []
+        for fill in (0.0, np.nan):
+            net.grads.fill(fill)
+            minibatch_pass(net, *batch, config)
+            grads.append(net.grads.copy())
+        assert np.all(np.isfinite(grads[1]))
+        assert np.array_equal(grads[1], grads[0])
 
 
 class TestUpdate:

@@ -237,8 +237,24 @@ class TestAutoencoder:
         for name, arr in ref.param_blocks().items():
             assert np.array_equal(model.param_blocks()[name], arr)
 
+    def test_backward_writes_over_the_arena(self):
+        # from an arena of NaN, one forward/backward gives finite gradients
+        # with the bits of the same pass from a zeroed arena: every layer
+        # writes its gradients instead of adding to what the arena held
+        rng = np.random.default_rng(14)
+        model = Autoencoder(AutoencoderConfig(), rng)
+        batch = rng.normal(size=(32, 80))
+        grads = []
+        for fill in (0.0, np.nan):
+            model.grads.fill(fill)
+            _, drecon = mse_loss(model.forward(batch), batch)
+            model.backward(drecon)
+            grads.append(model.grads.copy())
+        assert np.all(np.isfinite(grads[1]))
+        assert np.array_equal(grads[1], grads[0])
+
     def test_backward_skips_the_input_gradient(self):
-        # enc0 adds its parameter gradients and makes no gradient on the
+        # enc0 writes its parameter gradients and makes no gradient on the
         # windows; every gradient has the bits of the full chain
         rng = np.random.default_rng(13)
         model = Autoencoder(AutoencoderConfig(), rng)

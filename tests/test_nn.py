@@ -113,10 +113,12 @@ def test_dense_in_place_matches_textbook_formula_bit_for_bit():
     assert np.array_equal(y, np.maximum(pre, 0.0))
     assert np.array_equal(np.signbit(y), np.signbit(np.maximum(pre, 0.0)))
     dy = rng.normal(size=(40, 5))
-    dw, db = kernels.dense_gemm_backward(x, dy * (pre > 0.0))
-    layer.backward(dy)
+    dw, db = np.full((6, 5), np.nan), np.full(5, np.nan)
+    kernels.dense_gemm_backward(x, dy * (pre > 0.0), dw, db)
+    dx = layer.backward(dy)
     assert np.array_equal(layer.dw, dw)
     assert np.array_equal(layer.db, db)
+    assert np.array_equal(dx, np.dot(dy * (pre > 0.0), layer.w.T))
 
 
 def dense_rows_forward_rowwise(x, w, b):
@@ -328,8 +330,16 @@ def test_lstm_layer_without_cache_has_no_backward():
 
 
 def plain_gemm_tn(x, d):
-    # the single gemm the dense backward made before block sums
-    return np.dot(np.ascontiguousarray(x.T), d)
+    # the single gemm the dense backward made before block sums, on the
+    # transposed view of x
+    return np.dot(x.T, d)
+
+
+def dense_dw(x, dpre):
+    """The dw that `kernels.dense_gemm_backward` writes, into a NaN array."""
+    dw = np.full((x.shape[1], dpre.shape[1]), np.nan)
+    kernels.dense_gemm_backward(x, dpre, dw, np.full(dpre.shape[1], np.nan))
+    return dw
 
 
 @pytest.mark.parametrize("T", [1, 33, 64])
@@ -339,17 +349,15 @@ def test_dense_gemm_dw_is_one_gemm_up_to_64_rows(T, shape):
     rng = np.random.default_rng(T)
     x = rng.normal(size=(T, shape[0]))
     dpre = rng.normal(size=(T, shape[1]))
-    dw, _ = kernels.dense_gemm_backward(x, dpre)
-    assert np.array_equal(dw, plain_gemm_tn(x, dpre))
+    assert np.array_equal(dense_dw(x, dpre), plain_gemm_tn(x, dpre))
 
 
 def test_dense_gemm_dw_sums_64_row_blocks_left_to_right():
     rng = np.random.default_rng(150)
     x = rng.normal(size=(150, 64))
     dpre = rng.normal(size=(150, 12))
-    dw, _ = kernels.dense_gemm_backward(x, dpre)
     blocks = [plain_gemm_tn(x[s : s + 64], dpre[s : s + 64]) for s in (0, 64, 128)]
-    assert np.array_equal(dw, (blocks[0] + blocks[1]) + blocks[2])
+    assert np.array_equal(dense_dw(x, dpre), (blocks[0] + blocks[1]) + blocks[2])
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +462,6 @@ def lstm_backward_rowwise(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
     dwx = np.zeros((n_in, 4 * H))
     dwh = np.zeros_like(wh)
     db = np.zeros(4 * H)
-    whT = np.ascontiguousarray(wh.T)
     dh_carry = np.zeros(H)
     dc_carry = np.zeros(H)
     dz = np.empty(4 * H)
@@ -481,9 +488,18 @@ def lstm_backward_rowwise(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
             dh_carry = np.zeros(H)
             dc_carry = np.zeros(H)
         else:
-            dh_carry = np.dot(dz, whT)
+            dh_carry = np.dot(wh, dz)
             dc_carry = dc * f
     return dwx, dwh, db
+
+
+def lstm_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
+    """The (dwx, dwh, db) that `kernels.lstm_seq_backward` writes, into
+    NaN arrays."""
+    out = (np.full((x.shape[1], wh.shape[1]), np.nan), np.full(wh.shape, np.nan),
+           np.full(wh.shape[1], np.nan))
+    kernels.lstm_seq_backward(x, resets, gates, tanhc, hprev, cprev, wh, dh_out, *out)
+    return out
 
 
 @pytest.mark.parametrize("T", [1, 7, 32, 65, 130])
@@ -501,7 +517,7 @@ def test_lstm_backward_matches_rowwise_oracle(T):
     hs, tanhc, gates, hprev, cprev = forward[:5]
     args = (x, resets, gates, tanhc, hprev, cprev, wh, rng.normal(size=(T, H)))
     # the sums over steps change order only
-    for got, want in zip(kernels.lstm_seq_backward(*args), lstm_backward_rowwise(*args)):
+    for got, want in zip(lstm_backward(*args), lstm_backward_rowwise(*args)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -513,7 +529,6 @@ def lstm_backward_unhoisted(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
     order is pinned through them."""
     T = x.shape[0]
     H = tanhc.shape[1]
-    whT = np.ascontiguousarray(wh.T)
     dh_carry = np.zeros(H, dtype=np.float64)
     dc_carry = np.zeros(H, dtype=np.float64)
     dZ = np.empty((T, 4 * H), dtype=np.float64)
@@ -538,10 +553,12 @@ def lstm_backward_unhoisted(x, resets, gates, tanhc, hprev, cprev, wh, dh_out):
             dh_carry = np.zeros(H, dtype=np.float64)
             dc_carry = np.zeros(H, dtype=np.float64)
         else:
-            dh_carry = np.dot(dz, whT)
+            dh_carry = np.dot(wh, dz)
             dc_carry = dc * f
-    dwx = kernels.block_sum_tn(x, dZ)
-    dwh = kernels.block_sum_tn(hprev, dZ)
+    dwx = np.empty((x.shape[1], 4 * H))
+    dwh = np.empty_like(wh)
+    kernels.block_sum_tn(x, dZ, dwx)
+    kernels.block_sum_tn(hprev, dZ, dwh)
     return dwx, dwh, dZ.sum(axis=0)
 
 
@@ -564,7 +581,7 @@ def test_lstm_backward_matches_unhoisted_oracle_bit_for_bit(T, resets_kind):
     )
     args = (x, resets, gates, tanhc, hprev, cprev, wh, rng.normal(size=(T, H)))
     inputs = [a.copy() for a in args]
-    got = kernels.lstm_seq_backward(*args)
+    got = lstm_backward(*args)
     for before, after in zip(inputs, args):
         assert np.array_equal(before, after)
     want = lstm_backward_unhoisted(*args)
@@ -636,9 +653,36 @@ def test_adam_deterministic():
     assert np.array_equal(run(), run())
 
 
+@pytest.mark.parametrize("t", [1, 2, 10, 1000, 10_000])
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0])
+def test_adam_efficient_form_matches_the_bias_corrected_formula(t, scale):
+    """From the same state, one step of the efficient form moves every
+    parameter by ``lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)``
+    up to rounding, and leaves the moments of that formula bit for bit.
+    Small gradients are where the scaled epsilon matters: at t = 1, plain
+    eps against sqrt(v) would change the step by up to 32x."""
+    lr = 3e-4
+    b1, b2, eps = nn.Adam.BETA1, nn.Adam.BETA2, nn.Adam.EPS
+    rng = np.random.default_rng(t)
+    g = rng.normal(scale=scale, size=500)
+    # moments that t - 1 earlier steps of this scale could have left
+    m = rng.normal(scale=scale, size=500) * (1.0 - b1 ** (t - 1))
+    v = rng.normal(scale=scale, size=500) ** 2 * (1.0 - b2 ** (t - 1))
+    p = np.zeros(500)  # so that p after the step is minus the step
+    opt = nn.Adam(p, lr)
+    opt.m[:], opt.v[:], opt.step_count = m, v, t - 1
+    opt.step(g)
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    want = -(lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps))
+    assert opt.step_count == t
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    np.testing.assert_allclose(p, want, rtol=1e-13, atol=0.0)
+
+
 def test_adam_in_place_matches_textbook_formula_bit_for_bit():
-    """One flat Adam over a net's arena ends on the bits of the textbook
-    formula applied to each parameter array, with gradient scales that
+    """One flat Adam over a net's arena ends on the bits of the efficient
+    form's formula applied to each parameter array, with gradient scales that
     differ by array."""
     lr = 3e-4
     rng = np.random.default_rng(60)
